@@ -9,22 +9,13 @@
 
    Usage:  dune exec bench/main.exe            (all sections)
            dune exec bench/main.exe f3 s6 p2   (selected sections)
-           dune exec bench/main.exe -- --check-regression BENCH_PR5.json
-                                               (perf-regression gate)
 
    Sections: f1 f2 f3 f4  e1 e2 e3  t2 s6 e8 d8  p1 p2 p3
-              a1 a2 a3 a4 a5  r1 r2  timing obs perf perf2 plan incr
-              serve net
+              a1 a2 a3 a4 a5  r1 r2  timing obs plan incr serve net
 
-   Flags: --help                    list sections and flags, then exit
-          --check-regression FILE   re-measure the perf workloads and
-                                    exit nonzero if any slowed beyond
-                                    the baseline's threshold
-          --slowdown F              multiply measured times by F
-                                    (tests the gate by injection)
-          --out FILE                where `perf` writes its baseline
-                                    (default BENCH_PR5.json; `perf2`
-                                    always writes BENCH_PR10.json) *)
+   Flags: --help   list sections and flags, then exit
+
+   Wall-clock regressions are gated by bench/e2e, not here. *)
 
 open Datalog
 open Pardatalog
@@ -37,30 +28,10 @@ let claim name ok =
 
 (* Flags are stripped from argv before section selection; what remains
    is the list of requested section ids (all sections when empty). *)
-let picks, regression_baseline, slowdown, out_file, want_help =
-  let picks = ref [] and reg = ref None in
-  let slow = ref 1.0 and out = ref "BENCH_PR5.json" in
-  let help = ref false in
-  let rec go = function
-    | [] -> ()
-    | ("--help" | "-h") :: rest ->
-      help := true;
-      go rest
-    | "--check-regression" :: file :: rest ->
-      reg := Some file;
-      go rest
-    | "--slowdown" :: f :: rest ->
-      slow := float_of_string f;
-      go rest
-    | "--out" :: file :: rest ->
-      out := file;
-      go rest
-    | id :: rest ->
-      picks := id :: !picks;
-      go rest
-  in
-  (match Array.to_list Sys.argv with _ :: rest -> go rest | [] -> ());
-  (List.rev !picks, !reg, !slow, !out, !help)
+let picks, want_help =
+  let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
+  let help a = a = "--help" || a = "-h" in
+  (List.filter (fun a -> not (help a)) args, List.exists help args)
 
 let section id title f =
   let wanted =
@@ -1018,290 +989,17 @@ let obs () =
   Format.printf "  wrote BENCH_PR4.json (%d runs)@." (List.length !runs)
 
 (* ------------------------------------------------------------------ *)
-(* PERF: the hot-path storage engine — wall-clock and the PR5 baseline.*)
+(* Shared shapes of the incr and plan sections.                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-round wall-clock of the sequential engine on three shapes.
-   Fixed seeds, median of five runs. The pre-change constants were
-   measured by the same driver on the list-backed storage layer
-   immediately before the PR5 rewrite (same machine, same convention:
-   median total ns / semi-naive iterations). *)
-let regression_threshold = 1.5
-
-let perf_workloads () =
+let shape_workloads () =
   let rng = Workload.Rng.create ~seed:2026 in
   [
-    ("chain-200", 222_552., Workload.Graphgen.chain 200);
-    ("grid-16", 1_417_033., Workload.Graphgen.grid ~rows:16 ~cols:16);
+    ("chain-200", Workload.Graphgen.chain 200);
+    ("grid-16", Workload.Graphgen.grid ~rows:16 ~cols:16);
     ( "hotspot-50x220",
-      968_150.,
       Workload.Graphgen.hotspot rng ~nodes:50 ~edges:220 ~hubs:2 );
   ]
-
-let measure_per_round edb =
-  let samples =
-    List.init 5 (fun _ ->
-        time_once (fun () -> Seminaive.evaluate ancestor edb))
-  in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
-  let t, (_db, stats) = List.nth sorted 2 in
-  (t *. 1e9 /. float_of_int (max 1 stats.Seminaive.iterations), stats)
-
-let perf () =
-  Format.printf "  %-16s %10s %12s %8s %9s %5s@." "workload" "ns/round"
-    "pre-change" "speedup" "firings" "dups";
-  let rows =
-    List.map
-      (fun (name, pre, edges) ->
-        let per_round, stats = measure_per_round (edb_of edges) in
-        let speedup = pre /. per_round in
-        Format.printf "  %-16s %10.0f %12.0f %7.2fx %9d %5d@." name
-          per_round pre speedup stats.Seminaive.firings
-          stats.Seminaive.duplicate_firings;
-        (name, pre, per_round, stats, speedup))
-      (perf_workloads ())
-  in
-  (* One simulated-runtime run so the baseline also records where the
-     wall-clock goes per executor phase (Stats.phase_ns). *)
-  let rw = Result.get_ok (Strategy.example3 ~seed:0 ~nprocs:4 ancestor) in
-  let r = Sim_runtime.run rw ~edb:(edb_of (Workload.Graphgen.chain 200)) in
-  let phases = r.Sim_runtime.stats.Stats.phase_ns in
-  Format.printf "  sim-runtime phase wall-clock (chain-200, N=4):@.";
-  List.iter
-    (fun (name, ns) -> Format.printf "    %-18s %10d ns@." name ns)
-    phases;
-  claim "phase timers cover sending, receiving and processing"
-    (List.for_all
-       (fun p -> List.mem_assoc p phases)
-       [ "sending"; "receiving"; "processing" ]);
-  claim "chain ancestor stays duplicate-free (non-redundant engine)"
-    (List.for_all
-       (fun (name, _, _, s, _) ->
-         name <> "chain-200" || s.Seminaive.duplicate_firings = 0)
-       rows);
-  claim
-    (Printf.sprintf "per-round speedup vs the pre-change tree >= %.1fx"
-       regression_threshold)
-    (List.for_all (fun (_, _, _, _, sp) -> sp >= regression_threshold) rows);
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":1,\"bench\":\"PR5\",\"seed\":2026,\"threshold\":%.2f,\"workloads\":["
-       regression_threshold);
-  List.iteri
-    (fun i (name, pre, per_round, (s : Seminaive.stats), speedup) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"per_round_ns\":%.0f,\"rounds\":%d,\"firings\":%d,\"duplicate_firings\":%d,\"pre_change_ns\":%.0f,\"speedup_vs_pre\":%.2f}"
-           name per_round s.Seminaive.iterations s.Seminaive.firings
-           s.Seminaive.duplicate_firings pre speedup))
-    rows;
-  Buffer.add_string buf "],\"phase_ns\":{";
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" name ns))
-    phases;
-  Buffer.add_string buf "}}\n";
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote %s@." out_file
-
-(* The regression gate: re-measure the perf workloads and compare each
-   against the committed baseline, reading its JSON with a plain
-   substring scan (ints and floats only, no parser dependency). *)
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go from
-
-let number_after s needle from =
-  match find_sub s needle from with
-  | None -> None
-  | Some i ->
-    let n = String.length s in
-    let j = ref i in
-    while
-      !j < n
-      && (match s.[!j] with '0' .. '9' | '.' | '-' -> true | _ -> false)
-    do
-      incr j
-    done;
-    if !j = i then None else Some (float_of_string (String.sub s i (!j - i)))
-
-let run_regression baseline_file =
-  let content =
-    let ic = open_in baseline_file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let threshold =
-    Option.value ~default:regression_threshold
-      (number_after content "\"threshold\":" 0)
-  in
-  Format.printf "checking wall-clock against %s (threshold %.2fx)%s@."
-    baseline_file threshold
-    (if slowdown <> 1.0 then
-       Printf.sprintf " with injected %.2fx slowdown" slowdown
-     else "");
-  Format.printf "  %-16s %10s %10s %6s  %s@." "workload" "baseline"
-    "current" "ratio" "";
-  let ok = ref true in
-  List.iter
-    (fun (name, _pre, edges) ->
-      let per_round, _ = measure_per_round (edb_of edges) in
-      let per_round = per_round *. slowdown in
-      match
-        find_sub content (Printf.sprintf "\"name\":%S" name) 0
-        |> Option.map (fun i -> number_after content "\"per_round_ns\":" i)
-      with
-      | None | Some None ->
-        Format.printf "  %-16s missing from the baseline@." name;
-        ok := false
-      | Some (Some baseline) ->
-        let ratio = per_round /. baseline in
-        let pass = ratio <= threshold in
-        if not pass then ok := false;
-        Format.printf "  %-16s %10.0f %10.0f %5.2fx  %s@." name baseline
-          per_round ratio
-          (if pass then "ok" else "REGRESSION"))
-    (perf_workloads ());
-  if !ok then begin
-    Format.printf "no perf regression@.";
-    exit 0
-  end
-  else begin
-    Format.printf "perf regression: a workload slowed beyond %.2fx@."
-      threshold;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* PERF2: hot-path round 2 — columnar slabs, batched mailboxes (PR10). *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-round wall-clock measured by this driver on the boxed storage
-   layer immediately before the PR10 columnar rewrite (same machine,
-   same median-of-five convention as the PR5 constants — which were
-   themselves measured before the PR5 rewrite, so the two baselines
-   chain: PR5 pre -> PR5 post = PR10 pre -> PR10 post). *)
-let perf2_pre =
-  [
-    ("chain-200", 215_181.);
-    ("grid-16", 1_300_740.);
-    ("hotspot-50x220", 822_272.);
-  ]
-
-(* The columnar engine still allocates the derived tuples themselves;
-   the bound asserts the flat slabs killed the per-round bookkeeping
-   churn (boxed storage sat well above it). Words, not bytes. *)
-let minor_words_bound = 40_000.
-
-let perf2 () =
-  Format.printf "  %-16s %10s %12s %8s %9s %5s@." "workload" "ns/round"
-    "pre-PR10" "speedup" "firings" "dups";
-  let rows =
-    List.map
-      (fun (name, _pr5_pre, edges) ->
-        let pre = List.assoc name perf2_pre in
-        let per_round, stats = measure_per_round (edb_of edges) in
-        let speedup = pre /. per_round in
-        Format.printf "  %-16s %10.0f %12.0f %7.2fx %9d %5d@." name
-          per_round pre speedup stats.Seminaive.firings
-          stats.Seminaive.duplicate_firings;
-        (name, pre, per_round, stats, speedup))
-      (perf_workloads ())
-  in
-  (* Allocation discipline of the steady-state round on the chain:
-     flat slabs insert and probe without boxing, so what remains is
-     dominated by the derived tuples themselves. *)
-  let minor_per_round =
-    let engine =
-      Seminaive.create ancestor ~edb:(edb_of (Workload.Graphgen.chain 200))
-    in
-    let before = Gc.minor_words () in
-    Seminaive.run_to_fixpoint engine;
-    let words = Gc.minor_words () -. before in
-    words
-    /. float_of_int
-         (max 1 (Seminaive.stats engine).Seminaive.iterations)
-  in
-  Format.printf "  chain-200 allocation: %.0f minor words/round@."
-    minor_per_round;
-  (* One domain-runtime run for the other half of the PR: phase
-     attribution plus the send-coalescing counters (schema 5). *)
-  let rw = Result.get_ok (Strategy.example3 ~seed:0 ~nprocs:4 ancestor) in
-  let r = Domain_runtime.run rw ~edb:(edb_of (Workload.Graphgen.chain 200)) in
-  let st = r.Sim_runtime.stats in
-  let comms = st.Stats.comms in
-  Format.printf
-    "  domain runtime (chain-200, N=4): %d bulk deliveries carrying %d \
-     data messages@."
-    comms.Stats.bulk_pushes comms.Stats.bulk_messages;
-  List.iter
-    (fun (name, ns) -> Format.printf "    %-18s %10d ns@." name ns)
-    st.Stats.phase_ns;
-  let fast =
-    List.filter (fun (_, _, _, _, sp) -> sp >= regression_threshold) rows
-  in
-  claim
-    (Printf.sprintf
-       "per-round speedup vs the pre-PR10 tree >= %.1fx on >= 2 of %d \
-        workloads"
-       regression_threshold (List.length rows))
-    (List.length fast >= 2);
-  claim "chain ancestor stays duplicate-free (non-redundant engine)"
-    (List.for_all
-       (fun (name, _, _, s, _) ->
-         name <> "chain-200" || s.Seminaive.duplicate_firings = 0)
-       rows);
-  claim
-    (Printf.sprintf "chain-200 allocates < %.0fk minor words per round"
-       (minor_words_bound /. 1000.))
-    (minor_per_round < minor_words_bound);
-  claim "~intern:false (boxed storage) computes the identical model"
-    (let edb = edb_of (Workload.Graphgen.grid ~rows:8 ~cols:8) in
-     let db_slab, _ = Seminaive.evaluate ancestor edb in
-     let db_boxed, _ = Seminaive.evaluate ~intern:false ancestor edb in
-     Database.equal db_slab db_boxed);
-  claim "domain runtime coalesces its data sends (bulk counters live)"
-    (comms.Stats.bulk_pushes > 0
-    && comms.Stats.bulk_messages >= comms.Stats.bulk_pushes);
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":1,\"bench\":\"PR10\",\"seed\":2026,\"threshold\":%.2f,\"workloads\":["
-       regression_threshold);
-  List.iteri
-    (fun i (name, pre, per_round, (s : Seminaive.stats), speedup) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"per_round_ns\":%.0f,\"rounds\":%d,\"firings\":%d,\"duplicate_firings\":%d,\"pre_change_ns\":%.0f,\"speedup_vs_pre\":%.2f}"
-           name per_round s.Seminaive.iterations s.Seminaive.firings
-           s.Seminaive.duplicate_firings pre speedup))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"minor_words_per_round\":%.0f,\"comms\":{\"bulk_pushes\":%d,\"bulk_messages\":%d},\"phase_ns\":{"
-       minor_per_round comms.Stats.bulk_pushes comms.Stats.bulk_messages);
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" name ns))
-    st.Stats.phase_ns;
-  Buffer.add_string buf "}}\n";
-  let oc = open_out "BENCH_PR10.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_PR10.json@."
 
 (* ------------------------------------------------------------------ *)
 (* INCR: incremental maintenance vs from-scratch recomputation.        *)
@@ -1320,7 +1018,7 @@ let incr_bench () =
     "scratch(ns)" "speedup" "batch-fire" "full-fire";
   let rows =
     List.map
-      (fun (name, _pre, edges) ->
+      (fun (name, edges) ->
         let edb = edb_of edges in
         let max_node =
           List.fold_left (fun m (a, b) -> max m (max a b)) 0 edges
@@ -1364,7 +1062,7 @@ let incr_bench () =
           (apply_t *. 1e9) (scratch_t *. 1e9) speedup !batch_firings
           full_firings;
         (name, apply_t, scratch_t, speedup, !batch_firings, full_firings))
-      (perf_workloads ())
+      (shape_workloads ())
   in
   claim "small-batch apply is >= 5x faster than from-scratch everywhere"
     (List.for_all (fun (_, _, _, sp, _, _) -> sp >= 5.0) rows);
@@ -1405,7 +1103,7 @@ let plan_bench () =
   in
   let rows =
     List.map
-      (fun (name, _, edges) ->
+      (fun (name, edges) ->
         let edb = edb_of edges in
         let profile = Check.Costmodel.profile_of_db edb in
         let outcome =
@@ -1423,7 +1121,7 @@ let plan_bench () =
           auto_msg dflt_msg auto_ns dflt_ns;
         (name, Plan.scheme_name plan.Plan.scheme, auto_msg, dflt_msg, auto_ns,
          dflt_ns))
-      (perf_workloads ())
+      (shape_workloads ())
   in
   claim "auto-picked scheme sends no more messages than the default"
     (List.for_all (fun (_, _, a, d, _, _) -> a <= d) rows);
@@ -1610,10 +1308,6 @@ let sections =
     ("r2", "overload - skewed traffic, credit, budgets, the dial", r2);
     ("timing", "Bechamel microbenchmarks", timing);
     ("obs", "observability - metrics cross-check, PR4 baseline", obs);
-    ("perf", "hot-path storage engine - wall-clock, PR5 baseline", perf);
-    ("perf2",
-     "hot-path round 2 - columnar slabs, batched mailboxes, PR10 baseline",
-     perf2);
     ("plan", "static planner - auto-picked vs default scheme", plan_bench);
     ("incr", "incremental maintenance vs from-scratch, INCR baseline",
      incr_bench);
@@ -1628,21 +1322,9 @@ let () =
     List.iter
       (fun (id, title, _) -> Format.printf "  %-7s %s@." id title)
       sections;
-    Format.printf
-      "@.flags:@.  --help                    this listing@.  \
-       --check-regression FILE   re-measure the perf workloads; exit \
-       nonzero on a slowdown beyond the baseline's threshold@.  \
-       --slowdown F              multiply measured times by F (tests \
-       the gate)@.  --out FILE                where `perf` writes its \
-       baseline (default BENCH_PR5.json; `perf2` always writes \
-       BENCH_PR10.json)@.";
+    Format.printf "@.flags:@.  --help  this listing@.";
     exit 0
   end
-
-let () =
-  match regression_baseline with
-  | Some file -> run_regression file
-  | None -> ()
 
 let () =
   List.iter (fun (id, title, f) -> section id title f) sections;

@@ -711,8 +711,16 @@ let par_cmd =
           print_endline (Stats.to_json ~scheme:scheme_name ~outcome stats)
         else Format.printf "%a@." Stats.pp stats
       in
+      (* The runtimes refuse invalid input (e.g. a program fact on a
+         derived predicate) with Invalid_argument: a usage error. *)
+      let invalid msg =
+        Format.eprintf "%s@." msg;
+        exit 2
+      in
       if verify then begin
-        let report = Verify.check ~config rw ~edb in
+        let report =
+          try Verify.check ~config rw ~edb with Invalid_argument msg -> invalid msg
+        in
         write_sinks ();
         Format.printf "%a@." Verify.pp_report report;
         if not report.Verify.equal_answers then exit 1
@@ -760,6 +768,7 @@ let par_cmd =
         | exception Plan.Rejected r ->
           write_sinks ();
           plan_reject r
+        | exception Invalid_argument msg -> invalid msg
       end
   in
   Cmd.v (Cmd.info "par" ~doc)

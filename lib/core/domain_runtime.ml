@@ -19,112 +19,40 @@ type msg =
   | Replay of { requester : int }
   | Stop
 
-module Key = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
-(* One unacknowledged batch awaiting its transport ack. *)
-type pending = {
-  pd_batch : (string * Tuple.t) list;
-  mutable pd_attempt : int;
-  mutable pd_retry_at : float;
-}
-
-(* Per-processor state, owned by exactly one domain. *)
-type proc_state = {
-  pid : int;
-  mutable engine : Seminaive.t;  (* replaced on crash recovery *)
+(* Per-epoch control state of one processor; its engine, channels and
+   counters live in the session-resident [Processor.t]. *)
+type ctl = {
+  p : Processor.t;
   safra : Safra.t;
   ds : Dscholten.t;
   mutable held_token : Safra.token option;
   mutable probe_outstanding : bool;  (* pid 0 only *)
-  sent_row : int array;
-  mutable received : int;
-  mutable accepted : int;
-  channel_seen : unit Ktbl.t array;  (* per destination *)
-  base_resident : int;
-  (* Reliable-delivery state: stable across crashes, like the
-     detector counters — only the engine is volatile. *)
-  next_seq : int array;  (* per destination *)
-  unacked : (int, pending) Hashtbl.t array;  (* per destination *)
-  seen_seq : (int, unit) Hashtbl.t array;  (* per source *)
-  (* Credit-based backpressure (active only under a capacity):
-     [pending] holds tuples deferred for lack of channel credit (the
-     bool marks recovery replays), [credit_used] counts in-flight
-     (un-Tacked) tuples per destination, [inflight_size] remembers each
-     outstanding batch's size so its Tack returns the right credit. *)
-  pending : (string * Tuple.t * bool) Queue.t array;  (* per destination *)
-  credit_used : int array;  (* per destination *)
-  inflight_size : (int, int) Hashtbl.t array;  (* per destination *)
-  mutable outbox_peak_rows : int;
-  mutable outbox_peak_bytes : int;
-  mutable local_rounds : int;  (* semi-naive iterations executed *)
+  mutable local_rounds : int;  (* semi-naive iterations this epoch *)
   mutable crashes_fired : int list;
-  mutable lost_iterations : int;
-  mutable lost_firings : int;
-  mutable lost_new : int;
-  mutable lost_dup : int;
 }
 
-type worker_result = {
-  wr_pid : int;
-  wr_db : Database.t;
-  wr_stats : Seminaive.stats;
-  wr_sent_row : int array;
-  wr_received : int;
-  wr_accepted : int;
-  wr_base_resident : int;
-  wr_outbox_peak_rows : int;
-  wr_outbox_peak_bytes : int;
-}
-
-(* Per-worker overload-control outcome, merged by [run]. *)
+(* Per-worker outcome, merged by the parent after the join. *)
 type worker_extra = {
   we_overload : Overload.reason option;
-  we_credit_stalls : int;
-  we_peak_in_flight : int;
   we_phase_ns : (string * int) list;
   we_bulk_pushes : int;
   we_bulk_messages : int;
 }
 
-let build_edb (rw : Rewrite.t) edb pid =
-  let local = Database.create () in
-  List.iter
-    (fun pred ->
-      match Database.find edb pred with
-      | None -> ()
-      | Some rel ->
-        let target = Database.declare local pred (Relation.arity rel) in
-        Relation.iter
-          (fun t ->
-            if rw.resident pid pred t then ignore (Relation.add target t))
-          rel)
-    (Database.predicates edb);
-  local
-
 (* Wall-clock retransmission backoff, bounded like the simulated
    runtime's round-based one. *)
 let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
 
-(* [engines] and [channel_seen] are the session-resident state, indexed
-   by pid and owned by exactly one domain at a time: a worker reads and
-   writes only its own pids' slots while running, and the parent only
-   touches them between [Domain.spawn] and [Domain.join] cycles (the
-   join provides the happens-before edge). A [None] engine slot is
-   created and bootstrapped here; a [Some] slot is adopted as-is — its
+(* [procs] are the processors this domain owns for the epoch: a worker
+   reads and writes only them while running, and the parent only
+   touches any processor between [Domain.spawn] and [Domain.join]
+   cycles (the join provides the happens-before edge). [bootstrap]
+   marks the first epoch; later epochs adopt the engines as-is — their
    pending injections are drained by the ordinary step loop. *)
-let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
-    (rw : Rewrite.t) mailboxes ~domain_of ~own_pids ~engines ~channel_seen
-    local_edbs my_domain =
-  let n = rw.nprocs in
+let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
+    n mailboxes ~domain_of procs my_domain =
   let faulty = not (Fault.is_none plan) in
-  let credited = capacity <> None in
+  let credited = List.exists (fun (p : Processor.t) -> p.capacity <> None) procs in
   let tr = obs.Obs.trace in
   let mx = obs.Obs.metrics in
   (* Per-worker wall-clock accumulator (no cross-domain sharing, so no
@@ -134,9 +62,6 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     Obs.Phase_timer.time ptimer (Obs.Trace.phase_name phase) (fun () ->
         Obs.Trace.span tr ~pid ~round phase f)
   in
-  let fc = Fault.counters () in
-  let credit_stalls = ref 0 in
-  let peak_in_flight = ref 0 in
   let overload : Overload.reason option ref = ref None in
   let my_mailbox = mailboxes.(my_domain) in
   let send_to_pid pid msg = Mailbox.push mailboxes.(domain_of pid) msg in
@@ -169,256 +94,92 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
       end
     done
   in
-  let send_specs_for =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)
-        in
-        Hashtbl.replace tbl s.ss_pred (existing @ [ s ]))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
-  in
-  let fresh_pids =
-    List.filter (fun pid -> engines.(pid) = None) own_pids
-  in
-  let procs =
+  let ctls =
     List.map
-      (fun pid ->
+      (fun (p : Processor.t) ->
         {
-          pid;
-          engine =
-            (match engines.(pid) with
-             | Some e -> e
-             | None ->
-               Seminaive.create rw.programs.(pid) ~edb:local_edbs.(pid));
+          p;
           safra = Safra.create ();
-          ds = Dscholten.create ~pid ~nprocs:n;
+          ds = Dscholten.create ~pid:p.pid ~nprocs:n;
           held_token = None;
           probe_outstanding = false;
-          sent_row = Array.make n 0;
-          received = 0;
-          accepted = 0;
-          channel_seen = channel_seen.(pid);
-          base_resident = Database.total_tuples local_edbs.(pid);
-          next_seq = Array.make n 0;
-          unacked = Array.init n (fun _ -> Hashtbl.create 8);
-          seen_seq = Array.init n (fun _ -> Hashtbl.create 16);
-          pending = Array.init n (fun _ -> Queue.create ());
-          credit_used = Array.make n 0;
-          inflight_size = Array.init n (fun _ -> Hashtbl.create 8);
-          outbox_peak_rows = 0;
-          outbox_peak_bytes = 0;
           local_rounds = 0;
           crashes_fired = [];
-          lost_iterations = 0;
-          lost_firings = 0;
-          lost_new = 0;
-          lost_dup = 0;
         })
-      own_pids
+      procs
   in
-  let proc_of =
+  let ctl_of =
     let tbl = Hashtbl.create 8 in
-    List.iter (fun p -> Hashtbl.add tbl p.pid p) procs;
+    List.iter (fun c -> Hashtbl.add tbl c.p.pid c) ctls;
     fun pid -> Hashtbl.find tbl pid
   in
-  (* Engine-counter deltas around every bootstrap / step: the metric
-     totals then equal the final engine counters plus the lost_* work
-     folded in at crash time — exactly what [wr_stats] reports. *)
-  let observe_engine p f =
-    if not (Obs.Metrics.enabled mx) then f ()
-    else begin
-      let b = Seminaive.stats p.engine in
-      let pb = Seminaive.join_probes p.engine in
-      let r = f () in
-      let a = Seminaive.stats p.engine in
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.firings - b.Seminaive.firings)
-        "runtime.firings";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.new_tuples - b.Seminaive.new_tuples)
-        "runtime.new_tuples";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.duplicate_firings - b.Seminaive.duplicate_firings)
-        "runtime.duplicate_firings";
-      Obs.Metrics.incr mx
-        ~by:(Seminaive.join_probes p.engine - pb)
-        "joiner.probes";
-      r
-    end
-  in
   let stopped = ref false in
-  (* One transmission attempt of an already-registered batch. *)
-  let transmit_batch p dst seq pd =
-    let attempt = pd.pd_attempt in
-    pd.pd_attempt <- attempt + 1;
-    pd.pd_retry_at <- Unix.gettimeofday () +. retry_delay attempt;
-    let fate = Fault.fate plan ~src:p.pid ~dst ~seq ~attempt in
-    if fate.f_drop then fc.n_drops <- fc.n_drops + 1
+  (* One transmission attempt of a batch. *)
+  let transmit (p : Processor.t) (b : Processor.batch) =
+    let data () =
+      buffer_data b.dst (Data { src = p.pid; dst = b.dst; seq = b.seq; batch = b.tuples })
+    in
+    if not faulty then data ()
     else begin
-      (* Delay and reorder are no-ops here: mailbox scheduling is
-         already asynchronous, so added latency changes nothing
-         observable. They are only tallied. *)
-      if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
-      if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
-      buffer_data dst (Data { src = p.pid; dst; seq; batch = pd.pd_batch });
-      if fate.f_dup then begin
-        fc.n_dups_injected <- fc.n_dups_injected + 1;
-        buffer_data dst (Data { src = p.pid; dst; seq; batch = pd.pd_batch })
+      let fc = p.fc in
+      let attempt = Processor.transmitted p b ~now:(Unix.gettimeofday ()) in
+      let fate = Fault.fate plan ~src:p.pid ~dst:b.dst ~seq:b.seq ~attempt in
+      if fate.f_drop then fc.n_drops <- fc.n_drops + 1
+      else begin
+        (* Delay and reorder are no-ops here: mailbox scheduling is
+           already asynchronous, so added latency changes nothing
+           observable. They are only tallied. *)
+        if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
+        if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
+        data ();
+        if fate.f_dup then begin
+          fc.n_dups_injected <- fc.n_dups_injected + 1;
+          data ()
+        end
       end
     end
   in
-  (* Hand one batch to the channel [p.pid -> dst]. The detectors count
-     at sequence-number granularity: one send per new batch here, one
+  (* New batches on the channels. The detectors count at
+     sequence-number granularity: one send per new batch here, one
      receive per first-seen sequence number at the receiver —
      retransmissions and duplicates are invisible to them, which keeps
      the token balance (Safra) and the deficits (Dijkstra-Scholten)
      sound over lossy channels. *)
-  let send_entries p dst entries =
-    let seq = p.next_seq.(dst) in
-    p.next_seq.(dst) <- seq + 1;
+  let emit c b =
     (match detector with
-     | Safra -> Safra.record_send p.safra
-     | Dijkstra_scholten -> Dscholten.record_send p.ds);
-    List.iter
-      (fun (_, _, replay) ->
-        if replay then fc.n_replayed <- fc.n_replayed + 1
-        else begin
-          p.sent_row.(dst) <- p.sent_row.(dst) + 1;
-          Obs.Metrics.incr mx "runtime.tuples_sent"
-        end)
-      entries;
-    let batch = List.map (fun (pred, tuple, _) -> (pred, tuple)) entries in
-    if credited then begin
-      let size = List.length entries in
-      p.credit_used.(dst) <- p.credit_used.(dst) + size;
-      if p.credit_used.(dst) > !peak_in_flight then
-        peak_in_flight := p.credit_used.(dst);
-      Obs.Metrics.max_gauge mx "runtime.peak_in_flight" p.credit_used.(dst);
-      Hashtbl.replace p.inflight_size.(dst) seq size
-    end;
-    if faulty then begin
-      let pd = { pd_batch = batch; pd_attempt = 0; pd_retry_at = 0.0 } in
-      Hashtbl.replace p.unacked.(dst) seq pd;
-      transmit_batch p dst seq pd
-    end
-    else buffer_data dst (Data { src = p.pid; dst; seq; batch })
+     | Safra -> Safra.record_send c.safra
+     | Dijkstra_scholten -> Dscholten.record_send c.ds);
+    transmit c.p b
   in
-  let send_data ~replay p dst batch =
-    send_entries p dst (List.map (fun (pred, t) -> (pred, t, replay)) batch)
-  in
-  (* Move deferred tuples onto the wire, channel credit permitting;
-     batches are split to fit the remaining credit. *)
-  let flush_pending p =
-    match capacity with
-    | None -> ()
-    | Some k ->
-      for dst = 0 to n - 1 do
-        let q = p.pending.(dst) in
-        if not (Queue.is_empty q) then begin
-          let stalled = ref false in
-          while
-            (not (Queue.is_empty q))
-            && (p.credit_used.(dst) < k || (stalled := true; false))
-          do
-            let room = k - p.credit_used.(dst) in
-            let entries = ref [] in
-            let count = ref 0 in
-            while !count < room && not (Queue.is_empty q) do
-              entries := Queue.pop q :: !entries;
-              incr count
-            done;
-            send_entries p dst (List.rev !entries)
-          done;
-          if !stalled then begin
-            incr credit_stalls;
-            Obs.Metrics.incr mx "runtime.credit_stalls"
-          end
-        end
-      done
-  in
-  (* Hand a batch to the channel: directly when unbounded, through the
-     credit gate when a capacity is set. Deferral is never a loss — the
-     worker refuses to go passive while anything is pending, and an
-     un-Tacked batch is always outstanding then, so the credit that
-     flushes the remainder is guaranteed to arrive. *)
-  let dispatch_out ~replay p dst batch =
-    if not credited then send_data ~replay p dst batch
-    else begin
-      List.iter
-        (fun (pred, t) -> Queue.add (pred, t, replay) p.pending.(dst))
-        batch;
-      flush_pending p
-    end
-  in
-  let track_outbox_peak p =
-    if credited then begin
-      let rows = ref 0 in
-      Array.iter (fun q -> rows := !rows + Queue.length q) p.pending;
-      if !rows > p.outbox_peak_rows then begin
-        p.outbox_peak_rows <- !rows;
-        let bytes = ref 0 in
-        Array.iter
-          (fun q ->
-            Queue.iter
-              (fun (_, t, _) -> bytes := !bytes + (Tuple.arity t * 8))
-              q)
-          p.pending;
-        p.outbox_peak_bytes <- !bytes
-      end
-    end
-  in
-  let has_pending_out p =
-    Array.exists (fun q -> not (Queue.is_empty q)) p.pending
-  in
-  let route p produced =
-    span ~pid:p.pid ~round:p.local_rounds Obs.Trace.Sending
-      (fun () ->
-    let batches = Array.make n [] in
-    List.iter
-      (fun (out_name, tuple) ->
-        let pred = Rewrite.original_pred out_name in
-        if List.mem pred rw.derived then
-          List.iter
-            (fun (s : Rewrite.send_spec) ->
-              List.iter
-                (fun dst ->
-                  let seen = p.channel_seen.(dst) in
-                  if not (Ktbl.mem seen (pred, tuple)) then begin
-                    Ktbl.add seen (pred, tuple) ();
-                    batches.(dst) <- (pred, tuple) :: batches.(dst)
-                  end)
-                (s.ss_route p.pid tuple))
-            (send_specs_for pred))
-      produced;
-    (* Adaptive degradation: feed the worst channel demand (this step's
-       batch plus what is still deferred or in flight) to the dial. Each
-       worker only observes — and the dial only writes — its own
-       processors' entries. *)
-    (match dial with
-     | Some d ->
-       let backlog = ref 0 in
-       Array.iteri
-         (fun dst batch ->
-           if dst <> p.pid then begin
-             let b =
-               List.length batch
-               + Queue.length p.pending.(dst)
-               + p.credit_used.(dst)
-             in
-             if b > !backlog then backlog := b
-           end)
-         batches;
-       Overload.observe d ~pid:p.pid ~backlog:!backlog;
-       Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d p.pid)
-     | None -> ());
-    Array.iteri
-      (fun dst batch ->
-        if batch <> [] then dispatch_out ~replay:false p dst (List.rev batch))
-      batches;
-    track_outbox_peak p)
+  let route c produced =
+    let p = c.p in
+    span ~pid:p.pid ~round:c.local_rounds Obs.Trace.Sending (fun () ->
+        let batches = Processor.route p produced in
+        (* Adaptive degradation: feed the worst channel demand (this
+           step's batch plus what is still deferred or in flight) to the
+           dial. Each worker only observes — and the dial only writes —
+           its own processors' entries. *)
+        (match dial with
+         | Some d ->
+           let backlog = ref 0 in
+           Array.iteri
+             (fun dst batch ->
+               if dst <> p.pid then
+                 backlog :=
+                   max !backlog
+                     (List.length batch
+                     + Queue.length p.pending.(dst)
+                     + p.credit_used.(dst)))
+             batches;
+           Overload.observe d ~pid:p.pid ~backlog:!backlog;
+           Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d p.pid)
+         | None -> ());
+        Array.iteri
+          (fun dst batch ->
+            if batch <> [] then
+              Processor.dispatch ~replay:false p dst batch (emit c))
+          batches;
+        Processor.note_outbox p)
   in
   let announce_termination () =
     (* Any staged tuples must precede the poison pill in every queue. *)
@@ -435,21 +196,17 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
      engine as fresh-sequence batches. Recovery is immediate
      ([cr_down] does not apply: an absent mailbox owner would merely
      delay its own queue). *)
-  let maybe_crash p =
-    match Fault.crash_at plan ~pid:p.pid ~round:p.local_rounds with
-    | Some c when not (List.mem c.Fault.cr_round p.crashes_fired) ->
-      p.crashes_fired <- c.Fault.cr_round :: p.crashes_fired;
-      fc.n_crashes <- fc.n_crashes + 1;
-      let es = Seminaive.stats p.engine in
-      p.lost_iterations <- p.lost_iterations + es.Seminaive.iterations;
-      p.lost_firings <- p.lost_firings + es.Seminaive.firings;
-      p.lost_new <- p.lost_new + es.Seminaive.new_tuples;
-      p.lost_dup <- p.lost_dup + es.Seminaive.duplicate_firings;
-      Obs.Trace.instant tr ~pid:p.pid ~round:p.local_rounds "crash";
-      p.engine <- Seminaive.create rw.programs.(p.pid) ~edb:local_edbs.(p.pid);
-      fc.n_recoveries <- fc.n_recoveries + 1;
-      Obs.Trace.instant tr ~pid:p.pid ~round:p.local_rounds "recover";
-      route p (observe_engine p (fun () -> Seminaive.bootstrap p.engine));
+  let maybe_crash c =
+    let p = c.p in
+    match Fault.crash_at plan ~pid:p.pid ~round:c.local_rounds with
+    | Some cr when not (List.mem cr.Fault.cr_round c.crashes_fired) ->
+      c.crashes_fired <- cr.Fault.cr_round :: c.crashes_fired;
+      p.fc.n_crashes <- p.fc.n_crashes + 1;
+      Obs.Trace.instant tr ~pid:p.pid ~round:c.local_rounds "crash";
+      Processor.rebuild p;
+      p.fc.n_recoveries <- p.fc.n_recoveries + 1;
+      Obs.Trace.instant tr ~pid:p.pid ~round:c.local_rounds "recover";
+      route c (Processor.bootstrap p);
       for d = 0 to Array.length mailboxes - 1 do
         Mailbox.push mailboxes.(d) (Replay { requester = p.pid })
       done
@@ -458,91 +215,58 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
   let pump_retransmits () =
     let now = Unix.gettimeofday () in
     List.iter
-      (fun p ->
-        span ~pid:p.pid ~round:p.local_rounds
-          Obs.Trace.Retransmission (fun () ->
-            Array.iteri
-              (fun dst tbl ->
-                Hashtbl.iter
-                  (fun seq pd ->
-                    if pd.pd_retry_at <= now then begin
-                      fc.n_retransmits <- fc.n_retransmits + 1;
-                      Obs.Metrics.incr mx "runtime.retransmits";
-                      transmit_batch p dst seq pd
-                    end)
-                  tbl)
-              p.unacked))
-      procs
+      (fun c ->
+        span ~pid:c.p.pid ~round:c.local_rounds Obs.Trace.Retransmission
+          (fun () -> Processor.due c.p ~now (transmit c.p)))
+      ctls
   in
   let dispatch = function
     | Data { src; dst; seq; batch } ->
-      let p = proc_of dst in
-      span ~pid:dst ~round:p.local_rounds Obs.Trace.Receiving
-        (fun () ->
+      let c = ctl_of dst in
+      span ~pid:dst ~round:c.local_rounds Obs.Trace.Receiving (fun () ->
           (* Under a capacity the Tack doubles as the credit grant, so
              it is sent even on fault-free runs. *)
           if faulty || credited then
             send_to_pid src (Tack { sender = src; receiver = dst; seq });
-          if faulty && Hashtbl.mem p.seen_seq.(src) seq then
-            fc.n_dups_suppressed <- fc.n_dups_suppressed + 1
-          else begin
-            if faulty then Hashtbl.replace p.seen_seq.(src) seq ();
+          if (not faulty) || Processor.fresh c.p (src, 0, seq) then begin
             (match detector with
-             | Safra -> Safra.record_receive p.safra
+             | Safra -> Safra.record_receive c.safra
              | Dijkstra_scholten ->
-               (match Dscholten.on_data p.ds ~src with
+               (match Dscholten.on_data c.ds ~src with
                 | `Ack_now target -> send_to_pid target (Ack { dst = target })
                 | `Engaged -> ()));
-            List.iter
-              (fun (pred, tuple) ->
-                p.received <- p.received + 1;
-                Obs.Metrics.incr mx "runtime.tuples_received";
-                if Seminaive.inject p.engine (Rewrite.in_pred pred) tuple
-                then p.accepted <- p.accepted + 1)
-              batch
+            List.iter (fun (pred, tuple) -> Processor.receive c.p pred tuple) batch
           end)
-    | Token { dst; token } -> (proc_of dst).held_token <- Some token
-    | Ack { dst } -> Dscholten.on_ack (proc_of dst).ds
+    | Token { dst; token } -> (ctl_of dst).held_token <- Some token
+    | Ack { dst } -> Dscholten.on_ack (ctl_of dst).ds
     | Tack { sender; receiver; seq } ->
-      let p = proc_of sender in
-      if Hashtbl.mem p.unacked.(receiver) seq then begin
-        Hashtbl.remove p.unacked.(receiver) seq;
-        fc.n_acks <- fc.n_acks + 1
-      end;
-      if credited then begin
-        match Hashtbl.find_opt p.inflight_size.(receiver) seq with
-        | Some size ->
-          Hashtbl.remove p.inflight_size.(receiver) seq;
-          p.credit_used.(receiver) <- p.credit_used.(receiver) - size;
-          (* Freed credit: try to move deferred work. *)
-          flush_pending p
-        | None -> ()  (* duplicated Tack; credit already returned *)
-      end
+      let c = ctl_of sender in
+      (* Freed credit: try to move deferred work. *)
+      if Processor.ack c.p ~dst:receiver ~seq then Processor.flush c.p (emit c)
     | Replay { requester } ->
       List.iter
-        (fun q ->
-          let history =
-            Ktbl.fold (fun key () acc -> key :: acc)
-              q.channel_seen.(requester) []
-          in
-          if history <> [] then dispatch_out ~replay:true q requester history)
-        procs
+        (fun c ->
+          let history = Processor.history c.p requester in
+          if history <> [] then
+            Processor.dispatch ~replay:true c.p requester history (emit c))
+        ctls
     | Stop -> stopped := true
   in
   (* Returns true when some control action was taken (so the caller
      should not block yet). *)
-  let passive_action p =
+  let passive_action c =
+    let pid = c.p.pid in
     match detector with
     | Safra ->
-      (match p.held_token with
-       | Some token when p.pid <> 0 ->
-         p.held_token <- None;
-         send_to_pid (p.pid - 1)
-           (Token { dst = p.pid - 1; token = Safra.forward p.safra token });
+      (match c.held_token with
+       | Some token when pid <> 0 ->
+         c.held_token <- None;
+         send_to_pid (pid - 1)
+           (Token { dst = pid - 1; token = Safra.forward c.safra token });
          true
        | Some token ->
-         p.held_token <- None;
-         (match Safra.evaluate p.safra token with
+         c.held_token <- None;
+         (match Safra.evaluate c.safra token with
           | `Terminated ->
             announce_termination ();
             true
@@ -551,15 +275,15 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
               (Token { dst = n - 1; token = Safra.initial_token });
             true)
        | None ->
-         if p.pid = 0 && not p.probe_outstanding then begin
-           p.probe_outstanding <- true;
+         if pid = 0 && not c.probe_outstanding then begin
+           c.probe_outstanding <- true;
            send_to_pid (n - 1)
              (Token { dst = n - 1; token = Safra.initial_token });
            true
          end
          else false)
     | Dijkstra_scholten ->
-      (match Dscholten.on_passive p.ds with
+      (match Dscholten.on_passive c.ds with
        | `Ack_parent parent ->
          send_to_pid parent (Ack { dst = parent });
          true
@@ -572,44 +296,33 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
      poison pill propagates cancellation; every worker then returns its
      partial results normally, so the caller can raise a structured
      [Overload] instead of hanging or dying on OOM. *)
+  let breach reason =
+    overload := Some reason;
+    announce_termination ()
+  in
   let check_limits () =
     if !overload = None && not (Overload.is_none limits) then begin
       (match limits.Overload.deadline with
        | Some seconds ->
          let elapsed = Unix.gettimeofday () -. t0 in
-         if elapsed > seconds then begin
-           overload :=
-             Some (Overload.Deadline { seconds; elapsed; round = 0 });
-           announce_termination ()
-         end
+         if elapsed > seconds then
+           breach (Overload.Deadline { seconds; elapsed; round = 0 })
        | None -> ());
-      if !overload = None then
-        List.iter
-          (fun p ->
-            (match limits.Overload.max_store_rows with
-             | Some limit when !overload = None ->
-               let rows = Overload.db_rows (Seminaive.database p.engine) in
-               if rows > limit then begin
-                 overload :=
-                   Some (Overload.Store_budget { pid = p.pid; rows; limit });
-                 announce_termination ()
-               end
-             | _ -> ());
-            match limits.Overload.max_outbox_rows with
-            | Some limit when !overload = None ->
-              let rows = ref 0 in
-              Array.iter
-                (fun q -> rows := !rows + Queue.length q)
-                p.pending;
-              if !rows > limit then begin
-                overload :=
-                  Some
-                    (Overload.Outbox_budget
-                       { pid = p.pid; rows = !rows; limit });
-                announce_termination ()
-              end
-            | _ -> ())
-          procs
+      List.iter
+        (fun (p : Processor.t) ->
+          (match limits.Overload.max_store_rows with
+           | Some limit when !overload = None ->
+             let rows = Overload.db_rows (Seminaive.database p.engine) in
+             if rows > limit then
+               breach (Overload.Store_budget { pid = p.pid; rows; limit })
+           | _ -> ());
+          match limits.Overload.max_outbox_rows with
+          | Some limit when !overload = None ->
+            let rows = Processor.pending_rows p in
+            if rows > limit then
+              breach (Overload.Outbox_budget { pid = p.pid; rows; limit })
+          | _ -> ())
+        procs
     end
   in
   (* A blocked drain must time out whenever the worker has periodic
@@ -621,13 +334,12 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
       Obs.Metrics.observe mx "mailbox.depth" (float_of_int (List.length msgs));
     msgs
   in
-  List.iter
-    (fun p ->
-      if List.mem p.pid fresh_pids then begin
-        route p (observe_engine p (fun () -> Seminaive.bootstrap p.engine));
-        Obs.Trace.instant tr ~pid:p.pid ~round:0 "bootstrap"
-      end)
-    procs;
+  if bootstrap then
+    List.iter
+      (fun c ->
+        route c (Processor.bootstrap c.p);
+        Obs.Trace.instant tr ~pid:c.p.pid ~round:0 "bootstrap")
+      ctls;
   flush_outbuf ();
   while not !stopped do
     if faulty then pump_retransmits ();
@@ -640,16 +352,15 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
     if not !stopped then begin
       let worked = ref false in
       List.iter
-        (fun p ->
-          if faulty then maybe_crash p;
-          if Seminaive.has_pending p.engine then begin
+        (fun c ->
+          if faulty then maybe_crash c;
+          if Seminaive.has_pending c.p.engine then begin
             worked := true;
-            span ~pid:p.pid ~round:p.local_rounds
-              Obs.Trace.Processing (fun () ->
-                route p (observe_engine p (fun () -> Seminaive.step p.engine)));
-            p.local_rounds <- p.local_rounds + 1
+            span ~pid:c.p.pid ~round:c.local_rounds Obs.Trace.Processing
+              (fun () -> route c (Processor.step c.p));
+            c.local_rounds <- c.local_rounds + 1
           end)
-        procs;
+        ctls;
       (* The per-phase flush: every owned processor has taken its step,
          so each destination receives the whole sweep's traffic as one
          delivery. *)
@@ -665,13 +376,13 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
            (nothing terminates while tuples wait for credit). *)
         let acted =
           List.fold_left
-            (fun acc p ->
-              if !stopped || has_pending_out p then acc
+            (fun acc c ->
+              if !stopped || Processor.has_deferred c.p then acc
               else
-                span ~pid:p.pid ~round:p.local_rounds
-                  Obs.Trace.Termination_test (fun () -> passive_action p)
+                span ~pid:c.p.pid ~round:c.local_rounds
+                  Obs.Trace.Termination_test (fun () -> passive_action c)
                 || acc)
-            false procs
+            false ctls
         in
         if (not acted) && not !stopped then begin
           let msgs =
@@ -690,221 +401,59 @@ let worker detector plan ~capacity ~(limits : Overload.limits) ~dial ~obs ~t0
   (* Stop can arrive with staged replay traffic still buffered; hand it
      over so the counters balance even on aborted runs. *)
   flush_outbuf ();
-  List.iter (fun p -> engines.(p.pid) <- Some p.engine) procs;
-  ( List.map
-      (fun p ->
-        let es = Seminaive.stats p.engine in
-        {
-          wr_pid = p.pid;
-          wr_db = Seminaive.database p.engine;
-          wr_stats =
-            {
-              Seminaive.iterations = es.Seminaive.iterations + p.lost_iterations;
-              firings = es.Seminaive.firings + p.lost_firings;
-              new_tuples = es.Seminaive.new_tuples + p.lost_new;
-              duplicate_firings =
-                es.Seminaive.duplicate_firings + p.lost_dup;
-            };
-          wr_sent_row = p.sent_row;
-          wr_received = p.received;
-          wr_accepted = p.accepted;
-          wr_base_resident = p.base_resident;
-          wr_outbox_peak_rows = p.outbox_peak_rows;
-          wr_outbox_peak_bytes = p.outbox_peak_bytes;
-        })
-      procs,
-    fc,
-    {
-      we_overload = !overload;
-      we_credit_stalls = !credit_stalls;
-      we_peak_in_flight = !peak_in_flight;
-      we_phase_ns = Obs.Phase_timer.totals ptimer;
-      we_bulk_pushes = !bulk_pushes;
-      we_bulk_messages = !bulk_messages;
-    } )
+  {
+    we_overload = !overload;
+    we_phase_ns = Obs.Phase_timer.totals ptimer;
+    we_bulk_pushes = !bulk_pushes;
+    we_bulk_messages = !bulk_messages;
+  }
 
 let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
-  (* Same certificate gate as the simulator: a plan that no longer
-     verifies against the program must not run. *)
-  Option.iter
-    (fun plan -> Plan.validate_exn ~nprocs:rw.nprocs plan rw.original)
-    config.Run_config.plan;
-  let detector = config.Run_config.detector in
-  let domains = config.Run_config.domains in
-  let fault = config.Run_config.fault in
-  let capacity = config.Run_config.capacity in
-  let limits = config.Run_config.limits in
-  let dial = config.Run_config.dial in
+  let pool = Pool.create ~config rw ~edb in
   let obs = config.Run_config.obs in
   let n = rw.nprocs in
-  (match capacity with
-   | Some c when c < 1 ->
-     invalid_arg "Domain_runtime.run: capacity must be >= 1"
-   | _ -> ());
-  Overload.validate limits;
   let t0 = Unix.gettimeofday () in
   let ndomains =
-    match domains with
+    match config.Run_config.domains with
     | Some d ->
       if d < 1 then invalid_arg "Domain_runtime.run: domains must be >= 1";
       min d n
     | None -> n
   in
-  let edb =
-    let combined = Database.copy edb in
-    List.iter
-      (fun (pred, tuple) ->
-        if List.mem pred rw.derived then
-          invalid_arg
-            "Domain_runtime.run: derived-predicate facts are not supported"
-        else ignore (Database.add_fact combined pred tuple))
-      rw.original.Program.facts;
-    combined
-  in
   let domain_of pid = pid mod ndomains in
-  let local_edbs = Array.init n (fun pid -> build_edb rw edb pid) in
-  let own_pids d =
-    List.filter (fun pid -> domain_of pid = d) (List.init n Fun.id)
-  in
+  let faulty = not (Fault.is_none config.Run_config.fault) in
   (* Session-resident state, alive across epochs (one epoch = one
      spawn/join cycle of the domains — the initial evaluation or one
      applied batch). *)
-  let engines : Seminaive.t option array = Array.make n None in
-  let channel_seen =
-    Array.init n (fun _ -> Array.init n (fun _ -> Ktbl.create 64))
+  let procs =
+    Pool.processors ~metrics:obs.Obs.metrics ~reliable:faulty
+      ~retry_after:retry_delay pool
   in
-  (* Accumulators merged after every epoch; the per-epoch crash losses
-     are recovered as each worker result's excess over the surviving
-     engine's cumulative counters. *)
-  let fc = Fault.counters () in
-  let acc_sent = Array.make_matrix n n 0 in
-  let acc_received = Array.make n 0 in
-  let acc_accepted = Array.make n 0 in
-  let acc_lost_iterations = Array.make n 0 in
-  let acc_lost_firings = Array.make n 0 in
-  let acc_lost_new = Array.make n 0 in
-  let acc_lost_dup = Array.make n 0 in
-  let acc_outbox_rows = Array.make n 0 in
-  let acc_outbox_bytes = Array.make n 0 in
-  let acc_credit_stalls = ref 0 in
-  let acc_peak_in_flight = ref 0 in
-  let acc_phase_ns = ref [] in
-  let acc_mailbox_drops = ref 0 in
-  let acc_bulk_pushes = ref 0 in
-  let acc_bulk_messages = ref 0 in
-  (* Lazily created maintenance oracle, as in the simulator: a plain
-     [run] never pays for it. *)
-  let live = ref None in
-  let oracle () =
-    match !live with
-    | Some l -> l
-    | None ->
-      let l =
-        Stratified.Live.create ~track:config.Run_config.track_changes
-          rw.original ~edb
-      in
-      live := Some l;
-      l
+  let phase_ns = ref [] in
+  let mailbox_drops = ref 0 in
+  let bulk_pushes = ref 0 in
+  let bulk_messages = ref 0 in
+  let stats ~pooled =
+    Pool.local_stats ~phase_ns:!phase_ns ~mailbox_drops:!mailbox_drops
+      ~comms:{ Stats.bulk_pushes = !bulk_pushes; bulk_messages = !bulk_messages }
+      pool (Fault.counters ()) procs ~pooled
   in
-  let incr_stats () =
-    match !live with
-    | None -> Stats.no_incr
-    | Some l ->
-      let s = Stratified.Live.totals l in
-      {
-        Stats.batches_applied = Stratified.Live.batches l;
-        tuples_inserted = s.Delta.s_inserted;
-        tuples_deleted = s.Delta.s_deleted;
-        tuples_rederived = s.Delta.s_rederived;
-        tuples_overdeleted = s.Delta.s_overdeleted;
-        incr_firings = s.Delta.s_firings;
-      }
-  in
-  let build_stats ~pooled () : Stats.t =
-    let rounds = ref 0 in
-    let per_proc =
-      Array.init n (fun pid ->
-          let e = Option.get engines.(pid) in
-          let es = Seminaive.stats e in
-          let db = Seminaive.database e in
-          let iterations =
-            es.Seminaive.iterations + acc_lost_iterations.(pid)
-          in
-          if iterations > !rounds then rounds := iterations;
-          {
-            Stats.pid;
-            firings = es.Seminaive.firings + acc_lost_firings.(pid);
-            new_tuples = es.Seminaive.new_tuples + acc_lost_new.(pid);
-            duplicate_firings =
-              es.Seminaive.duplicate_firings + acc_lost_dup.(pid);
-            iterations;
-            tuples_sent = Array.fold_left ( + ) 0 acc_sent.(pid);
-            tuples_received = acc_received.(pid);
-            tuples_accepted = acc_accepted.(pid);
-            base_resident = Database.total_tuples local_edbs.(pid);
-            active_rounds = iterations;
-            store_rows = Overload.db_rows db;
-            store_bytes = Overload.db_bytes db;
-            outbox_peak_rows = acc_outbox_rows.(pid);
-            outbox_peak_bytes = acc_outbox_bytes.(pid);
-          })
-    in
-    {
-      incr = incr_stats ();
-      nprocs = n;
-      rounds = !rounds;
-      per_proc;
-      channel_tuples = Array.init n (fun pid -> Array.copy acc_sent.(pid));
-      pooled_tuples = pooled;
-      trace = [];
-      faults =
-        Fault.freeze fc ~mailbox_drops:!acc_mailbox_drops
-          ~credit_stalls:!acc_credit_stalls
-          ~alpha_raises:
-            (match dial with Some d -> Overload.raises d | None -> 0)
-          ~alpha_decays:
-            (match dial with Some d -> Overload.decays d | None -> 0);
-      transport = Stats.no_transport;
-      peak_in_flight = !acc_peak_in_flight;
-      phase_ns = !acc_phase_ns;
-      comms =
-        {
-          Stats.bulk_pushes = !acc_bulk_pushes;
-          bulk_messages = !acc_bulk_messages;
-        };
-    }
-  in
-  let assemble () =
-    let answers = Database.copy edb in
-    let pooled = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some e ->
-          let db = Seminaive.database e in
-          List.iter
-            (fun pred ->
-              match Database.find db (Rewrite.out_pred pred) with
-              | None -> ()
-              | Some rel ->
-                pooled := !pooled + Relation.cardinal rel;
-                let target =
-                  Database.declare answers pred (Relation.arity rel)
-                in
-                ignore (Relation.add_all target rel))
-            rw.derived)
-      engines;
-    (answers, !pooled)
-  in
+  let epochs = ref 0 in
   let epoch () =
+    Array.iter Processor.reset_channels procs;
     let mailboxes = Array.init ndomains (fun _ -> Mailbox.create ()) in
     let spawned =
       Array.init ndomains (fun d ->
+          let own =
+            List.filter (fun (p : Processor.t) -> domain_of p.pid = d)
+              (Array.to_list procs)
+          in
           Domain.spawn (fun () ->
               try
-                worker detector fault ~capacity ~limits ~dial ~obs ~t0 rw
-                  mailboxes ~domain_of ~own_pids:(own_pids d) ~engines
-                  ~channel_seen local_edbs d
+                worker config.Run_config.detector config.Run_config.fault
+                  ~limits:config.Run_config.limits ~dial:config.Run_config.dial
+                  ~obs ~t0 ~bootstrap:(!epochs = 0) n mailboxes ~domain_of own
+                  d
               with e ->
                 (* Poison-pill shutdown: wake every peer blocked in its
                    mailbox before propagating, so one crashing domain
@@ -912,207 +461,37 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
                 Array.iter Mailbox.close mailboxes;
                 raise e))
     in
-    let joined = Array.to_list spawned |> List.map Domain.join in
+    let extras = Array.to_list spawned |> List.map Domain.join in
+    incr epochs;
     List.iter
-      (fun r ->
-        let pid = r.wr_pid in
-        let es = Seminaive.stats (Option.get engines.(pid)) in
-        acc_lost_iterations.(pid) <-
-          acc_lost_iterations.(pid)
-          + r.wr_stats.Seminaive.iterations - es.Seminaive.iterations;
-        acc_lost_firings.(pid) <-
-          acc_lost_firings.(pid)
-          + r.wr_stats.Seminaive.firings - es.Seminaive.firings;
-        acc_lost_new.(pid) <-
-          acc_lost_new.(pid)
-          + r.wr_stats.Seminaive.new_tuples - es.Seminaive.new_tuples;
-        acc_lost_dup.(pid) <-
-          acc_lost_dup.(pid)
-          + r.wr_stats.Seminaive.duplicate_firings
-          - es.Seminaive.duplicate_firings;
-        Array.iteri
-          (fun dst v -> acc_sent.(pid).(dst) <- acc_sent.(pid).(dst) + v)
-          r.wr_sent_row;
-        acc_received.(pid) <- acc_received.(pid) + r.wr_received;
-        acc_accepted.(pid) <- acc_accepted.(pid) + r.wr_accepted;
-        if r.wr_outbox_peak_rows > acc_outbox_rows.(pid) then begin
-          acc_outbox_rows.(pid) <- r.wr_outbox_peak_rows;
-          acc_outbox_bytes.(pid) <- r.wr_outbox_peak_bytes
-        end)
-      (List.concat_map (fun (rs, _, _) -> rs) joined);
-    List.iter
-      (fun (_, c, _) ->
-        fc.Fault.n_drops <- fc.Fault.n_drops + c.Fault.n_drops;
-        fc.n_dups_injected <- fc.n_dups_injected + c.Fault.n_dups_injected;
-        fc.n_dups_suppressed <-
-          fc.n_dups_suppressed + c.Fault.n_dups_suppressed;
-        fc.n_delays <- fc.n_delays + c.Fault.n_delays;
-        fc.n_reorders <- fc.n_reorders + c.Fault.n_reorders;
-        fc.n_retransmits <- fc.n_retransmits + c.Fault.n_retransmits;
-        fc.n_acks <- fc.n_acks + c.Fault.n_acks;
-        fc.n_crashes <- fc.n_crashes + c.Fault.n_crashes;
-        fc.n_recoveries <- fc.n_recoveries + c.Fault.n_recoveries;
-        fc.n_replayed <- fc.n_replayed + c.Fault.n_replayed;
-        fc.n_checkpoints <- fc.n_checkpoints + c.Fault.n_checkpoints;
-        fc.n_restores <- fc.n_restores + c.Fault.n_restores)
-      joined;
-    let extras = List.map (fun (_, _, e) -> e) joined in
-    acc_credit_stalls :=
-      List.fold_left
-        (fun acc e -> acc + e.we_credit_stalls)
-        !acc_credit_stalls extras;
-    acc_peak_in_flight :=
-      List.fold_left
-        (fun acc e -> max acc e.we_peak_in_flight)
-        !acc_peak_in_flight extras;
-    acc_phase_ns :=
-      List.fold_left
-        (fun acc e -> Obs.Phase_timer.merge_totals acc e.we_phase_ns)
-        !acc_phase_ns extras;
-    acc_mailbox_drops :=
-      Array.fold_left
-        (fun acc mb -> acc + Mailbox.dropped mb)
-        !acc_mailbox_drops mailboxes;
-    acc_bulk_pushes :=
-      List.fold_left (fun acc e -> acc + e.we_bulk_pushes) !acc_bulk_pushes
-        extras;
-    acc_bulk_messages :=
-      List.fold_left
-        (fun acc e -> acc + e.we_bulk_messages)
-        !acc_bulk_messages extras;
+      (fun e ->
+        phase_ns := Obs.Phase_timer.merge_totals !phase_ns e.we_phase_ns;
+        bulk_pushes := !bulk_pushes + e.we_bulk_pushes;
+        bulk_messages := !bulk_messages + e.we_bulk_messages)
+      extras;
+    mailbox_drops :=
+      Array.fold_left (fun acc mb -> acc + Mailbox.dropped mb) !mailbox_drops
+        mailboxes;
     (* The first domain's breach wins when several workers tripped at
        once. *)
-    let overload_reason =
-      List.fold_left
-        (fun acc e ->
-          match acc, e.we_overload with
-          | Some _, _ -> acc
-          | None, r -> r)
-        None extras
-    in
-    match overload_reason with
+    match List.find_map (fun e -> e.we_overload) extras with
     | Some reason ->
-      let _, pooled = assemble () in
-      raise (Overload.Overload { reason; stats = build_stats ~pooled () })
+      let _, pooled = Pool.pool pool (Pool.stores procs) in
+      raise (Overload.Overload { reason; stats = stats ~pooled })
     | None -> ()
   in
   epoch ();
-  let is_derived pred = List.mem pred rw.derived in
-  let apply batch =
-    let change = Stratified.Live.apply (oracle ()) batch in
-    let removed = change.Stratified.Live.c_removed in
-    let added = change.Stratified.Live.c_added in
-    if removed = [] && added = [] then
-      {
-        Session.oc_added = [];
-        oc_removed = [];
-        oc_summary = change.Stratified.Live.c_summary;
-      }
-    else begin
-      (* Patch the resident state in the parent: no domain is running
-         between epochs, so the engine and channel-history slots are
-         exclusively ours here. *)
-      if removed <> [] then begin
-        let retractions =
-          List.concat_map
-            (fun (pred, t) ->
-              if is_derived pred then
-                [ (Rewrite.out_pred pred, t); (Rewrite.in_pred pred, t) ]
-              else [ (pred, t) ])
-            removed
-        in
-        Array.iter
-          (function
-            | None -> ()
-            | Some e -> ignore (Seminaive.retract_facts e retractions))
-          engines;
-        List.iter
-          (fun (pred, t) ->
-            let key = (pred, t) in
-            Array.iter
-              (fun row -> Array.iter (fun tbl -> Ktbl.remove tbl key) row)
-              channel_seen)
-          removed
-      end;
-      (* Base deletions leave the combined EDB and every base fragment
-         (crash recovery rebuilds from the fragments). *)
-      List.iter
-        (fun (pred, t) ->
-          if not (is_derived pred) then begin
-            (match Database.find edb pred with
-             | Some rel -> ignore (Relation.remove_all rel (Tuple.equal t))
-             | None -> ());
-            Array.iter
-              (fun ldb ->
-                match Database.find ldb pred with
-                | Some rel ->
-                  ignore (Relation.remove_all rel (Tuple.equal t))
-                | None -> ())
-              local_edbs
-          end)
-        removed;
-      (* Base insertions land in the fragments of the processors that
-         host them and are injected as pending work; the next epoch's
-         step loop derives and routes the consequences. *)
-      List.iter
-        (fun (pred, t) ->
-          if not (is_derived pred) then begin
-            ignore (Database.add_fact edb pred t);
-            for pid = 0 to n - 1 do
-              if rw.resident pid pred t then begin
-                ignore (Database.add_fact local_edbs.(pid) pred t);
-                match engines.(pid) with
-                | Some e -> ignore (Seminaive.inject e pred t)
-                | None -> ()
-              end
-            done
-          end)
-        added;
-      epoch ();
-      {
-        Session.oc_added = added;
-        oc_removed = removed;
-        oc_summary = change.Stratified.Live.c_summary;
-      }
-    end
+  let apply =
+    (* The patch lands between domain lifetimes: no domain is running,
+       so the processors are exclusively ours while Pool installs it. *)
+    Pool.apply pool procs ~drive:(fun oc ->
+        if oc.Session.oc_added <> [] || oc.Session.oc_removed <> [] then epoch ())
   in
-  let query pred =
-    if is_derived pred then begin
-      let acc = ref None in
-      Array.iter
-        (function
-          | None -> ()
-          | Some e ->
-            (match
-               Database.find (Seminaive.database e) (Rewrite.out_pred pred)
-             with
-             | None -> ()
-             | Some rel ->
-               let target =
-                 match !acc with
-                 | Some r -> r
-                 | None ->
-                   let r =
-                     Relation.create ~arity:(Relation.arity rel) ()
-                   in
-                   acc := Some r;
-                   r
-               in
-               ignore (Relation.add_all target rel)))
-        engines;
-      match !acc with
-      | Some r -> Relation.sorted_elements r
-      | None -> []
-    end
-    else
-      match Database.find edb pred with
-      | Some rel -> Relation.sorted_elements rel
-      | None -> []
-  in
-  let model () = fst (assemble ()) in
+  let query pred = Pool.query pool (Pool.stores procs) pred in
+  let model () = fst (Pool.pool pool (Pool.stores procs)) in
   let close () =
-    let answers, pooled = assemble () in
-    { Session.answers; stats = build_stats ~pooled () }
+    let answers, pooled = Pool.pool pool (Pool.stores procs) in
+    { Session.answers; stats = stats ~pooled }
   in
   Session.v ~runtime:"domains" ~apply ~query ~model ~close
 

@@ -72,9 +72,11 @@ val run :
   edb:Datalog.Database.t ->
   Sim_runtime.result
 (** Execute under a {!Run_config.t} (default {!Run_config.default}).
-    The fields this runtime reads are [detector], [domains], [fault],
-    [capacity], [limits], [dial] and [obs]; the simulator-only fields
-    (ablations, [max_rounds], [network]) are ignored. In the returned
+    The fields this runtime reads are [pushdown], [replicate_base],
+    [detector], [domains], [fault], [capacity], [limits], [dial],
+    [obs], [plan] and [track_changes]; [resend_all], [max_rounds],
+    [network] and [batch_rounds] belong to the simulator and are
+    ignored. In the returned
     stats, [rounds] is the maximum number of semi-naive iterations any
     processor executed, and [active_rounds] is each processor's own
     iteration count. Both detectors produce identical answers; they
@@ -87,8 +89,9 @@ val run :
     instrumented workers take the exact historical code path.
     Equivalent to {!open_session} followed immediately by
     {!Session.close}.
-    @raise Invalid_argument if [domains < 1] or [capacity < 1] or a
-    limit is nonpositive.
+    @raise Invalid_argument if [domains < 1] or [capacity < 1], a
+    limit is nonpositive, or the program has a fact on a derived
+    predicate.
     @raise Overload.Overload when a watchdog limit is breached. *)
 
 val open_session :

@@ -1,0 +1,408 @@
+open Datalog
+
+module Key = struct
+  type t = string * Tuple.t
+
+  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
+  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
+end
+
+module Ktbl = Hashtbl.Make (Key)
+
+type batch = {
+  dst : int;
+  seq : int;
+  tuples : (string * Tuple.t) list;
+  replay : bool;
+  mutable attempt : int;
+  mutable retry_at : float;
+}
+
+type t = {
+  pid : int;
+  program : Program.t;
+  pushdown : bool;
+  fragment : Database.t;
+  mutable engine : Seminaive.t;
+  routes : string -> Rewrite.send_spec list;
+  derived : string list;
+  capacity : int option;
+  reliable : bool;
+  retry_after : int -> float;
+  metrics : Obs.Metrics.t;
+  fc : Fault.counters;
+  history : unit Ktbl.t array;
+  next_seq : int array;
+  unacked : (int, batch) Hashtbl.t array;
+  seen : (int * int * int, unit) Hashtbl.t;
+  pending : (string * Tuple.t * bool) Queue.t array;
+  credit_used : int array;
+  inflight : (int, int) Hashtbl.t array;
+  sent_row : int array;
+  mutable received : int;
+  mutable accepted : int;
+  mutable outbox_peak_rows : int;
+  mutable outbox_peak_bytes : int;
+  mutable credit_stalls : int;
+  mutable peak_in_flight : int;
+  mutable lost : Seminaive.stats;
+}
+
+let no_work =
+  { Seminaive.iterations = 0; firings = 0; new_tuples = 0; duplicate_firings = 0 }
+
+let create ?(fc = Fault.counters ()) ?(metrics = Obs.Metrics.none) ~pushdown
+    ~capacity ~reliable ~retry_after (rw : Rewrite.t) ~fragment pid =
+  let n = rw.nprocs in
+  let routes =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (s : Rewrite.send_spec) ->
+        let existing =
+          Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)
+        in
+        Hashtbl.replace tbl s.ss_pred (existing @ [ s ]))
+      rw.sends;
+    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
+  in
+  let program = rw.programs.(pid) in
+  {
+    pid;
+    program;
+    pushdown;
+    fragment;
+    engine = Seminaive.create ~pushdown program ~edb:fragment;
+    routes;
+    derived = rw.derived;
+    capacity;
+    reliable;
+    retry_after;
+    metrics;
+    fc;
+    history = Array.init n (fun _ -> Ktbl.create 64);
+    next_seq = Array.make n 0;
+    unacked = Array.init n (fun _ -> Hashtbl.create 8);
+    seen = Hashtbl.create 16;
+    pending = Array.init n (fun _ -> Queue.create ());
+    credit_used = Array.make n 0;
+    inflight = Array.init n (fun _ -> Hashtbl.create 8);
+    sent_row = Array.make n 0;
+    received = 0;
+    accepted = 0;
+    outbox_peak_rows = 0;
+    outbox_peak_bytes = 0;
+    credit_stalls = 0;
+    peak_in_flight = 0;
+    lost = no_work;
+  }
+
+let reset_channels p =
+  Array.fill p.next_seq 0 (Array.length p.next_seq) 0;
+  Array.iter Hashtbl.reset p.unacked;
+  Hashtbl.reset p.seen;
+  Array.iter Queue.clear p.pending;
+  Array.fill p.credit_used 0 (Array.length p.credit_used) 0;
+  Array.iter Hashtbl.reset p.inflight
+
+(* ------------------------------------------------------------------ *)
+(* Engine                                                              *)
+
+(* Engine-counter deltas around every bootstrap / step call: metric
+   totals then equal the final engine counters plus the work lost with
+   crashed engines — exactly what [row] reports. *)
+let observe p f =
+  let mx = p.metrics in
+  if not (Obs.Metrics.enabled mx) then f ()
+  else begin
+    let b = Seminaive.stats p.engine in
+    let pb = Seminaive.join_probes p.engine in
+    let r = f () in
+    let a = Seminaive.stats p.engine in
+    Obs.Metrics.incr mx
+      ~by:(a.Seminaive.firings - b.Seminaive.firings)
+      "runtime.firings";
+    Obs.Metrics.incr mx
+      ~by:(a.Seminaive.new_tuples - b.Seminaive.new_tuples)
+      "runtime.new_tuples";
+    Obs.Metrics.incr mx
+      ~by:(a.Seminaive.duplicate_firings - b.Seminaive.duplicate_firings)
+      "runtime.duplicate_firings";
+    Obs.Metrics.incr mx
+      ~by:(Seminaive.join_probes p.engine - pb)
+      "joiner.probes";
+    r
+  end
+
+let bootstrap p = observe p (fun () -> Seminaive.bootstrap p.engine)
+let step p = observe p (fun () -> Seminaive.step p.engine)
+
+let totals p =
+  let e = Seminaive.stats p.engine and l = p.lost in
+  {
+    Seminaive.iterations = e.Seminaive.iterations + l.Seminaive.iterations;
+    firings = e.Seminaive.firings + l.Seminaive.firings;
+    new_tuples = e.Seminaive.new_tuples + l.Seminaive.new_tuples;
+    duplicate_firings =
+      e.Seminaive.duplicate_firings + l.Seminaive.duplicate_firings;
+  }
+
+(* The engine is volatile: its work so far is folded into [lost] so the
+   final firings stay honest about redundant re-derivation, and a new
+   engine resumes from the snapshot or starts over the base fragment.
+   The channel layer is stable and survives. *)
+let rebuild ?snapshot p =
+  p.lost <- totals p;
+  p.engine <-
+    (match snapshot with
+     | Some snap -> Seminaive.restore ~pushdown:p.pushdown p.program snap
+     | None -> Seminaive.create ~pushdown:p.pushdown p.program ~edb:p.fragment)
+
+let row ?active_rounds ?(store = true) p : Stats.per_proc =
+  let s = totals p in
+  let store_rows, store_bytes =
+    if store then
+      let db = Seminaive.database p.engine in
+      (Overload.db_rows db, Overload.db_bytes db)
+    else (0, 0)
+  in
+  {
+    Stats.pid = p.pid;
+    firings = s.Seminaive.firings;
+    new_tuples = s.Seminaive.new_tuples;
+    duplicate_firings = s.Seminaive.duplicate_firings;
+    iterations = s.Seminaive.iterations;
+    tuples_sent = Array.fold_left ( + ) 0 p.sent_row;
+    tuples_received = p.received;
+    tuples_accepted = p.accepted;
+    base_resident = Database.total_tuples p.fragment;
+    active_rounds = Option.value active_rounds ~default:s.Seminaive.iterations;
+    store_rows;
+    store_bytes;
+    outbox_peak_rows = p.outbox_peak_rows;
+    outbox_peak_bytes = p.outbox_peak_bytes;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Sending                                                             *)
+
+(* One seen-set per channel: a (pred, tuple) pair travels each channel
+   at most once — the paper's difference-based resend suppression. It
+   doubles as the channel history replayed to a recovering processor. *)
+let route ?(dedup = true) p produced =
+  let batches = Array.make (Array.length p.history) [] in
+  List.iter
+    (fun (name, tuple) ->
+      let pred = Rewrite.original_pred name in
+      if List.mem pred p.derived then
+        List.iter
+          (fun (s : Rewrite.send_spec) ->
+            List.iter
+              (fun dst ->
+                let fresh =
+                  (not dedup)
+                  ||
+                  let seen = p.history.(dst) in
+                  if Ktbl.mem seen (pred, tuple) then false
+                  else begin
+                    Ktbl.add seen (pred, tuple) ();
+                    true
+                  end
+                in
+                if fresh then batches.(dst) <- (pred, tuple) :: batches.(dst))
+              (s.ss_route p.pid tuple))
+          (p.routes pred))
+    produced;
+  Array.map List.rev batches
+
+let history p dst = Ktbl.fold (fun key () acc -> key :: acc) p.history.(dst) []
+
+let enqueue ~replay p dst tuples =
+  List.iter (fun (pred, t) -> Queue.add (pred, t, replay) p.pending.(dst)) tuples
+
+(* Put one batch on channel [p.pid -> dst]: a fresh sequence number,
+   the sent/replayed counters, the credit it occupies and — on the
+   reliable layer — its slot in the unacknowledged buffer. Replays
+   re-deliver history and are not counted as fresh communication. *)
+let send p dst entries =
+  let seq = p.next_seq.(dst) in
+  p.next_seq.(dst) <- seq + 1;
+  List.iter
+    (fun (_, _, replay) ->
+      if replay then p.fc.Fault.n_replayed <- p.fc.Fault.n_replayed + 1
+      else begin
+        p.sent_row.(dst) <- p.sent_row.(dst) + 1;
+        Obs.Metrics.incr p.metrics "runtime.tuples_sent"
+      end)
+    entries;
+  (match p.capacity with
+   | None -> ()
+   | Some _ ->
+     let size = List.length entries in
+     p.credit_used.(dst) <- p.credit_used.(dst) + size;
+     if p.credit_used.(dst) > p.peak_in_flight then
+       p.peak_in_flight <- p.credit_used.(dst);
+     Obs.Metrics.max_gauge p.metrics "runtime.peak_in_flight"
+       p.credit_used.(dst);
+     Hashtbl.replace p.inflight.(dst) seq size);
+  let b =
+    {
+      dst;
+      seq;
+      tuples = List.map (fun (pred, t, _) -> (pred, t)) entries;
+      replay = List.for_all (fun (_, _, r) -> r) entries;
+      attempt = 0;
+      retry_at = 0.0;
+    }
+  in
+  if p.reliable then Hashtbl.replace p.unacked.(dst) seq b;
+  b
+
+(* Move deferred tuples onto the wire while the channel has credit,
+   splitting to fit the remaining room ([per_tuple]: one tuple per
+   batch), and hand each batch to [emit]. A channel left with deferred
+   tuples counts one credit stall. *)
+let flush ?(per_tuple = false) p emit =
+  Array.iteri
+    (fun dst q ->
+      if not (Queue.is_empty q) then begin
+        let room () =
+          match p.capacity with
+          | None -> max_int
+          | Some k -> k - p.credit_used.(dst)
+        in
+        let stalled = ref false in
+        while
+          (not (Queue.is_empty q)) && (room () > 0 || (stalled := true; false))
+        do
+          let limit = if per_tuple then 1 else room () in
+          let entries = ref [] in
+          let count = ref 0 in
+          while !count < limit && not (Queue.is_empty q) do
+            entries := Queue.pop q :: !entries;
+            incr count
+          done;
+          emit (send p dst (List.rev !entries))
+        done;
+        if !stalled then begin
+          p.credit_stalls <- p.credit_stalls + 1;
+          Obs.Metrics.incr p.metrics "runtime.credit_stalls"
+        end
+      end)
+    p.pending
+
+(* Directly when unbounded, through the credit gate under a capacity.
+   Deferral is never a loss: an un-acked batch is outstanding whenever
+   anything is deferred, so the credit that flushes the rest arrives. *)
+let dispatch ~replay p dst tuples emit =
+  match p.capacity with
+  | None -> emit (send p dst (List.map (fun (pred, t) -> (pred, t, replay)) tuples))
+  | Some _ ->
+    enqueue ~replay p dst tuples;
+    flush p emit
+
+let pending_rows p =
+  Array.fold_left (fun n q -> n + Queue.length q) 0 p.pending
+
+let in_flight_rows p =
+  Array.fold_left
+    (fun n tbl -> Hashtbl.fold (fun _ size n -> n + size) tbl n)
+    0 p.inflight
+
+let has_deferred p = Array.exists (fun q -> not (Queue.is_empty q)) p.pending
+
+let note_outbox ?(rows = 0) ?(bytes = fun () -> 0) p =
+  let total = rows + pending_rows p in
+  if total > p.outbox_peak_rows then begin
+    p.outbox_peak_rows <- total;
+    p.outbox_peak_bytes <-
+      Array.fold_left
+        (fun n q -> Queue.fold (fun n (_, t, _) -> n + (Tuple.arity t * 8)) n q)
+        (bytes ()) p.pending
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Reliable layer                                                      *)
+
+let transmitted p b ~now =
+  let attempt = b.attempt in
+  b.attempt <- attempt + 1;
+  b.retry_at <- now +. p.retry_after attempt;
+  attempt
+
+let due p ~now emit =
+  Array.iter
+    (Hashtbl.iter (fun _ b ->
+         if b.retry_at <= now then begin
+           p.fc.Fault.n_retransmits <- p.fc.Fault.n_retransmits + 1;
+           Obs.Metrics.incr p.metrics "runtime.retransmits";
+           emit b
+         end))
+    p.unacked
+
+let ack p ~dst ~seq =
+  if Hashtbl.mem p.unacked.(dst) seq then begin
+    Hashtbl.remove p.unacked.(dst) seq;
+    p.fc.Fault.n_acks <- p.fc.Fault.n_acks + 1
+  end;
+  match Hashtbl.find_opt p.inflight.(dst) seq with
+  | Some size ->
+    Hashtbl.remove p.inflight.(dst) seq;
+    p.credit_used.(dst) <- p.credit_used.(dst) - size;
+    true
+  | None -> false
+
+let idle p =
+  (not (Seminaive.has_pending p.engine))
+  && Array.for_all (fun tbl -> Hashtbl.length tbl = 0) p.unacked
+  && not (has_deferred p)
+
+(* ------------------------------------------------------------------ *)
+(* Receiving                                                           *)
+
+let fresh p key =
+  if Hashtbl.mem p.seen key then begin
+    p.fc.Fault.n_dups_suppressed <- p.fc.Fault.n_dups_suppressed + 1;
+    false
+  end
+  else begin
+    Hashtbl.replace p.seen key ();
+    true
+  end
+
+let receive ?on_new p pred tuple =
+  p.received <- p.received + 1;
+  Obs.Metrics.incr p.metrics "runtime.tuples_received";
+  let name = Rewrite.in_pred pred in
+  if Seminaive.inject p.engine name tuple then begin
+    p.accepted <- p.accepted + 1;
+    Option.iter (fun f -> f name tuple) on_new
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Session patches                                                     *)
+
+let is_derived p pred = List.mem pred p.derived
+
+let retract p removed =
+  let keys =
+    List.concat_map
+      (fun (pred, t) ->
+        if is_derived p pred then
+          [ (Rewrite.out_pred pred, t); (Rewrite.in_pred pred, t) ]
+        else [ (pred, t) ])
+      removed
+  in
+  ignore (Seminaive.retract_facts p.engine keys);
+  List.iter
+    (fun ((pred, t) as key) ->
+      if is_derived p pred then
+        Array.iter (fun tbl -> Ktbl.remove tbl key) p.history
+      else
+        match Database.find p.fragment pred with
+        | Some rel -> ignore (Relation.remove_all rel (Tuple.equal t))
+        | None -> ())
+    removed
+
+let insert p pred t =
+  ignore (Database.add_fact p.fragment pred t);
+  ignore (Seminaive.inject p.engine pred t)

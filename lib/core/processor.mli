@@ -1,0 +1,171 @@
+(** One paper processor, independent of its transport.
+
+    The state every runtime keeps per processor (Section 3's Q_i/T_i):
+    the semi-naive engine over the base fragment, send-spec routing
+    with per-channel history dedup, sequence numbers, unacknowledged
+    batches and their retransmit due-times, [(src, inc, seq)] receiver
+    dedup, credit with pending deferral and outbox peaks, the
+    sent/received/accepted counters and the work lost with crashed
+    engines. Functions hand the batches to put on the wire to the
+    caller's [emit]; the runtime that calls them owns the transport —
+    the simulator's per-tuple rounds, the domain runtime's mailboxes,
+    the net worker's socket. *)
+
+open Datalog
+
+module Ktbl : Hashtbl.S with type key = string * Tuple.t
+(** Tables keyed by (predicate, tuple). *)
+
+type batch = {
+  dst : int;
+  seq : int;  (** Per-channel sequence number. *)
+  tuples : (string * Tuple.t) list;  (** Original predicate names. *)
+  replay : bool;  (** Every tuple is a recovery replay. *)
+  mutable attempt : int;  (** Transmission attempts made. *)
+  mutable retry_at : float;  (** Retransmit when still unacked by then. *)
+}
+
+type t = private {
+  pid : int;
+  program : Program.t;
+  pushdown : bool;
+  fragment : Database.t;
+      (** Resident base facts; session patches keep it current and
+          {!rebuild} starts over it. *)
+  mutable engine : Seminaive.t;
+  routes : string -> Rewrite.send_spec list;
+  derived : string list;
+  capacity : int option;
+  reliable : bool;
+  retry_after : int -> float;
+  metrics : Obs.Metrics.t;
+  fc : Fault.counters;
+  history : unit Ktbl.t array;
+      (** Per destination: every tuple routed there (the resend filter
+          and the replay source). *)
+  next_seq : int array;
+  unacked : (int, batch) Hashtbl.t array;
+  seen : (int * int * int, unit) Hashtbl.t;
+  pending : (string * Tuple.t * bool) Queue.t array;
+      (** Per destination: tuples awaiting credit (the bool marks
+          replays). *)
+  credit_used : int array;
+  inflight : (int, int) Hashtbl.t array;
+  sent_row : int array;
+  mutable received : int;
+  mutable accepted : int;
+  mutable outbox_peak_rows : int;
+  mutable outbox_peak_bytes : int;
+  mutable credit_stalls : int;
+  mutable peak_in_flight : int;
+  mutable lost : Seminaive.stats;
+}
+
+val create :
+  ?fc:Fault.counters ->
+  ?metrics:Obs.Metrics.t ->
+  pushdown:bool ->
+  capacity:int option ->
+  reliable:bool ->
+  retry_after:(int -> float) ->
+  Rewrite.t ->
+  fragment:Database.t ->
+  int ->
+  t
+(** Processor [pid] of the rewrite, its engine created over [fragment].
+    [reliable] registers every sent batch as unacknowledged until
+    {!ack}; [retry_after attempt] is the transport's backoff, in the
+    unit of the [now] the driver passes to {!transmitted} and {!due}.
+    [fc] (default fresh) receives the replay, ack, retransmit and
+    duplicate counters; [metrics] (default disabled) the runtime
+    metrics. *)
+
+val reset_channels : t -> unit
+(** Forget sequence numbers, unacked and deferred batches, receipts and
+    credit — a new transport lifetime. History and counters stay. *)
+
+(** {1 Engine} *)
+
+val bootstrap : t -> (string * Tuple.t) list
+val step : t -> (string * Tuple.t) list
+(** {!Seminaive.bootstrap} / {!Seminaive.step}, with the engine-counter
+    deltas added to the metrics. *)
+
+val rebuild : ?snapshot:Seminaive.snapshot -> t -> unit
+(** Crash recovery: fold the engine's counters into [lost], then
+    resume from [snapshot] or start over the base fragment. *)
+
+val totals : t -> Seminaive.stats
+(** Engine counters plus the work lost with crashed engines. *)
+
+val row : ?active_rounds:int -> ?store:bool -> t -> Stats.per_proc
+(** The processor's statistics row; [active_rounds] defaults to the
+    iteration count. [store:false] skips measuring the store (its
+    fields read 0). *)
+
+(** {1 Sending} *)
+
+val route :
+  ?dedup:bool -> t -> (string * Tuple.t) list -> (string * Tuple.t) list array
+(** Per destination, in production order, the derived products the
+    send specs route there and that have not travelled that channel
+    before ([dedup:false] skips and leaves the history). *)
+
+val history : t -> int -> (string * Tuple.t) list
+(** Everything routed to a destination so far. *)
+
+val enqueue : replay:bool -> t -> int -> (string * Tuple.t) list -> unit
+(** Defer tuples for a destination until {!flush}. *)
+
+val flush : ?per_tuple:bool -> t -> (batch -> unit) -> unit
+(** Move deferred tuples onto the wire as far as credit allows,
+    emitting each batch; a channel left with deferred tuples counts a
+    credit stall. *)
+
+val dispatch :
+  replay:bool -> t -> int -> (string * Tuple.t) list -> (batch -> unit) -> unit
+(** Send now when unbounded; defer and {!flush} under a capacity. *)
+
+val pending_rows : t -> int
+val in_flight_rows : t -> int
+
+val has_deferred : t -> bool
+
+val note_outbox : ?rows:int -> ?bytes:(unit -> int) -> t -> unit
+(** Update the outbox peak with the deferred tuples plus a driver's
+    own backlog of [rows] rows and [bytes ()] bytes. *)
+
+(** {1 Reliable layer} *)
+
+val transmitted : t -> batch -> now:float -> int
+(** Record one transmission attempt; returns its number. *)
+
+val due : t -> now:float -> (batch -> unit) -> unit
+(** Emit the unacked batches whose retry time has come, counted as
+    retransmissions. *)
+
+val ack : t -> dst:int -> seq:int -> bool
+(** Release an acknowledged batch; [true] when it returned credit. *)
+
+val idle : t -> bool
+(** No engine work, no unacked batch, nothing deferred. *)
+
+(** {1 Receiving} *)
+
+val fresh : t -> int * int * int -> bool
+(** First delivery of [(src, inc, seq)]? A repeat counts as a
+    suppressed duplicate. *)
+
+val receive :
+  ?on_new:(string -> Tuple.t -> unit) -> t -> string -> Tuple.t -> unit
+(** Inject a delivered tuple under its [@in] name; [on_new] sees the
+    ones the engine did not know. *)
+
+(** {1 Session patches} *)
+
+val retract : t -> (string * Tuple.t) list -> unit
+(** Install net deletions (original names) into a quiescent processor:
+    engine, base fragment and channel history. *)
+
+val insert : t -> string -> Tuple.t -> unit
+(** A net base insertion resident here: fragment plus pending work. *)

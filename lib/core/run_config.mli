@@ -19,7 +19,9 @@ type detector = Safra | Dijkstra_scholten
 type t = {
   resend_all : bool;  (** Ablation A1 (simulator only). *)
   pushdown : bool;  (** Guard pushdown; [false] is ablation A3. *)
-  replicate_base : bool;  (** Ablation A4 (simulator only). *)
+  replicate_base : bool;
+      (** Ablation A4 (the in-process runtimes; the net runtime's
+          workers always fragment). *)
   max_rounds : int;  (** Round budget (simulator only). *)
   network : Netgraph.t option;  (** Fixed network (simulator only). *)
   fault : Fault.plan;  (** Seeded fault plan, {!Fault.none} by default. *)

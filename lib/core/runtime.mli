@@ -1,17 +1,21 @@
 (** The unified runtime interface.
 
-    Both executors — the deterministic simulator and the multicore
-    domain runtime — satisfy {!S}: one [run] function over a
-    {!Run_config.t} for one-shot evaluation, and one [open_session]
-    returning a live {!Session.t} for incremental evaluation under
-    update streams. Code that must work on either (the CLI, the test
-    harness, bench) is written against the module type and picks an
-    implementation from {!all}. The multi-process runtime
-    ([Net.Net_runtime]) satisfies the same shape from its own library. *)
+    Three executors satisfy {!S}: the deterministic simulator, the
+    multicore domain runtime and the multi-process net runtime. Each
+    offers one [run] function over a {!Run_config.t} for one-shot
+    evaluation and one [open_session] returning a live {!Session.t}
+    for incremental evaluation under update streams; all three drive
+    the same {!Processor} core and {!Pool} coordinator over their own
+    transport. Code that must work on any of them (the CLI, the test
+    harness, bench) is written against the module type. {!all} lists
+    the two in-process runtimes; the net runtime lives in its own
+    library and needs the program text to respawn workers, so it is
+    reached through [Net.Net_runtime.runtime], which packages it as an
+    {!S}. *)
 
 module type S = sig
   val name : string
-  (** ["sim"] or ["domains"]. *)
+  (** ["sim"], ["domains"] or ["net"]. *)
 
   val run :
     config:Run_config.t ->
@@ -38,7 +42,7 @@ module Domains : S
 (** {!Domain_runtime.run} / {!Domain_runtime.open_session}. *)
 
 val all : (module S) list
-(** Both runtimes, simulator first. *)
+(** The in-process runtimes, simulator first. *)
 
 val find : string -> (module S) option
 (** Look an implementation up by {!S.name}. *)

@@ -11,30 +11,21 @@ type result = Session.result = {
 
 exception Round_budget_exceeded of { round : int; stats : Stats.t }
 
-module Key = struct
-  type t = string * Tuple.t
+module Ktbl = Processor.Ktbl
 
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
-type proc_state = {
-  pid : Pid.t;
-  mutable engine : Seminaive.t;  (* replaced on crash recovery *)
+(* The round transport's per-processor state; the engine, channels and
+   counters live in the processor. *)
+type sim_state = {
+  p : Processor.t;
   outbox : (string * Tuple.t) Queue.t;  (* produced, not yet routed *)
-  (* delivered, not yet injected; tagged with the sender so receipt can
-     return that channel's credit *)
-  inbox : (Pid.t * string * Tuple.t) Queue.t;
+  (* delivered, not yet injected; tagged with the sender and sequence
+     number so receipt can return that channel's credit *)
+  inbox : (Pid.t * int * string * Tuple.t) Queue.t;
   all_out : (string * Tuple.t) Queue.t;  (* cumulative, for resend_all *)
-  mutable outbox_peak_rows : int;
-  mutable outbox_peak_bytes : int;
-  mutable tuples_sent : int;
-  mutable tuples_received : int;
-  mutable tuples_accepted : int;
+  (* Receive-side content filter per source: volatile, reset when the
+     processor crashes so that replays reach the rebuilt engine. *)
+  recv_seen : unit Ktbl.t array;
   mutable active_rounds : int;
-  base_resident : int;
   mutable alive : bool;
   mutable down_until : int;  (* first round eligible for recovery *)
   (* Engine snapshot plus the outbox at the same instant: a tuple
@@ -43,55 +34,16 @@ type proc_state = {
      restored full database (never re-derived) yet absent from every
      channel history (never replayed) — silently lost. *)
   mutable checkpoint : (Seminaive.snapshot * (string * Tuple.t) list) option;
-  (* Work done by engines that crashed, folded into the final stats so
-     total firings stay honest about redundant re-derivation. *)
-  mutable lost_iterations : int;
-  mutable lost_firings : int;
-  mutable lost_new : int;
-  mutable lost_dup : int;
 }
 
-(* One payload on the reliable-delivery layer: a (pred, tuple) pair with
-   a per-channel sequence number, retransmitted until acknowledged. *)
-type payload = {
-  pl_src : Pid.t;
-  pl_dst : Pid.t;
-  pl_seq : int;
-  pl_pred : string;
-  pl_tuple : Tuple.t;
-  mutable pl_attempt : int;  (* transmission attempts made *)
-  mutable pl_retry_at : int;  (* round to retransmit if still unacked *)
-}
-
+(* One transmission of a one-tuple batch on the reliable layer. *)
 type fmsg =
-  | Fdata of { fm_pl : payload; fm_attempt : int }
+  | Fdata of { fm_src : Pid.t; fm_batch : Processor.batch; fm_attempt : int }
   | Fack of { fm_sender : Pid.t; fm_receiver : Pid.t; fm_seq : int }
-
-let build_edb ~replicate (rw : Rewrite.t) edb pid =
-  let local = Database.create () in
-  List.iter
-    (fun pred ->
-      match Database.find edb pred with
-      | None -> ()
-      | Some rel ->
-        let target = Database.declare local pred (Relation.arity rel) in
-        Relation.iter
-          (fun t ->
-            if replicate || rw.resident pid pred t then
-              ignore (Relation.add target t))
-          rel)
-    (Database.predicates edb);
-  local
 
 let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let options : Run_config.t = config in
-  (* A configuration carrying a plan certificate is only honoured after
-     re-verification against the program actually being run — a stale
-     certificate fails fast (Plan.Rejected) instead of silently
-     executing under assumptions that no longer hold. *)
-  Option.iter
-    (fun plan -> Plan.validate_exn ~nprocs:rw.nprocs plan rw.original)
-    config.Run_config.plan;
+  let pool = Pool.create ~config rw ~edb in
   let tr = config.Run_config.obs.Obs.trace in
   let mx = config.Run_config.obs.Obs.metrics in
   (* Wall-clock accumulator behind [Stats.phase_ns]: unlike the trace
@@ -101,135 +53,50 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     Obs.Phase_timer.time ptimer (Obs.Trace.phase_name phase) (fun () ->
         Obs.Trace.span tr ~pid ~round phase f)
   in
-  (* Engine-counter deltas around every bootstrap / step call: metric
-     totals then equal final engine counters plus the work lost with
-     crashed engines — exactly the accounting [build_stats] does. *)
-  let observe_engine p f =
-    if not (Obs.Metrics.enabled mx) then f ()
-    else begin
-      let b = Seminaive.stats p.engine in
-      let pb = Seminaive.join_probes p.engine in
-      let r = f () in
-      let a = Seminaive.stats p.engine in
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.firings - b.Seminaive.firings)
-        "runtime.firings";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.new_tuples - b.Seminaive.new_tuples)
-        "runtime.new_tuples";
-      Obs.Metrics.incr mx
-        ~by:(a.Seminaive.duplicate_firings - b.Seminaive.duplicate_firings)
-        "runtime.duplicate_firings";
-      Obs.Metrics.incr mx
-        ~by:(Seminaive.join_probes p.engine - pb)
-        "joiner.probes";
-      r
-    end
-  in
   let nprocs = rw.nprocs in
   let plan = options.fault in
   (* With [Fault.none] the delivery layer is bypassed entirely and the
      run takes the exact fault-free code path. *)
   let faulty = not (Fault.is_none plan) in
+  let credited = options.capacity <> None in
   if faulty && options.resend_all then
     invalid_arg
       "Sim_runtime.run: resend_all cannot be combined with fault injection \
        (every round's re-sends would take fresh sequence numbers and the \
        unacknowledged buffers would never drain)";
-  (match options.capacity with
-   | Some c when c < 1 ->
-     invalid_arg "Sim_runtime.run: capacity must be >= 1"
-   | Some _ when options.resend_all ->
-     invalid_arg
-       "Sim_runtime.run: resend_all cannot be combined with a channel \
-        capacity (re-sending the whole output every round outgrows any \
-        bound)"
-   | _ -> ());
-  Overload.validate options.limits;
+  if credited && options.resend_all then
+    invalid_arg
+      "Sim_runtime.run: resend_all cannot be combined with a channel \
+       capacity (re-sending the whole output every round outgrows any \
+       bound)";
   let t0 = Unix.gettimeofday () in
   let fc = Fault.counters () in
-  (* Base facts written in the program text join the EDB; derived facts
-     are not supported by the rewrite. *)
-  let edb =
-    let combined = Database.copy edb in
-    List.iter
-      (fun (pred, tuple) ->
-        if List.mem pred rw.derived then
-          invalid_arg
-            "Sim_runtime.run: derived-predicate facts are not supported"
-        else ignore (Database.add_fact combined pred tuple))
-      rw.original.Program.facts
-    |> ignore;
-    combined
-  in
+  (* The channel layer — histories, pending queues, sequence numbers,
+     unacked buffers, credit — is stable storage in the fault model and
+     survives processor crashes; only the engine, the inbox and the
+     receive-side filter are volatile. *)
   let procs =
-    Array.init nprocs (fun pid ->
-        let local_edb =
-          build_edb ~replicate:options.replicate_base rw edb pid
-        in
+    Pool.processors ~metrics:mx ~reliable:faulty
+      ~retry_after:(fun attempt -> float_of_int (Fault.retransmit_after ~attempt))
+      pool
+  in
+  let sims =
+    Array.map
+      (fun p ->
         {
-          pid;
-          engine =
-            Seminaive.create ~pushdown:options.pushdown rw.programs.(pid)
-              ~edb:local_edb;
+          p;
           outbox = Queue.create ();
           inbox = Queue.create ();
           all_out = Queue.create ();
-          outbox_peak_rows = 0;
-          outbox_peak_bytes = 0;
-          tuples_sent = 0;
-          tuples_received = 0;
-          tuples_accepted = 0;
+          recv_seen = Array.init nprocs (fun _ -> Ktbl.create 16);
           active_rounds = 0;
-          base_resident = Database.total_tuples local_edb;
           alive = true;
           down_until = 0;
           checkpoint = None;
-          lost_iterations = 0;
-          lost_firings = 0;
-          lost_new = 0;
-          lost_dup = 0;
         })
+      procs
   in
-  let channel_tuples = Array.make_matrix nprocs nprocs 0 in
-  (* Per-channel transmission queue: tuples handed to the transport but
-     not yet transmitted, because the channel is out of credit (or the
-     round's pump has not run yet). Part of the stable channel layer —
-     it survives a sender crash, like the sequence numbers and the
-     unacked buffers, so a tuple recorded in [channel_seen] is never
-     lost. The [bool] marks recovery replays, which are not re-counted
-     as fresh communication. *)
-  let chan_pending : (string * Tuple.t * bool) Queue.t array array =
-    Array.init nprocs (fun _ -> Array.init nprocs (fun _ -> Queue.create ()))
-  in
-  (* Credit accounting, active only under a capacity: in-flight =
-     delivered-but-unreceived (fault-free) or unacknowledged (faulty)
-     tuples per channel. *)
-  let in_flight = Array.make_matrix nprocs nprocs 0 in
   let sent_this_round = Array.make_matrix nprocs nprocs 0 in
-  let peak_in_flight = ref 0 in
-  let credit_stalls = ref 0 in
-  let credited = options.capacity <> None in
-  (* One seen-set per channel: a (pred, tuple) pair travels each channel
-     at most once — the paper's difference-based resend suppression. It
-     doubles as the channel history used to replay deliveries to a
-     recovering processor. *)
-  let channel_seen = Array.init nprocs (fun _ -> Array.init nprocs
-                                            (fun _ -> Ktbl.create 64)) in
-  (* Reliable-delivery state. Everything here is stable storage in the
-     fault model — it survives processor crashes (the issue's "channel
-     counters"); only the engine, the inbox and the receive-side
-     duplicate filter are volatile. *)
-  let next_seq = Array.make_matrix nprocs nprocs 0 in
-  let unacked : (int, payload) Hashtbl.t array array =
-    Array.init nprocs (fun _ ->
-        Array.init nprocs (fun _ -> Hashtbl.create 8))
-  in
-  (* Receive-side content filter per channel: volatile, reset when the
-     receiver crashes so that replays reach the rebuilt engine. *)
-  let recv_seen =
-    Array.init nprocs (fun _ -> Array.init nprocs (fun _ -> Ktbl.create 16))
-  in
   (* replay_due.(q).(p): q was down when p recovered, so q still owes p
      a replay of its channel history, performed at q's own recovery. *)
   let replay_due = Array.make_matrix nprocs nprocs false in
@@ -242,22 +109,20 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     | Some l -> l := msg :: !l
     | None -> Hashtbl.add flight at (ref [ msg ])
   in
-  let transmit pl =
-    let attempt = pl.pl_attempt in
-    pl.pl_attempt <- attempt + 1;
-    pl.pl_retry_at <- !rounds + Fault.retransmit_after ~attempt;
-    let fate =
-      Fault.fate plan ~src:pl.pl_src ~dst:pl.pl_dst ~seq:pl.pl_seq ~attempt
+  let transmit src (b : Processor.batch) =
+    let attempt =
+      Processor.transmitted procs.(src) b ~now:(float_of_int !rounds)
     in
+    let fate = Fault.fate plan ~src ~dst:b.dst ~seq:b.seq ~attempt in
     if fate.f_drop then fc.n_drops <- fc.n_drops + 1
     else begin
       if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
       if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
       let at = !rounds + fate.f_delay + fate.f_jitter in
-      schedule at (Fdata { fm_pl = pl; fm_attempt = attempt });
+      schedule at (Fdata { fm_src = src; fm_batch = b; fm_attempt = attempt });
       if fate.f_dup then begin
         fc.n_dups_injected <- fc.n_dups_injected + 1;
-        schedule at (Fdata { fm_pl = pl; fm_attempt = attempt })
+        schedule at (Fdata { fm_src = src; fm_batch = b; fm_attempt = attempt })
       end
     end
   in
@@ -271,108 +136,45 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
            src dst)
     | _ -> ()
   in
-  let send_payload ~replay src dst pred tuple =
-    check_channel src dst;
-    let seq = next_seq.(src).(dst) in
-    next_seq.(src).(dst) <- seq + 1;
-    if replay then fc.n_replayed <- fc.n_replayed + 1;
-    let pl =
-      {
-        pl_src = src;
-        pl_dst = dst;
-        pl_seq = seq;
-        pl_pred = pred;
-        pl_tuple = tuple;
-        pl_attempt = 0;
-        pl_retry_at = 0;
-      }
+  let route ~dedup s =
+    let batches =
+      Processor.route ~dedup s.p
+        (List.of_seq (Queue.to_seq (if dedup then s.outbox else s.all_out)))
     in
-    Hashtbl.replace unacked.(src).(dst) seq pl;
-    transmit pl
+    Array.iteri
+      (fun dst batch ->
+        if batch <> [] then begin
+          check_channel s.p.pid dst;
+          Processor.enqueue ~replay:false s.p dst batch
+        end)
+      batches
   in
-  let send_specs_for =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)
-        in
-        Hashtbl.replace tbl s.ss_pred (existing @ [ s ]))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
-  in
-  let route_tuple ~dedup src pred tuple =
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        List.iter
-          (fun dst ->
-            let fresh =
-              (not dedup)
-              ||
-              let seen = channel_seen.(src.pid).(dst) in
-              if Ktbl.mem seen (pred, tuple) then false
-              else begin
-                Ktbl.add seen (pred, tuple) ();
-                true
-              end
-            in
-            if fresh then begin
-              check_channel src.pid dst;
-              Queue.add (pred, tuple, false) chan_pending.(src.pid).(dst)
-            end)
-          (s.ss_route src.pid tuple))
-      (send_specs_for pred)
-  in
-  (* The credit-gated pump: move pending tuples onto the wire while the
-     channel has credit. Message counters tick here (not at routing), so
-     they still mean "tuples actually put on the channel". *)
+  (* The credit-gated pump: move pending tuples onto the wire, one
+     tuple per payload, while the channel has credit. Message counters
+     tick here (not at routing), so they still mean "tuples actually
+     put on the channel". *)
   let pump () =
-    for src = 0 to nprocs - 1 do
-      for dst = 0 to nprocs - 1 do
-        let q = chan_pending.(src).(dst) in
-        if not (Queue.is_empty q) then begin
-          let has_credit () =
-            match options.capacity with
-            | None -> true
-            | Some k -> in_flight.(src).(dst) < k
-          in
-          let stalled = ref false in
-          while
-            (not (Queue.is_empty q))
-            && (has_credit () || (stalled := true; false))
-          do
-            let pred, tuple, replay = Queue.pop q in
-            if not replay then begin
-              channel_tuples.(src).(dst) <- channel_tuples.(src).(dst) + 1;
-              procs.(src).tuples_sent <- procs.(src).tuples_sent + 1;
-              sent_this_round.(src).(dst) <- sent_this_round.(src).(dst) + 1;
-              Obs.Metrics.incr mx "runtime.tuples_sent"
-            end;
-            if credited then begin
-              in_flight.(src).(dst) <- in_flight.(src).(dst) + 1;
-              if in_flight.(src).(dst) > !peak_in_flight then
-                peak_in_flight := in_flight.(src).(dst);
-              Obs.Metrics.max_gauge mx "runtime.peak_in_flight"
-                in_flight.(src).(dst)
-            end;
-            if faulty then send_payload ~replay src dst pred tuple
-            else Queue.add (src, pred, tuple) procs.(dst).inbox
-          done;
-          if !stalled then begin
-            incr credit_stalls;
-            Obs.Metrics.incr mx "runtime.credit_stalls"
-          end
-        end
-      done
-    done
+    Array.iter
+      (fun (p : Processor.t) ->
+        Processor.flush ~per_tuple:true p (fun b ->
+            if not b.replay then
+              sent_this_round.(p.pid).(b.dst) <-
+                sent_this_round.(p.pid).(b.dst) + 1;
+            if faulty then transmit p.pid b
+            else
+              List.iter
+                (fun (pred, tuple) ->
+                  Queue.add (p.pid, b.seq, pred, tuple) sims.(b.dst).inbox)
+                b.tuples))
+      procs
   in
-  let collect_new src produced =
+  let collect_new s produced =
     List.iter
       (fun (out_name, tuple) ->
         let pred = Rewrite.original_pred out_name in
-        if List.mem pred rw.derived then begin
-          Queue.add (pred, tuple) src.outbox;
-          if options.resend_all then Queue.add (pred, tuple) src.all_out
+        if Pool.is_derived pool pred then begin
+          Queue.add (pred, tuple) s.outbox;
+          if options.resend_all then Queue.add (pred, tuple) s.all_out
         end)
       produced
   in
@@ -380,125 +182,65 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      production counts form trace row 0. *)
   let boot_row = Array.make nprocs 0 in
   Array.iter
-    (fun p ->
-      let produced = observe_engine p (fun () -> Seminaive.bootstrap p.engine) in
-      Obs.Trace.instant tr ~pid:p.pid ~round:0 "bootstrap";
-      boot_row.(p.pid) <- List.length produced;
-      collect_new p produced)
-    procs;
+    (fun s ->
+      let produced = Processor.bootstrap s.p in
+      Obs.Trace.instant tr ~pid:s.p.pid ~round:0 "bootstrap";
+      boot_row.(s.p.pid) <- List.length produced;
+      collect_new s produced)
+    sims;
   let trace = ref [ boot_row ] in
-  let build_stats ?(incr = Stats.no_incr) ~pooled () : Stats.t =
-    {
-      incr;
-      nprocs;
-      rounds = !rounds;
-      per_proc =
-        Array.map
-          (fun p ->
-            let es = Seminaive.stats p.engine in
-            let db = Seminaive.database p.engine in
-            {
-              Stats.pid = p.pid;
-              firings = es.Seminaive.firings + p.lost_firings;
-              new_tuples = es.Seminaive.new_tuples + p.lost_new;
-              duplicate_firings =
-                es.Seminaive.duplicate_firings + p.lost_dup;
-              iterations = es.Seminaive.iterations + p.lost_iterations;
-              tuples_sent = p.tuples_sent;
-              tuples_received = p.tuples_received;
-              tuples_accepted = p.tuples_accepted;
-              base_resident = p.base_resident;
-              active_rounds = p.active_rounds;
-              store_rows = Overload.db_rows db;
-              store_bytes = Overload.db_bytes db;
-              outbox_peak_rows = p.outbox_peak_rows;
-              outbox_peak_bytes = p.outbox_peak_bytes;
-            })
-          procs;
-      channel_tuples;
-      pooled_tuples = pooled;
-      trace = List.rev !trace;
-      faults =
-        Fault.freeze fc ~credit_stalls:!credit_stalls
-          ~alpha_raises:
-            (match options.dial with Some d -> Overload.raises d | None -> 0)
-          ~alpha_decays:
-            (match options.dial with Some d -> Overload.decays d | None -> 0);
-      transport = Stats.no_transport;
-      peak_in_flight = !peak_in_flight;
-      phase_ns = Obs.Phase_timer.totals ptimer;
-      comms = Stats.no_comms;
-    }
+  let build_stats ~pooled =
+    Pool.local_stats ~rounds:!rounds ~trace:(List.rev !trace)
+      ~phase_ns:(Obs.Phase_timer.totals ptimer)
+      ~active_rounds:(fun p -> sims.(p.Processor.pid).active_rounds)
+      pool fc procs ~pooled
   in
   let live_count () =
-    Array.fold_left (fun n p -> if p.alive then n + 1 else n) 0 procs
+    Array.fold_left (fun n s -> if s.alive then n + 1 else n) 0 sims
   in
   let replay_history ~src ~dst =
-    Ktbl.iter
-      (fun (pred, tuple) () ->
-        Queue.add (pred, tuple, true) chan_pending.(src).(dst))
-      channel_seen.(src).(dst)
+    Processor.enqueue ~replay:true procs.(src) dst
+      (List.rev (Processor.history procs.(src) dst))
   in
-  let do_crash p (c : Fault.crash) =
+  let do_crash s (c : Fault.crash) =
+    let pid = s.p.pid in
     if live_count () <= 1 then
       Log.info (fun m ->
           m "round %d: crash of processor %d skipped (last live processor)"
-            !rounds p.pid)
+            !rounds pid)
     else begin
       fc.n_crashes <- fc.n_crashes + 1;
-      p.alive <- false;
-      p.down_until <- !rounds + c.cr_down;
-      (* Volatile state dies with the processor; the delivery layer's
-         stable state (sequence numbers, unacked buffers, channel
-         history) survives. *)
-      Queue.clear p.outbox;
-      Queue.clear p.inbox;
-      Array.iter Ktbl.reset recv_seen.(p.pid);
-      Obs.Trace.instant tr ~pid:p.pid ~round:!rounds "crash";
+      s.alive <- false;
+      s.down_until <- !rounds + c.cr_down;
+      Queue.clear s.outbox;
+      Queue.clear s.inbox;
+      Array.iter Ktbl.reset s.recv_seen;
+      Obs.Trace.instant tr ~pid ~round:!rounds "crash";
       Log.info (fun m ->
           m "round %d: processor %d crashed, down for %d round(s)" !rounds
-            p.pid c.cr_down)
+            pid c.cr_down)
     end
   in
-  let do_recover p =
+  let do_recover s =
+    let pid = s.p.pid in
     fc.n_recoveries <- fc.n_recoveries + 1;
     let survivor =
-      Array.fold_left
-        (fun acc q ->
-          match acc with
-          | Some _ -> acc
-          | None -> if q.alive then Some q.pid else None)
-        None procs
-      |> Option.value ~default:p.pid
+      Option.value ~default:pid
+        (Array.find_map (fun q -> if q.alive then Some q.p.pid else None) sims)
     in
-    let es = Seminaive.stats p.engine in
-    p.lost_iterations <- p.lost_iterations + es.Seminaive.iterations;
-    p.lost_firings <- p.lost_firings + es.Seminaive.firings;
-    p.lost_new <- p.lost_new + es.Seminaive.new_tuples;
-    p.lost_dup <- p.lost_dup + es.Seminaive.duplicate_firings;
-    (match p.checkpoint with
-     | Some (snap, saved_outbox) ->
+    (match s.checkpoint with
+     | Some (snapshot, saved_outbox) ->
        fc.n_restores <- fc.n_restores + 1;
-       p.engine <-
-         Seminaive.restore ~pushdown:options.pushdown rw.programs.(p.pid)
-           snap;
+       Processor.rebuild ~snapshot s.p;
        (* Products awaiting routing when the snapshot was taken; the
           per-channel dedup drops any that did get sent before the
           crash. *)
-       List.iter (fun kt -> Queue.add kt p.outbox) saved_outbox
+       List.iter (fun kt -> Queue.add kt s.outbox) saved_outbox
      | None ->
-       let local_edb =
-         build_edb ~replicate:options.replicate_base rw edb p.pid
-       in
-       p.engine <-
-         Seminaive.create ~pushdown:options.pushdown rw.programs.(p.pid)
-           ~edb:local_edb;
-       let produced =
-         observe_engine p (fun () -> Seminaive.bootstrap p.engine)
-       in
-       collect_new p produced);
-    p.alive <- true;
-    Obs.Trace.instant tr ~pid:p.pid ~round:!rounds "recover";
+       Processor.rebuild s.p;
+       collect_new s (Processor.bootstrap s.p));
+    s.alive <- true;
+    Obs.Trace.instant tr ~pid ~round:!rounds "recover";
     (* Bucket reassignment: the bucket h(v(r)) = pid is rebuilt (hosted
        by the first survivor), then every live peer — the processor's
        own loop channel included — replays its channel history so the
@@ -506,19 +248,19 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
        currently down owe their replay at their own recovery. *)
     Array.iter
       (fun q ->
-        if q.alive then replay_history ~src:q.pid ~dst:p.pid
-        else replay_due.(q.pid).(p.pid) <- true)
-      procs;
+        if q.alive then replay_history ~src:q.p.pid ~dst:pid
+        else replay_due.(q.p.pid).(pid) <- true)
+      sims;
     for dst = 0 to nprocs - 1 do
-      if replay_due.(p.pid).(dst) then begin
-        replay_due.(p.pid).(dst) <- false;
-        replay_history ~src:p.pid ~dst
+      if replay_due.(pid).(dst) then begin
+        replay_due.(pid).(dst) <- false;
+        replay_history ~src:pid ~dst
       end
     done;
     Log.info (fun m ->
         m "round %d: processor %d recovered (%s; bucket rebuilt via %d)"
-          !rounds p.pid
-          (if Option.is_some p.checkpoint then "from checkpoint"
+          !rounds pid
+          (if Option.is_some s.checkpoint then "from checkpoint"
            else "from base fragment")
           survivor)
   in
@@ -532,94 +274,66 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           decr flight_size;
           match msg with
           | Fack { fm_sender; fm_receiver; fm_seq } ->
-            if Hashtbl.mem unacked.(fm_sender).(fm_receiver) fm_seq
-            then begin
-              Hashtbl.remove unacked.(fm_sender).(fm_receiver) fm_seq;
-              fc.n_acks <- fc.n_acks + 1;
-              (* The ack doubles as a credit grant. *)
-              if credited then
-                in_flight.(fm_sender).(fm_receiver) <-
-                  in_flight.(fm_sender).(fm_receiver) - 1
-            end
-          | Fdata { fm_pl = pl; fm_attempt } ->
-            let p = procs.(pl.pl_dst) in
-            if not p.alive then
+            (* The ack doubles as a credit grant. *)
+            ignore (Processor.ack procs.(fm_sender) ~dst:fm_receiver ~seq:fm_seq)
+          | Fdata { fm_src = src; fm_batch = b; fm_attempt } ->
+            let s = sims.(b.dst) in
+            if not s.alive then
               (* A message arriving at a dead processor is lost; the
                  sender's unacked buffer retransmits it later. *)
               fc.n_drops <- fc.n_drops + 1
             else begin
               if
                 not
-                  (Fault.ack_dropped plan ~src:pl.pl_src ~dst:pl.pl_dst
-                     ~seq:pl.pl_seq ~attempt:fm_attempt)
+                  (Fault.ack_dropped plan ~src ~dst:b.dst ~seq:b.seq
+                     ~attempt:fm_attempt)
               then
                 schedule (!rounds + 1)
-                  (Fack
-                     {
-                       fm_sender = pl.pl_src;
-                       fm_receiver = pl.pl_dst;
-                       fm_seq = pl.pl_seq;
-                     });
-              let seen = recv_seen.(pl.pl_dst).(pl.pl_src) in
-              let key = (pl.pl_pred, pl.pl_tuple) in
-              if Ktbl.mem seen key then
-                fc.n_dups_suppressed <- fc.n_dups_suppressed + 1
-              else begin
-                Ktbl.add seen key ();
-                Queue.add (pl.pl_src, pl.pl_pred, pl.pl_tuple) p.inbox
-              end
+                  (Fack { fm_sender = src; fm_receiver = b.dst; fm_seq = b.seq });
+              List.iter
+                (fun key ->
+                  let seen = s.recv_seen.(src) in
+                  if Ktbl.mem seen key then
+                    fc.n_dups_suppressed <- fc.n_dups_suppressed + 1
+                  else begin
+                    Ktbl.add seen key ();
+                    Queue.add (src, b.seq, fst key, snd key) s.inbox
+                  end)
+                b.tuples
             end)
         (List.rev !msgs)
   in
   let retransmit_due () =
-    Array.iteri
-      (fun src row ->
-        span ~pid:src ~round:!rounds Obs.Trace.Retransmission
-          (fun () ->
-            Array.iter
-              (fun tbl ->
-                Hashtbl.iter
-                  (fun _ pl ->
-                    if pl.pl_retry_at <= !rounds then begin
-                      fc.n_retransmits <- fc.n_retransmits + 1;
-                      Obs.Metrics.incr mx "runtime.retransmits";
-                      transmit pl
-                    end)
-                  tbl)
-              row))
-      unacked
+    Array.iter
+      (fun (p : Processor.t) ->
+        span ~pid:p.pid ~round:!rounds Obs.Trace.Retransmission (fun () ->
+            Processor.due p ~now:(float_of_int !rounds) (transmit p.pid)))
+      procs
   in
-  let drain_inbox p =
+  let drain_inbox s =
     if
       faulty
-      && Queue.length p.inbox > 1
-      && Fault.reorder_inbox plan ~pid:p.pid ~round:!rounds
+      && Queue.length s.inbox > 1
+      && Fault.reorder_inbox plan ~pid:s.p.pid ~round:!rounds
     then begin
       fc.n_reorders <- fc.n_reorders + 1;
-      let arr = Array.of_seq (Queue.to_seq p.inbox) in
-      Fault.shuffle plan ~pid:p.pid ~round:!rounds arr;
-      Queue.clear p.inbox;
-      Array.iter (fun x -> Queue.add x p.inbox) arr
+      let arr = Array.of_seq (Queue.to_seq s.inbox) in
+      Fault.shuffle plan ~pid:s.p.pid ~round:!rounds arr;
+      Queue.clear s.inbox;
+      Array.iter (fun x -> Queue.add x s.inbox) arr
     end;
     Queue.iter
-      (fun (src, pred, tuple) ->
-        p.tuples_received <- p.tuples_received + 1;
-        Obs.Metrics.incr mx "runtime.tuples_received";
+      (fun (src, seq, pred, tuple) ->
         (* Fault-free credit returns on receipt; under faults the ack
            carries it back instead. *)
         if credited && not faulty then
-          in_flight.(src).(p.pid) <- in_flight.(src).(p.pid) - 1;
-        if Seminaive.inject p.engine (Rewrite.in_pred pred) tuple then
-          p.tuples_accepted <- p.tuples_accepted + 1)
-      p.inbox;
-    Queue.clear p.inbox
+          ignore (Processor.ack procs.(src) ~dst:s.p.pid ~seq);
+        Processor.receive s.p pred tuple)
+      s.inbox;
+    Queue.clear s.inbox
   in
-  let pending_from src =
-    let n = ref 0 in
-    for dst = 0 to nprocs - 1 do
-      n := !n + Queue.length chan_pending.(src).(dst)
-    done;
-    !n
+  let overload reason =
+    raise (Overload.Overload { reason; stats = build_stats ~pooled:0 })
   in
   (* The drive loop: repeat rounds until global quiescence. A session
      re-enters it on every applied batch; [budget] bounds one drive
@@ -629,61 +343,41 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let start_round = !rounds in
   let continue = ref true in
   while !continue do
-    if !rounds >= options.max_rounds then
+    let over_budget =
+      match budget with Some b -> !rounds - start_round >= b | None -> false
+    in
+    if !rounds >= options.max_rounds || over_budget then
       raise
-        (Round_budget_exceeded
-           { round = !rounds; stats = build_stats ~pooled:0 () });
-    (match budget with
-     | Some b when !rounds - start_round >= b ->
-       raise
-         (Round_budget_exceeded
-            { round = !rounds; stats = build_stats ~pooled:0 () })
-     | _ -> ());
+        (Round_budget_exceeded { round = !rounds; stats = build_stats ~pooled:0 });
     (match options.limits.Overload.deadline with
      | Some seconds ->
        let elapsed = Unix.gettimeofday () -. t0 in
        if elapsed > seconds then
-         raise
-           (Overload.Overload
-              {
-                reason = Deadline { seconds; elapsed; round = !rounds };
-                stats = build_stats ~pooled:0 ();
-              })
+         overload (Deadline { seconds; elapsed; round = !rounds })
      | None -> ());
     let round_now = !rounds in
     (* Fault schedule: crashes first, then due recoveries. *)
     if faulty then begin
       Array.iter
-        (fun p ->
-          if p.alive then
-            match Fault.crash_at plan ~pid:p.pid ~round:!rounds with
-            | Some c -> do_crash p c
+        (fun s ->
+          if s.alive then
+            match Fault.crash_at plan ~pid:s.p.pid ~round:!rounds with
+            | Some c -> do_crash s c
             | None -> ())
-        procs;
+        sims;
       Array.iter
-        (fun p ->
-          if (not p.alive) && !rounds >= p.down_until then do_recover p)
-        procs
+        (fun s -> if (not s.alive) && !rounds >= s.down_until then do_recover s)
+        sims
     end;
     (* Sending. *)
     Array.iter
-      (fun p ->
-        span ~pid:p.pid ~round:round_now Obs.Trace.Sending
-          (fun () ->
-            if not p.alive then ()
-            else if options.resend_all then begin
-              Queue.clear p.outbox;
-              Queue.iter
-                (fun (pred, tuple) -> route_tuple ~dedup:false p pred tuple)
-                p.all_out
-            end
-            else begin
-              Queue.iter
-                (fun (pred, tuple) -> route_tuple ~dedup:true p pred tuple)
-                p.outbox;
-              Queue.clear p.outbox
+      (fun s ->
+        span ~pid:s.p.pid ~round:round_now Obs.Trace.Sending (fun () ->
+            if s.alive then begin
+              route ~dedup:(not options.resend_all) s;
+              Queue.clear s.outbox
             end))
-      procs;
+      sims;
     (* Transmission: push pending tuples onto the wire, channel credit
        permitting. *)
     pump ();
@@ -697,331 +391,149 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     (* Receiving: drain inboxes into the engines (duplicate
        elimination happens in inject). *)
     Array.iter
-      (fun p ->
-        span ~pid:p.pid ~round:round_now Obs.Trace.Receiving
-          (fun () -> if p.alive then drain_inbox p))
-      procs;
+      (fun s ->
+        span ~pid:s.p.pid ~round:round_now Obs.Trace.Receiving (fun () ->
+            if s.alive then drain_inbox s))
+      sims;
     (* Processing: one semi-naive iteration per live processor. *)
     let any_progress = ref false in
-    let produced_this_round = ref 0 in
     let round_row = Array.make nprocs 0 in
     Array.iter
-      (fun p ->
-        span ~pid:p.pid ~round:round_now Obs.Trace.Processing
-          (fun () ->
-            if p.alive && Seminaive.has_pending p.engine then begin
-              let produced =
-                observe_engine p (fun () -> Seminaive.step p.engine)
-              in
-              p.active_rounds <- p.active_rounds + 1;
+      (fun s ->
+        span ~pid:s.p.pid ~round:round_now Obs.Trace.Processing (fun () ->
+            if s.alive && Seminaive.has_pending s.p.engine then begin
+              let produced = Processor.step s.p in
+              s.active_rounds <- s.active_rounds + 1;
               any_progress := true;
-              produced_this_round :=
-                !produced_this_round + List.length produced;
-              round_row.(p.pid) <- List.length produced;
-              collect_new p produced
+              round_row.(s.p.pid) <- List.length produced;
+              collect_new s produced
             end))
-      procs;
+      sims;
+    let produced_this_round = Array.fold_left ( + ) 0 round_row in
     Obs.Metrics.observe mx "round.new_tuples"
-      (float_of_int !produced_this_round);
+      (float_of_int produced_this_round);
     trace := round_row :: !trace;
     incr rounds;
     (* Checkpointing: a stable-storage write at the end of the round. *)
-    if faulty then begin
-      match plan.Fault.checkpoint_every with
-      | Some k when !rounds mod k = 0 ->
-        Array.iter
-          (fun p ->
-            if p.alive then
-              span ~pid:p.pid ~round:round_now
-                Obs.Trace.Checkpointing (fun () ->
-                  p.checkpoint <-
-                    Some
-                      (Seminaive.snapshot p.engine,
-                       List.of_seq (Queue.to_seq p.outbox));
-                  fc.n_checkpoints <- fc.n_checkpoints + 1))
-          procs
-      | _ -> ()
-    end;
+    (match plan.Fault.checkpoint_every with
+     | Some k when faulty && !rounds mod k = 0 ->
+       Array.iter
+         (fun s ->
+           if s.alive then
+             span ~pid:s.p.pid ~round:round_now Obs.Trace.Checkpointing
+               (fun () ->
+                 s.checkpoint <-
+                   Some
+                     ( Seminaive.snapshot s.p.engine,
+                       List.of_seq (Queue.to_seq s.outbox) );
+                 fc.n_checkpoints <- fc.n_checkpoints + 1))
+         sims
+     | _ -> ());
     (* Watchdog: outbox peaks and the store/outbox budgets, measured
        when the round's production has landed. *)
     Array.iter
-      (fun p ->
-        let backlog = Queue.length p.outbox + pending_from p.pid in
-        if backlog > p.outbox_peak_rows then begin
-          p.outbox_peak_rows <- backlog;
-          let bytes = ref 0 in
-          Queue.iter
-            (fun (_, t) -> bytes := !bytes + (Tuple.arity t * 8))
-            p.outbox;
-          for dst = 0 to nprocs - 1 do
-            Queue.iter
-              (fun (_, t, _) -> bytes := !bytes + (Tuple.arity t * 8))
-              chan_pending.(p.pid).(dst)
-          done;
-          p.outbox_peak_bytes <- !bytes
-        end;
+      (fun s ->
+        let p = s.p in
+        let backlog = Queue.length s.outbox + Processor.pending_rows p in
+        Processor.note_outbox ~rows:(Queue.length s.outbox)
+          ~bytes:(fun () ->
+            Queue.fold (fun n (_, t) -> n + (Tuple.arity t * 8)) 0 s.outbox)
+          p;
         (match options.limits.Overload.max_outbox_rows with
          | Some limit when backlog > limit ->
-           raise
-             (Overload.Overload
-                {
-                  reason =
-                    Outbox_budget { pid = p.pid; rows = backlog; limit };
-                  stats = build_stats ~pooled:0 ();
-                })
+           overload (Outbox_budget { pid = p.pid; rows = backlog; limit })
          | _ -> ());
         match options.limits.Overload.max_store_rows with
         | Some limit ->
           let rows = Overload.db_rows (Seminaive.database p.engine) in
-          if rows > limit then
-            raise
-              (Overload.Overload
-                 {
-                   reason = Store_budget { pid = p.pid; rows; limit };
-                   stats = build_stats ~pooled:0 ();
-                 })
+          if rows > limit then overload (Store_budget { pid = p.pid; rows; limit })
         | None -> ())
-      procs;
+      sims;
     (* Adaptive degradation: feed each processor's worst channel demand
        (sent + still pending this round) to the dial; the new alpha
        takes effect on the next round's routing. *)
     (match options.dial with
      | Some d ->
-       for src = 0 to nprocs - 1 do
-         let backlog = ref 0 in
-         for dst = 0 to nprocs - 1 do
-           if dst <> src then begin
-             let b =
-               sent_this_round.(src).(dst)
-               + Queue.length chan_pending.(src).(dst)
-             in
-             if b > !backlog then backlog := b
-           end
-         done;
-         Overload.observe d ~pid:src ~backlog:!backlog;
-         Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d src)
-       done
+       Array.iter
+         (fun (p : Processor.t) ->
+           let backlog = ref 0 in
+           for dst = 0 to nprocs - 1 do
+             if dst <> p.pid then
+               backlog :=
+                 max !backlog
+                   (sent_this_round.(p.pid).(dst) + Queue.length p.pending.(dst))
+           done;
+           Overload.observe d ~pid:p.pid ~backlog:!backlog;
+           Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d p.pid))
+         procs
      | None -> ());
-    for src = 0 to nprocs - 1 do
-      for dst = 0 to nprocs - 1 do
-        sent_this_round.(src).(dst) <- 0
-      done
-    done;
+    Array.iter (fun row -> Array.fill row 0 nprocs 0) sent_this_round;
     Log.debug (fun m ->
         m "round %d: %d new tuples, %d tuples on channels so far" !rounds
-          !produced_this_round
+          produced_this_round
           (Array.fold_left
-             (fun acc row -> Array.fold_left ( + ) acc row)
-             0 channel_tuples));
+             (fun acc (p : Processor.t) -> Array.fold_left ( + ) acc p.sent_row)
+             0 procs));
     (* Termination: all processors up and idle, all channels empty, no
        payload in flight or awaiting acknowledgement. The per-processor
        part runs under a span (and therefore for every processor, no
        short-circuit) so the trace shows the test each round. *)
-    let proc_busy p =
-      span ~pid:p.pid ~round:round_now
-        Obs.Trace.Termination_test (fun () ->
-          (not (Queue.is_empty p.outbox))
-          || (not (Queue.is_empty p.inbox))
-          || (p.alive && Seminaive.has_pending p.engine))
+    let proc_busy s =
+      span ~pid:s.p.pid ~round:round_now Obs.Trace.Termination_test (fun () ->
+          (not (Queue.is_empty s.outbox))
+          || (not (Queue.is_empty s.inbox))
+          || (s.alive && Seminaive.has_pending s.p.engine))
     in
-    let any_busy =
-      Array.fold_left (fun acc p -> proc_busy p || acc) false procs
-    in
-    let work_left =
+    let any_busy = Array.fold_left (fun acc s -> proc_busy s || acc) false sims in
+    continue :=
       !any_progress || any_busy
-      || Array.exists
-           (fun row -> Array.exists (fun q -> not (Queue.is_empty q)) row)
-           chan_pending
-      || (faulty
-          && (!flight_size > 0
-              || Array.exists (fun p -> not p.alive) procs
-              || Array.exists
-                   (fun row ->
-                     Array.exists (fun tbl -> Hashtbl.length tbl > 0) row)
-                   unacked))
-    in
-    continue := work_left
+      || Array.exists Processor.has_deferred procs
+      || faulty
+         && (!flight_size > 0
+            || Array.exists (fun s -> not s.alive) sims
+            || Array.exists
+                 (fun (p : Processor.t) ->
+                   Array.exists (fun tbl -> Hashtbl.length tbl > 0) p.unacked)
+                 procs)
   done
   in
   drive ~budget:None ();
-  (* Pooling: union the @out relations under the original names over
-     the current combined EDB — used by [close] and [model] alike. *)
-  let assemble () =
-    let answers = Database.copy edb in
-    let pooled = ref 0 in
-    Array.iter
-      (fun p ->
-        let db = Seminaive.database p.engine in
-        List.iter
-          (fun pred ->
-            match Database.find db (Rewrite.out_pred pred) with
-            | None -> ()
-            | Some rel ->
-              pooled := !pooled + Relation.cardinal rel;
-              let target =
-                Database.declare answers pred (Relation.arity rel)
-              in
-              ignore (Relation.add_all target rel))
-          rw.derived)
-      procs;
-    (answers, !pooled)
-  in
-  (* The maintenance oracle is created on first [apply], so a plain
-     [run] (open + close, no batches) never pays for it and takes the
-     exact historical code path. At creation time the combined EDB is
-     still the initial one, so the oracle's model matches the engines'
-     pooled state. *)
-  let live = ref None in
-  let oracle () =
-    match !live with
-    | Some l -> l
-    | None ->
-      let l =
-        Stratified.Live.create ~pushdown:options.pushdown
-          ~track:options.track_changes rw.original ~edb
-      in
-      live := Some l;
-      l
-  in
-  let incr_stats () =
-    match !live with
-    | None -> Stats.no_incr
-    | Some l ->
-      let s = Stratified.Live.totals l in
-      {
-        Stats.batches_applied = Stratified.Live.batches l;
-        tuples_inserted = s.Delta.s_inserted;
-        tuples_deleted = s.Delta.s_deleted;
-        tuples_rederived = s.Delta.s_rederived;
-        tuples_overdeleted = s.Delta.s_overdeleted;
-        incr_firings = s.Delta.s_firings;
-      }
-  in
-  let is_derived pred = List.mem pred rw.derived in
-  let apply batch =
-    let change = Stratified.Live.apply (oracle ()) batch in
-    let removed = change.Stratified.Live.c_removed in
-    let added = change.Stratified.Live.c_added in
-    if removed <> [] then begin
-      (* Install the net-deletion patch. Every net-removed tuple has no
-         remaining derivation in the new model, so after retraction the
-         engines' stores contain only true model tuples and any later
-         local firing is a sound derivation step. *)
-      let retractions =
-        List.concat_map
-          (fun (pred, t) ->
-            if is_derived pred then
-              [ (Rewrite.out_pred pred, t); (Rewrite.in_pred pred, t) ]
-            else [ (pred, t) ])
-          removed
-      in
-      Array.iter
-        (fun p ->
-          ignore (Seminaive.retract_facts p.engine retractions);
+  let apply =
+    Pool.apply pool procs ~drive:(fun oc ->
+        let removed = oc.Session.oc_removed in
+        if removed <> [] then begin
           (* A checkpoint predating the patch would resurrect the
-             retracted tuples on restore. *)
-          p.checkpoint <- None)
-        procs;
-      (* Purge the channel layer of the removed tuples — but only of
-         them: a tuple re-derived later must travel its channels again
-         (the histories no longer claim the receiver has it), while
-         recovery replays keep covering everything still true. *)
-      List.iter
-        (fun (pred, t) ->
-          let key = (pred, t) in
+             retracted tuples on restore, and the receive filters must
+             let a later re-derivation through again. *)
           Array.iter
-            (fun row -> Array.iter (fun tbl -> Ktbl.remove tbl key) row)
-            channel_seen;
-          Array.iter
-            (fun row -> Array.iter (fun tbl -> Ktbl.remove tbl key) row)
-            recv_seen)
-        removed;
-      if options.resend_all then
-        Array.iter
-          (fun p ->
-            let keep =
-              Queue.fold
-                (fun acc (pred, t) ->
-                  if
-                    List.exists
-                      (fun (rp, rt) ->
-                        String.equal rp pred && Tuple.equal rt t)
-                      removed
-                  then acc
-                  else (pred, t) :: acc)
-                [] p.all_out
-            in
-            Queue.clear p.all_out;
-            List.iter (fun kt -> Queue.add kt p.all_out) (List.rev keep))
-          procs
-    end;
-    (* Keep the combined EDB current: crash recovery rebuilds base
-       fragments from it and the assembly copies it. *)
-    List.iter
-      (fun (pred, t) ->
-        if not (is_derived pred) then
-          match Database.find edb pred with
-          | Some rel -> ignore (Relation.remove_all rel (Tuple.equal t))
-          | None -> ())
-      removed;
-    List.iter
-      (fun (pred, t) ->
-        if not (is_derived pred) then
-          ignore (Database.add_fact edb pred t))
-      added;
-    (* Base insertions enter at the processors that host them; their
-       derived consequences are re-derived — and re-sent — by the
-       drive. *)
-    List.iter
-      (fun (pred, t) ->
-        if not (is_derived pred) then
-          Array.iter
-            (fun p ->
-              if options.replicate_base || rw.resident p.pid pred t then
-                ignore (Seminaive.inject p.engine pred t))
-            procs)
-      added;
-    drive ~budget:options.batch_rounds ();
-    {
-      Session.oc_added = added;
-      oc_removed = removed;
-      oc_summary = change.Stratified.Live.c_summary;
-    }
+            (fun s ->
+              s.checkpoint <- None;
+              List.iter
+                (fun key -> Array.iter (fun tbl -> Ktbl.remove tbl key) s.recv_seen)
+                removed)
+            sims;
+          if options.resend_all then begin
+            let gone = Ktbl.create 16 in
+            List.iter (fun key -> Ktbl.replace gone key ()) removed;
+            Array.iter
+              (fun s ->
+                let keep =
+                  List.filter
+                    (fun key -> not (Ktbl.mem gone key))
+                    (List.of_seq (Queue.to_seq s.all_out))
+                in
+                Queue.clear s.all_out;
+                List.iter (fun kt -> Queue.add kt s.all_out) keep)
+              sims
+          end
+        end;
+        drive ~budget:options.batch_rounds ())
   in
-  let query pred =
-    if is_derived pred then begin
-      let acc = ref None in
-      Array.iter
-        (fun p ->
-          match
-            Database.find (Seminaive.database p.engine)
-              (Rewrite.out_pred pred)
-          with
-          | None -> ()
-          | Some rel ->
-            let target =
-              match !acc with
-              | Some r -> r
-              | None ->
-                let r = Relation.create ~arity:(Relation.arity rel) () in
-                acc := Some r;
-                r
-            in
-            ignore (Relation.add_all target rel))
-        procs;
-      match !acc with
-      | Some r -> Relation.sorted_elements r
-      | None -> []
-    end
-    else
-      match Database.find edb pred with
-      | Some rel -> Relation.sorted_elements rel
-      | None -> []
-  in
-  let model () = fst (assemble ()) in
+  let query pred = Pool.query pool (Pool.stores procs) pred in
+  let model () = fst (Pool.pool pool (Pool.stores procs)) in
   let close () =
-    let answers, pooled = assemble () in
-    { answers; stats = build_stats ~incr:(incr_stats ()) ~pooled () }
+    let answers, pooled = Pool.pool pool (Pool.stores procs) in
+    { answers; stats = build_stats ~pooled }
   in
   Session.v ~runtime:"sim" ~apply ~query ~model ~close
 

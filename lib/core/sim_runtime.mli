@@ -57,7 +57,9 @@ val run :
     breached; the exception carries the partial statistics and the
     offending processor.
     @raise Failure when a tuple is routed along a missing channel of
-    [config.network]. *)
+    [config.network].
+    @raise Invalid_argument on an invalid configuration or a program
+    fact on a derived predicate ({!Pool.create}). *)
 
 val open_session :
   ?config:Run_config.t -> Rewrite.t -> edb:Datalog.Database.t -> Session.t

@@ -9,6 +9,9 @@ module Plan = Pardatalog.Plan
 module Backoff = Pardatalog.Backoff
 module Sim_runtime = Pardatalog.Sim_runtime
 module Session = Pardatalog.Session
+module Processor = Pardatalog.Processor
+module Pool = Pardatalog.Pool
+module Ktbl = Processor.Ktbl
 
 let log_src = Logs.Src.create "pardatalog.net" ~doc:"Multi-process runtime"
 
@@ -54,15 +57,6 @@ let socket_of = function
 (* ------------------------------------------------------------------ *)
 (* Shared pieces                                                      *)
 
-module Key = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
 (* Every worker rebuilds the rewrite from the program text and the
    scheme spec. Determinism note: symbol routing hashes depend on
    interning order, so workers intern identically — the program text
@@ -89,21 +83,6 @@ let build_rewrite spec ~seed ~nprocs program =
   | Ok rw -> rw
   | Error e -> invalid_arg ("Net_runtime: scheme rebuild failed: " ^ e)
 
-let build_edb (rw : Rewrite.t) edb pid =
-  let local = Database.create () in
-  List.iter
-    (fun pred ->
-      match Database.find edb pred with
-      | None -> ()
-      | Some rel ->
-        let target = Database.declare local pred (Relation.arity rel) in
-        Relation.iter
-          (fun t ->
-            if rw.resident pid pred t then ignore (Relation.add target t))
-          rel)
-    (Database.predicates edb);
-  local
-
 let is_out_pred pred = Rewrite.out_pred (Rewrite.original_pred pred) = pred
 let is_derived_pred pred = Rewrite.original_pred pred <> pred
 
@@ -119,37 +98,14 @@ let now () = Unix.gettimeofday ()
 
 exception Worker_exit of int
 
-type pending = {
-  pd_batch : (string * Tuple.t) list;
-  pd_replay : bool;
-  mutable pd_attempt : int;
-  mutable pd_retry_at : float;
-}
-
+(* The worker's checkpoint and crash bookkeeping around one processor. *)
 type wproc = {
-  pid : int;
-  mutable engine : Seminaive.t;
+  p : Processor.t;
   mutable local_rounds : int;
   mutable last_ckpt : int;
-  (* Resident base tuples; session updates adjust it. *)
-  mutable base_resident : int;
-  channel_seen : unit Ktbl.t array;
-  next_seq : int array;
-  unacked : (int, pending) Hashtbl.t array;
-  (* (src pid, src incarnation, seq) — the incarnation in the key makes
-     sequence reuse by a restarted peer harmless. *)
-  seen : (int * int * int, unit) Hashtbl.t;
   (* Receipts not yet shipped in a checkpoint: checkpoints carry only
      this delta and the coordinator accumulates. *)
   mutable seen_new : (int * int * int) list;
-  pending : (string * Tuple.t * bool) Queue.t array;
-  credit_used : int array;
-  inflight_size : (int, int) Hashtbl.t array;
-  mutable received : int;
-  mutable accepted : int;
-  sent_row : int array;
-  mutable outbox_peak_rows : int;
-  mutable outbox_peak_bytes : int;
   mutable crashes_fired : int list;
   (* Derived-store growth since the last checkpoint (bootstrap and
      step products, accepted wire injections): the next checkpoint
@@ -161,33 +117,9 @@ type wproc = {
   dumped : unit Ktbl.t;
 }
 
-let snap_of ~store p : Wire.psnap =
-  let es = Seminaive.stats p.engine in
-  let rows, bytes =
-    if store then
-      let db = Seminaive.database p.engine in
-      (Overload.db_rows db, Overload.db_bytes db)
-    else (0, 0)
-  in
-  {
-    ps_pid = p.pid;
-    ps_iterations = es.Seminaive.iterations;
-    ps_firings = es.Seminaive.firings;
-    ps_new = es.Seminaive.new_tuples;
-    ps_dup = es.Seminaive.duplicate_firings;
-    ps_sent_row = Array.copy p.sent_row;
-    ps_received = p.received;
-    ps_accepted = p.accepted;
-    ps_base_resident = p.base_resident;
-    ps_store_rows = rows;
-    ps_store_bytes = bytes;
-    ps_outbox_rows = p.outbox_peak_rows;
-    ps_outbox_bytes = p.outbox_peak_bytes;
-    ps_rounds = p.local_rounds;
-  }
+let snap_of ~store w : Wire.psnap =
+  { ps_row = Processor.row ~store w.p; ps_sent_row = Array.copy w.p.sent_row }
 
-(* All derived (@in/@out) tuples of the engine: the checkpoint
-   payload. *)
 let worker_body ~addr ~worker ~inc =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let a = parse_addr addr in
@@ -281,7 +213,6 @@ let worker_body ~addr ~worker ~inc =
   let lossy = plan.Fault.drop > 0.0 || cf.cf_partition > 0.0 in
   let ckpt_on = plan.Fault.checkpoint_every <> None in
   let capacity = cf.cf_capacity in
-  let credited = capacity <> None in
   let limits = cf.cf_limits in
   let nprocs = cf.cf_nprocs in
   let program =
@@ -294,210 +225,78 @@ let worker_body ~addr ~worker ~inc =
   let edb = Database.create () in
   List.iter (fun wr -> ignore (Wire.add_wrel edb wr)) cf.cf_edb;
   let rw = build_rewrite cf.cf_spec ~seed:cf.cf_seed ~nprocs program in
-  let send_specs_for =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        Hashtbl.replace tbl s.ss_pred
-          (s :: Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
-  in
-  let own_pids =
-    List.filter (fun pid -> pid mod cf.cf_procs = worker)
-      (List.init nprocs Fun.id)
-  in
-  let procs =
-    List.map
-      (fun pid ->
-        let local_edb = build_edb rw edb pid in
-        {
-          pid;
-          engine =
-            Seminaive.create ~pushdown:cf.cf_pushdown rw.programs.(pid)
-              ~edb:local_edb;
-          local_rounds = 0;
-          last_ckpt = 0;
-          base_resident = Database.total_tuples local_edb;
-          channel_seen = Array.init nprocs (fun _ -> Ktbl.create 64);
-          next_seq = Array.make nprocs 0;
-          unacked = Array.init nprocs (fun _ -> Hashtbl.create 8);
-          seen = Hashtbl.create 64;
-          seen_new = [];
-          pending = Array.init nprocs (fun _ -> Queue.create ());
-          credit_used = Array.make nprocs 0;
-          inflight_size = Array.init nprocs (fun _ -> Hashtbl.create 8);
-          received = 0;
-          accepted = 0;
-          sent_row = Array.make nprocs 0;
-          outbox_peak_rows = 0;
-          outbox_peak_bytes = 0;
-          crashes_fired =
-            Option.value ~default:[] (List.assoc_opt pid cf.cf_crashes_done);
-          ckpt_acc = [];
-          dumped = Ktbl.create 256;
-        })
-      own_pids
-  in
-  let proc_of =
-    let tbl = Hashtbl.create 8 in
-    List.iter (fun p -> Hashtbl.add tbl p.pid p) procs;
-    fun pid -> Hashtbl.find tbl pid
-  in
   let fc = Fault.counters () in
-  let credit_stalls = ref 0 in
-  let peak_in_flight = ref 0 in
-  let breached = ref false in
-  let frames_received = ref 0 in
   (* The first retransmission waits well past a loaded coordinator's
      ack round-trip, so a fault-free run never retransmits; later
      attempts back off exponentially. *)
   let retx = Backoff.make ~base_ms:20 ~cap_ms:160 () in
-  let transmit_batch p dst seq pd =
-    let attempt = pd.pd_attempt in
-    pd.pd_attempt <- attempt + 1;
-    pd.pd_retry_at <-
-      now () +. (float_of_int (Backoff.delay_ms retx attempt) /. 1000.);
+  let procs =
+    List.filter_map
+      (fun pid ->
+        if pid mod cf.cf_procs <> worker then None
+        else
+          Some
+            {
+              p =
+                Processor.create ~fc ~pushdown:cf.cf_pushdown ~capacity
+                  ~reliable:faulty
+                  ~retry_after:(fun attempt ->
+                    float_of_int (Backoff.delay_ms retx attempt) /. 1000.)
+                  rw ~fragment:(Pool.fragment rw edb pid) pid;
+              local_rounds = 0;
+              last_ckpt = 0;
+              seen_new = [];
+              crashes_fired =
+                Option.value ~default:[] (List.assoc_opt pid cf.cf_crashes_done);
+              ckpt_acc = [];
+              dumped = Ktbl.create 256;
+            })
+      (List.init nprocs Fun.id)
+  in
+  let proc_of =
+    let tbl = Hashtbl.create 8 in
+    List.iter (fun w -> Hashtbl.add tbl w.p.pid w) procs;
+    fun pid -> Hashtbl.find tbl pid
+  in
+  let breached = ref false in
+  let frames_received = ref 0 in
+  let transmit w (b : Processor.batch) =
+    let attempt = Processor.transmitted w.p b ~now:(now ()) in
     write
       (Wire.Data
          {
-           src = p.pid;
-           dst;
+           src = w.p.pid;
+           dst = b.dst;
            inc;
-           seq;
+           seq = b.seq;
            attempt;
-           replay = pd.pd_replay;
-           batch = Wire.of_batch pd.pd_batch;
+           replay = b.replay;
+           batch = Wire.of_batch b.tuples;
          })
   in
-  let send_entries p dst entries =
-    if entries <> [] then begin
-      let seq = p.next_seq.(dst) in
-      p.next_seq.(dst) <- seq + 1;
-      List.iter
-        (fun (_, _, replay) ->
-          if replay then fc.Fault.n_replayed <- fc.Fault.n_replayed + 1
-          else p.sent_row.(dst) <- p.sent_row.(dst) + 1)
-        entries;
-      let batch = List.map (fun (pred, tuple, _) -> (pred, tuple)) entries in
-      let replay = List.for_all (fun (_, _, r) -> r) entries in
-      if credited then begin
-        let size = List.length entries in
-        p.credit_used.(dst) <- p.credit_used.(dst) + size;
-        if p.credit_used.(dst) > !peak_in_flight then
-          peak_in_flight := p.credit_used.(dst);
-        Hashtbl.replace p.inflight_size.(dst) seq size
-      end;
-      let pd = { pd_batch = batch; pd_replay = replay;
-                 pd_attempt = 0; pd_retry_at = 0.0 } in
-      if faulty then Hashtbl.replace p.unacked.(dst) seq pd;
-      transmit_batch p dst seq pd
-    end
-  in
-  let flush_pending p =
-    match capacity with
-    | None -> ()
-    | Some k ->
-      for dst = 0 to nprocs - 1 do
-        let q = p.pending.(dst) in
-        if not (Queue.is_empty q) then begin
-          let stalled = ref false in
-          while
-            (not (Queue.is_empty q))
-            && (p.credit_used.(dst) < k || (stalled := true; false))
-          do
-            let room = k - p.credit_used.(dst) in
-            let entries = ref [] in
-            let count = ref 0 in
-            while !count < room && not (Queue.is_empty q) do
-              entries := Queue.pop q :: !entries;
-              incr count
-            done;
-            send_entries p dst (List.rev !entries)
-          done;
-          if !stalled then incr credit_stalls
-        end
-      done
-  in
-  let dispatch_out ~replay p dst batch =
-    if not credited then
-      send_entries p dst (List.map (fun (pred, t) -> (pred, t, replay)) batch)
-    else begin
-      List.iter
-        (fun (pred, t) -> Queue.add (pred, t, replay) p.pending.(dst))
-        batch;
-      flush_pending p
-    end
-  in
-  let track_outbox_peak p =
-    if credited then begin
-      let rows = ref 0 in
-      Array.iter (fun q -> rows := !rows + Queue.length q) p.pending;
-      if !rows > p.outbox_peak_rows then begin
-        p.outbox_peak_rows <- !rows;
-        let bytes = ref 0 in
-        Array.iter
-          (fun q ->
-            Queue.iter
-              (fun (_, t, _) -> bytes := !bytes + (Tuple.arity t * 8))
-              q)
-          p.pending;
-        p.outbox_peak_bytes <- !bytes
-      end
-    end
-  in
-  let route ~replay p produced =
-    let batches = Array.make nprocs [] in
-    List.iter
-      (fun (out_name, tuple) ->
-        let pred = Rewrite.original_pred out_name in
-        if List.mem pred rw.derived then
-          List.iter
-            (fun (s : Rewrite.send_spec) ->
-              List.iter
-                (fun dst ->
-                  let seen = p.channel_seen.(dst) in
-                  if not (Ktbl.mem seen (pred, tuple)) then begin
-                    Ktbl.add seen (pred, tuple) ();
-                    batches.(dst) <- (pred, tuple) :: batches.(dst)
-                  end)
-                (s.ss_route p.pid tuple))
-            (send_specs_for pred))
-      produced;
+  let route ~replay w produced =
     Array.iteri
       (fun dst batch ->
-        if batch <> [] then dispatch_out ~replay p dst (List.rev batch))
-      batches;
-    track_outbox_peak p
+        if batch <> [] then Processor.dispatch ~replay w.p dst batch (transmit w))
+      (Processor.route w.p produced);
+    Processor.note_outbox w.p
   in
   let pump_retransmits () =
     let t = now () in
-    List.iter
-      (fun p ->
-        Array.iteri
-          (fun dst tbl ->
-            Hashtbl.iter
-              (fun seq pd ->
-                if pd.pd_retry_at <= t then begin
-                  fc.Fault.n_retransmits <- fc.Fault.n_retransmits + 1;
-                  transmit_batch p dst seq pd
-                end)
-              tbl)
-          p.unacked)
-      procs
+    List.iter (fun w -> Processor.due w.p ~now:t (transmit w)) procs
   in
   (* A scheduled crash is a genuine SIGKILL: flush a courtesy notice
      carrying the counters that die with the process, then kill
      ourselves. The coordinator records the fired round so the
      restarted worker does not re-fire it. *)
-  let maybe_crash p =
-    match Fault.crash_at plan ~pid:p.pid ~round:p.local_rounds with
-    | Some c when not (List.mem c.Fault.cr_round p.crashes_fired) ->
-      p.crashes_fired <- c.Fault.cr_round :: p.crashes_fired;
+  let maybe_crash w =
+    match Fault.crash_at plan ~pid:w.p.pid ~round:w.local_rounds with
+    | Some c when not (List.mem c.Fault.cr_round w.crashes_fired) ->
+      w.crashes_fired <- c.Fault.cr_round :: w.crashes_fired;
       write
         (Wire.Crashing
            {
-             pid = p.pid;
+             pid = w.p.pid;
              round = c.Fault.cr_round;
              snaps = List.map (snap_of ~store:false) procs;
            });
@@ -505,10 +304,10 @@ let worker_body ~addr ~worker ~inc =
       Unix.kill (Unix.getpid ()) Sys.sigkill
     | _ -> ()
   in
-  let maybe_checkpoint p =
+  let maybe_checkpoint w =
     match plan.Fault.checkpoint_every with
-    | Some k when p.local_rounds > p.last_ckpt && p.local_rounds mod k = 0 ->
-      p.last_ckpt <- p.local_rounds;
+    | Some k when w.local_rounds > w.last_ckpt && w.local_rounds mod k = 0 ->
+      w.last_ckpt <- w.local_rounds;
       fc.Fault.n_checkpoints <- fc.Fault.n_checkpoints + 1;
       (* Ship only the derived tuples the coordinator has not seen in
          an earlier checkpoint of this state: a full dump every few
@@ -517,13 +316,13 @@ let worker_body ~addr ~worker ~inc =
          store growth since the last checkpoint, so neither the dump
          nor this filter ever rescans the store. *)
       let delta =
-        let acc = p.ckpt_acc in
-        p.ckpt_acc <- [];
+        let acc = w.ckpt_acc in
+        w.ckpt_acc <- [];
         List.filter
           (fun (pred, t) ->
-            if Ktbl.mem p.dumped (pred, t) then false
+            if Ktbl.mem w.dumped (pred, t) then false
             else begin
-              Ktbl.replace p.dumped (pred, t) ();
+              Ktbl.replace w.dumped (pred, t) ();
               true
             end)
           acc
@@ -531,66 +330,56 @@ let worker_body ~addr ~worker ~inc =
       (* Receipts are deltas for the same reason as the tuples: the
          full table is O(frames) and would be re-marshalled on every
          checkpoint. *)
-      let seen_delta = p.seen_new in
-      p.seen_new <- [];
+      let seen_delta = w.seen_new in
+      w.seen_new <- [];
       write
         (Wire.Checkpoint
            {
-             pid = p.pid;
+             pid = w.p.pid;
              inc;
-             round = p.local_rounds;
+             round = w.local_rounds;
              tuples = Wire.of_batch delta;
              seen = seen_delta;
            })
     | _ -> ()
   in
-  let check_limits p =
+  let breach reason =
+    breached := true;
+    write (Wire.Breach { reason })
+  in
+  let check_limits (p : Processor.t) =
     if not !breached then begin
       (match limits.Overload.max_store_rows with
-       | Some lim ->
+       | Some limit ->
          let rows = Overload.db_rows (Seminaive.database p.engine) in
-         if rows > lim then begin
-           breached := true;
-           write
-             (Wire.Breach
-                { reason = Overload.Store_budget { pid = p.pid; rows; limit = lim } })
-         end
+         if rows > limit then
+           breach (Overload.Store_budget { pid = p.pid; rows; limit })
        | None -> ());
       match limits.Overload.max_outbox_rows with
-      | Some lim when not !breached ->
-        let rows = ref 0 in
-        Array.iter (fun q -> rows := !rows + Queue.length q) p.pending;
-        Array.iter
-          (fun tbl -> Hashtbl.iter (fun _ s -> rows := !rows + s) tbl)
-          p.inflight_size;
-        if !rows > lim then begin
-          breached := true;
-          write
-            (Wire.Breach
-               { reason = Overload.Outbox_budget { pid = p.pid; rows = !rows; limit = lim } })
-        end
+      | Some limit when not !breached ->
+        let rows = Processor.pending_rows p + Processor.in_flight_rows p in
+        if rows > limit then
+          breach (Overload.Outbox_budget { pid = p.pid; rows; limit })
       | _ -> ()
     end
   in
   (* Record derived-store growth for the next checkpoint delta —
      every insertion flows through here or [accept_batch], so a scan
      of the whole store at checkpoint time is never needed. *)
-  let ckpt_note p produced =
+  let ckpt_note w produced =
     if ckpt_on then
       List.iter
         (fun ((name, _) as nt) ->
-          if is_derived_pred name then p.ckpt_acc <- nt :: p.ckpt_acc)
+          if is_derived_pred name then w.ckpt_acc <- nt :: w.ckpt_acc)
         produced
   in
-  let accept_batch p batch =
+  let accept_batch w batch =
+    let on_new =
+      if ckpt_on then Some (fun name t -> w.ckpt_acc <- (name, t) :: w.ckpt_acc)
+      else None
+    in
     List.iter
-      (fun (pred, tuple) ->
-        p.received <- p.received + 1;
-        let ip = Rewrite.in_pred pred in
-        if Seminaive.inject p.engine ip tuple then begin
-          p.accepted <- p.accepted + 1;
-          if ckpt_on then p.ckpt_acc <- (ip, tuple) :: p.ckpt_acc
-        end)
+      (fun (pred, tuple) -> Processor.receive ?on_new w.p pred tuple)
       (Wire.to_batch batch)
   in
   (* Restore from checkpoint dumps: a fresh engine over the base
@@ -600,21 +389,21 @@ let worker_body ~addr ~worker ~inc =
      with [replay] marking (receivers dedup by content). *)
   let restores =
     List.filter (fun (r : Wire.restore) -> List.mem_assoc r.rs_pid
-                    (List.map (fun p -> (p.pid, ())) procs))
+                    (List.map (fun w -> (w.p.pid, ())) procs))
       cf.cf_restores
   in
   let injected = ref 0 in
   List.iter
     (fun (r : Wire.restore) ->
-      let p = proc_of r.rs_pid in
-      p.local_rounds <- r.rs_round;
-      p.last_ckpt <- r.rs_round;
+      let w = proc_of r.rs_pid in
+      w.local_rounds <- r.rs_round;
+      w.last_ckpt <- r.rs_round;
       List.iter
         (fun (pred, t) ->
-          ignore (Seminaive.inject p.engine pred t);
+          ignore (Seminaive.inject w.p.engine pred t);
           (* These tuples are already at the coordinator; future
              checkpoints ship only what this incarnation adds. *)
-          Ktbl.replace p.dumped (pred, t) ();
+          Ktbl.replace w.dumped (pred, t) ();
           incr injected;
           (* A large restore must not look like death to the failure
              detector: keep heartbeats flowing while injecting. *)
@@ -627,30 +416,22 @@ let worker_body ~addr ~worker ~inc =
         (Wire.to_batch r.rs_tuples))
     restores;
   List.iter
-    (fun p ->
-      let produced = Seminaive.bootstrap p.engine in
-      ckpt_note p produced;
-      route ~replay:false p produced)
+    (fun w ->
+      let produced = Processor.bootstrap w.p in
+      ckpt_note w produced;
+      route ~replay:false w produced)
     procs;
   List.iter
     (fun (r : Wire.restore) ->
-      let p = proc_of r.rs_pid in
       let outs =
         List.filter (fun (pred, _) -> is_out_pred pred)
           (Wire.to_batch r.rs_tuples)
       in
-      route ~replay:true p outs)
+      route ~replay:true (proc_of r.rs_pid) outs)
     restores;
-  let all_idle () =
-    List.for_all
-      (fun p ->
-        (not (Seminaive.has_pending p.engine))
-        && Array.for_all (fun tbl -> Hashtbl.length tbl = 0) p.unacked
-        && Array.for_all Queue.is_empty p.pending)
-      procs
-  in
-  let answers_of p =
-    let db = Seminaive.database p.engine in
+  let all_idle () = List.for_all (fun w -> Processor.idle w.p) procs in
+  let answers_of w =
+    let db = Seminaive.database w.p.engine in
     List.filter_map
       (fun pred ->
         match Database.find db (Rewrite.out_pred pred) with
@@ -673,76 +454,44 @@ let worker_body ~addr ~worker ~inc =
       (* No ack here: the coordinator acks on receipt (its replay
          history guarantees delivery), so an ack can never die with a
          destination worker. *)
-      let p = proc_of dst in
-      if faulty && Hashtbl.mem p.seen (src, sinc, seq) then
-        fc.Fault.n_dups_suppressed <- fc.Fault.n_dups_suppressed + 1
-      else begin
-        if faulty then begin
-          Hashtbl.replace p.seen (src, sinc, seq) ();
-          p.seen_new <- (src, sinc, seq) :: p.seen_new
-        end;
-        accept_batch p batch
+      let w = proc_of dst in
+      (* The sender's incarnation in the key makes sequence reuse by a
+         restarted peer harmless. *)
+      let key = (src, sinc, seq) in
+      if (not faulty) || Processor.fresh w.p key then begin
+        if faulty then w.seen_new <- key :: w.seen_new;
+        accept_batch w batch
       end
     | Tack { src; dst; inc = tinc; seq } ->
       (* [src] is our processor: the ack of [Data src->dst seq]. Acks
          addressed to a previous incarnation are stale. *)
       if tinc = inc then begin
-        let p = proc_of src in
-        if Hashtbl.mem p.unacked.(dst) seq then begin
-          Hashtbl.remove p.unacked.(dst) seq;
-          fc.Fault.n_acks <- fc.Fault.n_acks + 1
-        end;
-        if credited then
-          match Hashtbl.find_opt p.inflight_size.(dst) seq with
-          | Some size ->
-            Hashtbl.remove p.inflight_size.(dst) seq;
-            p.credit_used.(dst) <- p.credit_used.(dst) - size;
-            flush_pending p
-          | None -> ()
+        let w = proc_of src in
+        if Processor.ack w.p ~dst ~seq then Processor.flush w.p (transmit w)
       end
     | Inject { dst; batch } -> accept_batch (proc_of dst) batch
     | Patch { dels } ->
       (* Net deletions of a session batch. The coordinator sends this
          only between drives (after a passed probe), so every engine
-         is quiescent and [retract_facts] is legal. A net-removed
-         tuple has no remaining derivation in the new model, so
-         removing it from every store is sound — re-derivation after a
+         is quiescent and retraction is legal. Re-derivation after a
          later re-insertion flows through the ordinary step loop. *)
       let dels = Wire.to_batch dels in
-      let derived_dels, base_dels =
-        List.partition (fun (pred, _) -> List.mem pred rw.derived) dels
-      in
-      let derived_keys =
-        List.concat_map
-          (fun (pred, t) ->
-            [ (Rewrite.out_pred pred, t); (Rewrite.in_pred pred, t) ])
-          derived_dels
-      in
+      let gone = Ktbl.create 16 in
       List.iter
-        (fun p ->
-          ignore (Seminaive.retract_facts p.engine derived_keys);
-          let nbase = Seminaive.retract_facts p.engine base_dels in
-          p.base_resident <- p.base_resident - nbase;
-          (* Purge the channel-dedup and checkpoint-cover tables of
-             exactly the removed tuples: a re-derived tuple must
-             travel its channels (and enter a checkpoint) again, while
+        (fun (pred, t) ->
+          if List.mem pred rw.derived then begin
+            Ktbl.replace gone (Rewrite.out_pred pred, t) ();
+            Ktbl.replace gone (Rewrite.in_pred pred, t) ()
+          end)
+        dels;
+      List.iter
+        (fun w ->
+          Processor.retract w.p dels;
+          (* The checkpoint cover forgets exactly the removed tuples: a
+             re-derived tuple must enter a checkpoint again, while
              everything still true stays covered. *)
-          List.iter
-            (fun (pred, t) ->
-              Array.iter (fun tbl -> Ktbl.remove tbl (pred, t)) p.channel_seen;
-              Ktbl.remove p.dumped (Rewrite.out_pred pred, t);
-              Ktbl.remove p.dumped (Rewrite.in_pred pred, t))
-            derived_dels;
-          if p.ckpt_acc <> [] then
-            p.ckpt_acc <-
-              List.filter
-                (fun (name, t) ->
-                  not
-                    (List.exists
-                       (fun (rp, rt) ->
-                         String.equal rp name && Tuple.equal rt t)
-                       derived_keys))
-                p.ckpt_acc)
+          Ktbl.iter (fun key () -> Ktbl.remove w.dumped key) gone;
+          w.ckpt_acc <- List.filter (fun key -> not (Ktbl.mem gone key)) w.ckpt_acc)
         procs
     | Update { dst; batch } ->
       (* Net base insertions of a session batch: pending work for the
@@ -750,12 +499,8 @@ let worker_body ~addr ~worker ~inc =
          the ordinary step loop. [inject] discards known tuples, so a
          redelivery (e.g. held frames replayed to a restarted worker
          already rebuilt from the updated EDB) changes nothing. *)
-      let p = proc_of dst in
-      List.iter
-        (fun (pred, t) ->
-          if Seminaive.inject p.engine pred t then
-            p.base_resident <- p.base_resident + 1)
-        (Wire.to_batch batch)
+      let w = proc_of dst in
+      List.iter (fun (pred, t) -> Processor.insert w.p pred t) (Wire.to_batch batch)
     | Collect { gen } ->
       (* Session-mode end of drive: report every processor's answers
          and keep running. Global quiescence is already established
@@ -763,14 +508,14 @@ let worker_body ~addr ~worker ~inc =
          engines are at the global fixpoint as-is. *)
       dbg "w%d: collect gen=%d" worker gen;
       List.iter
-        (fun p ->
+        (fun w ->
           write
             (Wire.Model
                {
                  gen;
-                 pid = p.pid;
-                 snap = snap_of ~store:true p;
-                 answers = answers_of p;
+                 pid = w.p.pid;
+                 snap = snap_of ~store:true w;
+                 answers = answers_of w;
                }))
         procs
     | Probe { epoch } ->
@@ -792,16 +537,16 @@ let worker_body ~addr ~worker ~inc =
          re-derives tuples whose routed copies were delivered long
          ago. An overload stop reports the partial state as-is. *)
       if finish then
-        List.iter (fun p -> Seminaive.run_to_fixpoint p.engine) procs;
+        List.iter (fun w -> Seminaive.run_to_fixpoint w.p.engine) procs;
       List.iter
-        (fun p ->
+        (fun w ->
           write
             (Wire.Done
                {
-                 pid = p.pid;
+                 pid = w.p.pid;
                  inc;
-                 snap = snap_of ~store:true p;
-                 answers = answers_of p;
+                 snap = snap_of ~store:true w;
+                 answers = answers_of w;
                }))
         procs;
       write
@@ -809,9 +554,11 @@ let worker_body ~addr ~worker ~inc =
            {
              worker;
              inc;
-             faults = Fault.freeze ?mailbox_drops:None fc;
-             credit_stalls = !credit_stalls;
-             peak_in_flight = !peak_in_flight;
+             faults = Fault.freeze fc;
+             credit_stalls =
+               List.fold_left (fun n w -> n + w.p.credit_stalls) 0 procs;
+             peak_in_flight =
+               List.fold_left (fun n w -> max n w.p.peak_in_flight) 0 procs;
            });
       flush_blocking ();
       raise (Worker_exit 0)
@@ -833,15 +580,15 @@ let worker_body ~addr ~worker ~inc =
   let step_engines () =
     if not !breached then
       List.iter
-        (fun p ->
-          maybe_crash p;
-          if Seminaive.has_pending p.engine then begin
-            let produced = Seminaive.step p.engine in
-            p.local_rounds <- p.local_rounds + 1;
-            ckpt_note p produced;
-            route ~replay:false p produced;
-            maybe_checkpoint p;
-            check_limits p
+        (fun w ->
+          maybe_crash w;
+          if Seminaive.has_pending w.p.engine then begin
+            let produced = Processor.step w.p in
+            w.local_rounds <- w.local_rounds + 1;
+            ckpt_note w produced;
+            route ~replay:false w produced;
+            maybe_checkpoint w;
+            check_limits w.p
           end)
         procs
   in
@@ -851,7 +598,7 @@ let worker_body ~addr ~worker ~inc =
   while true do
     let busy =
       (not !breached)
-      && List.exists (fun p -> Seminaive.has_pending p.engine) procs
+      && List.exists (fun w -> Seminaive.has_pending w.p.engine) procs
     in
     let timeout = if busy then 0.0 else 0.005 in
     let wds = if Queue.is_empty outq then [] else [ sock ] in
@@ -906,20 +653,38 @@ type slot = {
   mutable s_last_snaps : Wire.psnap list;
 }
 
-(* Work that died with a worker incarnation, folded into the pooled
-   statistics (engine/channel counters only: the store itself is
-   rebuilt, not lost). *)
-type lost_acc = {
-  mutable a_iter : int;
-  mutable a_fir : int;
-  mutable a_new : int;
-  mutable a_dup : int;
-  mutable a_recv : int;
-  mutable a_acc : int;
-  a_sent_row : int array;
-  mutable a_outbox_rows : int;
-  mutable a_outbox_bytes : int;
-}
+(* Fold work that died with a worker incarnation into a snapshot:
+   engine and channel counters add up, outbox peaks take the maximum,
+   and the store fields stay [s]'s — the store is rebuilt, not lost. *)
+let with_lost (s : Wire.psnap) (lost : Wire.psnap) : Wire.psnap =
+  let a = s.ps_row and b = lost.ps_row in
+  {
+    ps_row =
+      {
+        a with
+        firings = a.firings + b.firings;
+        new_tuples = a.new_tuples + b.new_tuples;
+        duplicate_firings = a.duplicate_firings + b.duplicate_firings;
+        iterations = a.iterations + b.iterations;
+        tuples_sent = a.tuples_sent + b.tuples_sent;
+        tuples_received = a.tuples_received + b.tuples_received;
+        tuples_accepted = a.tuples_accepted + b.tuples_accepted;
+        active_rounds = a.active_rounds + b.active_rounds;
+        outbox_peak_rows = max a.outbox_peak_rows b.outbox_peak_rows;
+        outbox_peak_bytes = max a.outbox_peak_bytes b.outbox_peak_bytes;
+      };
+    ps_sent_row = Array.map2 ( + ) s.ps_sent_row lost.ps_sent_row;
+  }
+
+(* A processor's reported answers as a store in engine naming
+   ([@out] relations), the shape {!Pool.pool} unions. *)
+let store_of wrels =
+  let db = Database.create () in
+  List.iter
+    (fun (wr : Wire.wrel) ->
+      ignore (Wire.add_wrel db { wr with wr_pred = Rewrite.out_pred wr.wr_pred }))
+    wrels;
+  db
 
 let tmp_counter = ref 0
 
@@ -955,10 +720,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     (rw : Rewrite.t) ~edb =
   if config.Run_config.dial <> None then
     invalid_arg "Net_runtime: the adaptive dial is not supported";
-  (match config.Run_config.plan with
-   | Some p -> Plan.validate_exn ~nprocs:rw.nprocs p rw.original
-   | None -> ());
-  Overload.validate config.Run_config.limits;
+  let pool = Pool.create ~config rw ~edb in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let n = rw.nprocs in
   let nworkers = max 1 (min procs n) in
@@ -973,22 +735,11 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   in
   let shim = Shim.create ~plan ~partition in
   let t0 = now () in
-  (* The combined EDB every worker receives: input EDB plus the
-     program's base facts, serialized once so all workers intern its
-     symbols in the same order. *)
-  let combined_edb = Database.copy edb in
-  List.iter
-    (fun (pred, tuple) ->
-      let rel = Database.declare combined_edb pred (Tuple.arity tuple) in
-      ignore (Relation.add rel tuple))
-    rw.original.Program.facts;
-  (* [wedb] is re-serialized whenever a session batch changes the base
-     facts: a worker restarted afterwards must rebuild from the
-     patched EDB. [base_db] shadows the caller's input EDB (patched in
-     step with the batches) — answer assembly copies it, exactly as a
-     from-scratch run over the updated input would. *)
-  let wedb = ref (Wire.of_db combined_edb) in
-  let base_db = Database.copy edb in
+  (* The combined EDB every worker receives, serialized once so all
+     workers intern its symbols in the same order — and again whenever
+     a session batch changes the base facts: a worker restarted
+     afterwards must rebuild from the patched EDB. *)
+  let wedb = ref (Wire.of_db (Pool.edb pool)) in
   let listen_fd, laddr = listen_setup transport in
   let addr_str = addr_to_string laddr in
   let slots =
@@ -1052,18 +803,8 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       t
   in
   let crashes_done : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  let lost : (int, lost_acc) Hashtbl.t = Hashtbl.create 8 in
-  let lost_of pid =
-    match Hashtbl.find_opt lost pid with
-    | Some a -> a
-    | None ->
-      let a =
-        { a_iter = 0; a_fir = 0; a_new = 0; a_dup = 0; a_recv = 0; a_acc = 0;
-          a_sent_row = Array.make n 0; a_outbox_rows = 0; a_outbox_bytes = 0 }
-      in
-      Hashtbl.replace lost pid a;
-      a
-  in
+  (* Per pid: the work of dead incarnations. *)
+  let lost : (int, Wire.psnap) Hashtbl.t = Hashtbl.create 8 in
   let dones : (int, Wire.psnap * Wire.wrel list) Hashtbl.t = Hashtbl.create 8 in
   let byes : (int, Stats.faults * int * int) Hashtbl.t = Hashtbl.create 8 in
   let delayq : (float * int * Wire.frame) list ref = ref [] in
@@ -1080,8 +821,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
      the Stop poison pill: workers report per-processor models and
      stay resident for the next batch. [Stop] is reserved for [close]
      and overload. *)
-  let models : (int, Wire.psnap * Wire.wrel list) Hashtbl.t =
-    Hashtbl.create 8
+  let models : (int, Wire.wrel list) Hashtbl.t = Hashtbl.create 8 in
+  (* The reported answers as stores, in pid order. *)
+  let by_pid find f =
+    List.filter_map (fun pid -> Option.map f (find pid)) (List.init n Fun.id)
   in
   let collect_gen = ref 0 in
   let collecting = ref false in
@@ -1264,18 +1007,11 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       fc.Fault.n_crashes <- fc.Fault.n_crashes + List.length pids;
       List.iter
         (fun (snap : Wire.psnap) ->
-          let a = lost_of snap.ps_pid in
-          a.a_iter <- a.a_iter + snap.ps_iterations;
-          a.a_fir <- a.a_fir + snap.ps_firings;
-          a.a_new <- a.a_new + snap.ps_new;
-          a.a_dup <- a.a_dup + snap.ps_dup;
-          a.a_recv <- a.a_recv + snap.ps_received;
-          a.a_acc <- a.a_acc + snap.ps_accepted;
-          Array.iteri
-            (fun i v -> a.a_sent_row.(i) <- a.a_sent_row.(i) + v)
-            snap.ps_sent_row;
-          a.a_outbox_rows <- max a.a_outbox_rows snap.ps_outbox_rows;
-          a.a_outbox_bytes <- max a.a_outbox_bytes snap.ps_outbox_bytes)
+          let pid = snap.ps_row.pid in
+          Hashtbl.replace lost pid
+            (match Hashtbl.find_opt lost pid with
+             | Some l -> with_lost snap l
+             | None -> snap))
         s.s_last_snaps;
       s.s_last_snaps <- [];
       s.s_restarts <- s.s_restarts + 1;
@@ -1388,10 +1124,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       Hashtbl.replace dones pid (snap, answers)
     | Bye { worker = w; inc = _; faults; credit_stalls; peak_in_flight } ->
       Hashtbl.replace byes w (faults, credit_stalls, peak_in_flight)
-    | Model { gen; pid; snap; answers } ->
+    | Model { gen; pid; snap = _; answers } ->
       dbg "c: model pid=%d gen=%d" pid gen;
       if !collecting && gen = !collect_gen then
-        Hashtbl.replace models pid (snap, answers)
+        Hashtbl.replace models pid answers
     | Hello _ | Config _ | Inject _ | Probe _ | Stop _ | Patch _ | Update _
     | Collect _ ->
       ()
@@ -1698,37 +1434,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     end
   done
   in
-  (* The maintenance oracle is created on first [apply]: a plain [run]
-     (open + close, no batches) never pays for it, and at creation
-     time the combined EDB is still the initial one, so the oracle's
-     model matches the workers' pooled state. *)
-  let live_oracle = ref None in
-  let oracle () =
-    match !live_oracle with
-    | Some l -> l
-    | None ->
-      let l =
-        Stratified.Live.create ~pushdown:config.Run_config.pushdown
-          ~track:config.Run_config.track_changes rw.original
-          ~edb:combined_edb
-      in
-      live_oracle := Some l;
-      l
-  in
-  let incr_stats () =
-    match !live_oracle with
-    | None -> Stats.no_incr
-    | Some l ->
-      let s = Stratified.Live.totals l in
-      {
-        Stats.batches_applied = Stratified.Live.batches l;
-        tuples_inserted = s.Delta.s_inserted;
-        tuples_deleted = s.Delta.s_deleted;
-        tuples_rederived = s.Delta.s_rederived;
-        tuples_overdeleted = s.Delta.s_overdeleted;
-        incr_firings = s.Delta.s_firings;
-      }
-  in
   (* Give live workers a short grace period to deliver their Bye
      (fault counters); they exit right after. *)
   let grace_byes () =
@@ -1774,29 +1479,11 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   let peak_in_flight =
     List.fold_left (fun acc (_, _, pk) -> max acc pk) 0 bye_list
   in
-  let base_faults = Fault.freeze fc ~credit_stalls:total_stalls in
   let faults =
     List.fold_left
-      (fun (acc : Stats.faults) ((f : Stats.faults), _, _) ->
-        {
-          Stats.drops = acc.drops + f.drops;
-          dups_injected = acc.dups_injected + f.dups_injected;
-          dups_suppressed = acc.dups_suppressed + f.dups_suppressed;
-          delays = acc.delays + f.delays;
-          reorders = acc.reorders + f.reorders;
-          retransmits = acc.retransmits + f.retransmits;
-          acks = acc.acks + f.acks;
-          crashes = acc.crashes + f.crashes;
-          recoveries = acc.recoveries + f.recoveries;
-          replayed = acc.replayed + f.replayed;
-          checkpoints = acc.checkpoints + f.checkpoints;
-          restores = acc.restores + f.restores;
-          mailbox_drops = acc.mailbox_drops + f.mailbox_drops;
-          credit_stalls = acc.credit_stalls + f.credit_stalls;
-          alpha_raises = acc.alpha_raises + f.alpha_raises;
-          alpha_decays = acc.alpha_decays + f.alpha_decays;
-        })
-      base_faults bye_list
+      (fun acc (f, _, _) -> Pool.add_faults acc f)
+      (Fault.freeze fc ~credit_stalls:total_stalls)
+      bye_list
   in
   let wire_retransmits =
     List.fold_left
@@ -1813,71 +1500,20 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       bytes_received = !bytes_received;
     }
   in
-  let answers = Database.copy base_db in
-  let pooled = ref 0 in
-  for pid = 0 to n - 1 do
-    match Hashtbl.find_opt dones pid with
-    | None -> ()
-    | Some (_, wrels) ->
-      List.iter
-        (fun (wr : Wire.wrel) ->
-          pooled := !pooled + List.length wr.wr_tuples;
-          ignore (Wire.add_wrel answers wr))
-        wrels
-  done;
-  let per_proc =
+  let answers, pooled =
+    Pool.pool pool (by_pid (Hashtbl.find_opt dones) (fun (_, a) -> store_of a))
+  in
+  let snaps =
     Array.init n (fun pid ->
-        let snap, _ =
-          match Hashtbl.find_opt dones pid with
-          | Some v -> v
-          | None -> assert false
-        in
-        let l = lost_of pid in
-        let sent_row =
-          Array.init n (fun j ->
-              (if j < Array.length snap.Wire.ps_sent_row then
-                 snap.Wire.ps_sent_row.(j)
-               else 0)
-              + l.a_sent_row.(j))
-        in
-        ( {
-            Stats.pid;
-            firings = snap.Wire.ps_firings + l.a_fir;
-            new_tuples = snap.Wire.ps_new + l.a_new;
-            duplicate_firings = snap.Wire.ps_dup + l.a_dup;
-            iterations = snap.Wire.ps_iterations + l.a_iter;
-            tuples_sent = Array.fold_left ( + ) 0 sent_row;
-            tuples_received = snap.Wire.ps_received + l.a_recv;
-            tuples_accepted = snap.Wire.ps_accepted + l.a_acc;
-            base_resident = snap.Wire.ps_base_resident;
-            active_rounds = snap.Wire.ps_iterations + l.a_iter;
-            store_rows = snap.Wire.ps_store_rows;
-            store_bytes = snap.Wire.ps_store_bytes;
-            outbox_peak_rows = max snap.Wire.ps_outbox_rows l.a_outbox_rows;
-            outbox_peak_bytes = max snap.Wire.ps_outbox_bytes l.a_outbox_bytes;
-          },
-          sent_row ))
+        let snap = fst (Hashtbl.find dones pid) in
+        match Hashtbl.find_opt lost pid with
+        | Some l -> with_lost snap l
+        | None -> snap)
   in
-  let stats : Stats.t =
-    {
-      incr = incr_stats ();
-      nprocs = n;
-      rounds =
-        Array.fold_left
-          (fun acc (pp, _) -> max acc pp.Stats.iterations)
-          0 per_proc;
-      per_proc = Array.map fst per_proc;
-      channel_tuples = Array.map snd per_proc;
-      pooled_tuples = !pooled;
-      trace = [];
-      faults;
-      transport = transport_stats;
-      peak_in_flight;
-      phase_ns = [];
-      comms = Stats.no_comms;
-    }
-  in
-  (answers, stats)
+  ( answers,
+    Pool.stats pool ~transport:transport_stats ~pooled ~faults ~peak_in_flight
+      ~per_proc:(Array.map (fun (s : Wire.psnap) -> s.ps_row) snaps)
+      ~channel_tuples:(Array.map (fun (s : Wire.psnap) -> s.ps_sent_row) snaps) )
   in
   (* Stop path: drain the Byes, assemble, tear the fleet down. Raises
      when the stop was an overload. *)
@@ -1901,24 +1537,11 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   let check_alive () =
     if !dead then raise (Session.Closed "net")
   in
-  let is_derived pred = List.mem pred rw.derived in
-  (* Pool the per-processor models of the last completed [Collect]
-     over the patched input EDB — the between-drives answer. *)
-  let assemble_model () =
-    let answers = Database.copy base_db in
-    for pid = 0 to n - 1 do
-      match Hashtbl.find_opt models pid with
-      | None -> ()
-      | Some (_, wrels) ->
-        List.iter (fun wr -> ignore (Wire.add_wrel answers wr)) wrels
-    done;
-    answers
-  in
-  let apply batch =
-    check_alive ();
-    let change = Stratified.Live.apply (oracle ()) batch in
-    let removed = change.Stratified.Live.c_removed in
-    let added = change.Stratified.Live.c_added in
+  (* The per-processor models of the last completed [Collect]: the
+     between-drives answer. *)
+  let collected () = by_pid (Hashtbl.find_opt models) store_of in
+  let drive_batch (oc : Session.outcome) =
+    let removed = oc.oc_removed and added = oc.oc_added in
     if removed <> [] || added <> [] then begin
       if removed <> [] then begin
         let removed_tbl = Ktbl.create 64 in
@@ -1959,26 +1582,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
         in
         List.iter (fun (pid, r) -> Hashtbl.replace dumps pid r) patched
       end;
-      (* Keep both EDB views current: restarted workers rebuild base
-         fragments from [wedb], the assemblies copy [base_db]. *)
-      List.iter
-        (fun (pred, t) ->
-          if not (is_derived pred) then
-            List.iter
-              (fun db ->
-                match Database.find db pred with
-                | Some rel -> ignore (Relation.remove_all rel (Tuple.equal t))
-                | None -> ())
-              [ combined_edb; base_db ])
-        removed;
-      List.iter
-        (fun (pred, t) ->
-          if not (is_derived pred) then begin
-            ignore (Database.add_fact combined_edb pred t);
-            ignore (Database.add_fact base_db pred t)
-          end)
-        added;
-      wedb := Wire.of_db combined_edb;
+      wedb := Wire.of_db (Pool.edb pool);
       (* The deletion patch goes only to live configured workers: a
          worker rebuilt afterwards starts from the patched state and
          must never replay the frame (its history injections would
@@ -1993,13 +1597,13 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       end;
       (* Base insertions enter at the processors hosting them; their
          consequences re-derive — and re-route — during the drive. *)
-      let by_pid = Array.make n [] in
+      let updates = Array.make n [] in
       List.iter
         (fun (pred, t) ->
-          if not (is_derived pred) then
+          if not (Pool.is_derived pool pred) then
             for pid = 0 to n - 1 do
               if rw.resident pid pred t then
-                by_pid.(pid) <- (pred, t) :: by_pid.(pid)
+                updates.(pid) <- (pred, t) :: updates.(pid)
             done)
         added;
       Array.iteri
@@ -2007,54 +1611,25 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
           if batch <> [] then
             enqueue_to_pid pid
               (Wire.Update { dst = pid; batch = Wire.of_batch (List.rev batch) }))
-        by_pid;
+        updates;
       (try drive_loop ()
        with e ->
          cleanup ();
          raise e);
       if !stopping then ignore (finish ())
-    end;
-    {
-      Session.oc_added = added;
-      oc_removed = removed;
-      oc_summary = change.Stratified.Live.c_summary;
-    }
+    end
+  in
+  let apply batch =
+    check_alive ();
+    Pool.apply pool [||] ~drive:drive_batch batch
   in
   let query pred =
     check_alive ();
-    if is_derived pred then begin
-      let acc = ref None in
-      Hashtbl.iter
-        (fun _pid (_, wrels) ->
-          List.iter
-            (fun (wr : Wire.wrel) ->
-              if String.equal wr.Wire.wr_pred pred then begin
-                let target =
-                  match !acc with
-                  | Some r -> r
-                  | None ->
-                    let r = Relation.create ~arity:wr.Wire.wr_arity () in
-                    acc := Some r;
-                    r
-                in
-                List.iter
-                  (fun wt -> ignore (Relation.add target (Wire.to_tuple wt)))
-                  wr.Wire.wr_tuples
-              end)
-            wrels)
-        models;
-      match !acc with
-      | Some r -> Relation.sorted_elements r
-      | None -> []
-    end
-    else
-      match Database.find base_db pred with
-      | Some rel -> Relation.sorted_elements rel
-      | None -> []
+    Pool.query pool (collected ()) pred
   in
   let model () =
     check_alive ();
-    assemble_model ()
+    fst (Pool.pool pool (collected ()))
   in
   let close () =
     check_alive ();

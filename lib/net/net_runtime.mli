@@ -12,11 +12,13 @@
     their last checkpoint and replaying its channel history so that
     the pooled answers still equal the sequential evaluation.
 
-    Reliability reuses the in-process layer's design on real sockets:
-    per-channel sequence numbers, receiver-side duplicate suppression
-    keyed by (sender, {e incarnation}, sequence) — the incarnation
-    makes post-restart sequence reuse harmless — acknowledgements
-    doubling as credit grants, and bounded retransmission.
+    Each worker drives one {!Pardatalog.Processor} per owned pid, the
+    channel core the in-process runtimes use: per-channel sequence
+    numbers, receiver-side duplicate suppression keyed by (sender,
+    {e incarnation}, sequence) — the incarnation makes post-restart
+    sequence reuse harmless — acknowledgements doubling as credit
+    grants, and bounded retransmission. The coordinator validates,
+    maintains and pools through {!Pardatalog.Pool}.
 
     Termination is probe-based and sound across reconnects: the
     coordinator counts every frame it delivers to each worker since
@@ -73,8 +75,8 @@ val run :
 
     @raise Pardatalog.Overload.Overload on a worker budget breach or a
     blown coordinator deadline, with partial statistics.
-    @raise Invalid_argument on an adaptive dial or an inconsistent
-    program/spec.
+    @raise Invalid_argument on an adaptive dial, an inconsistent
+    program/spec, or a program fact on a derived predicate.
     @raise Failure when a worker exceeds its restart budget.
 
     Equivalent to {!open_session} followed immediately by

@@ -77,22 +77,7 @@ type config = {
   cf_hb_ms : int;
 }
 
-type psnap = {
-  ps_pid : int;
-  ps_iterations : int;
-  ps_firings : int;
-  ps_new : int;
-  ps_dup : int;
-  ps_sent_row : int array;
-  ps_received : int;
-  ps_accepted : int;
-  ps_base_resident : int;
-  ps_store_rows : int;
-  ps_store_bytes : int;
-  ps_outbox_rows : int;
-  ps_outbox_bytes : int;
-  ps_rounds : int;
-}
+type psnap = { ps_row : Pardatalog.Stats.per_proc; ps_sent_row : int array }
 
 type frame =
   | Hello of { worker : int; inc : int; attempts : int }

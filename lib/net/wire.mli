@@ -94,20 +94,10 @@ type config = {
     pre-crash notices and final reports so the coordinator can fold
     the work of dead incarnations into the pooled statistics. *)
 type psnap = {
-  ps_pid : int;
-  ps_iterations : int;
-  ps_firings : int;
-  ps_new : int;
-  ps_dup : int;
-  ps_sent_row : int array;
-  ps_received : int;
-  ps_accepted : int;
-  ps_base_resident : int;
-  ps_store_rows : int;
-  ps_store_bytes : int;
-  ps_outbox_rows : int;
-  ps_outbox_bytes : int;
-  ps_rounds : int;
+  ps_row : Pardatalog.Stats.per_proc;
+      (** {!Pardatalog.Processor.row}; the store is measured only in
+          final reports. *)
+  ps_sent_row : int array;  (** Tuples sent per destination. *)
 }
 
 type frame =

@@ -7,7 +7,7 @@
 
     The snapshot is versioned JSON ([{"schema": 1, ...}]), following
     the same versioning convention as [Stats.to_json] (itself at
-    schema 3) and embedded in the bench baseline [BENCH_PR4.json]. *)
+    schema 5) and embedded in the bench baseline [BENCH_PR4.json]. *)
 
 type t
 

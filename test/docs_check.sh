@@ -8,7 +8,8 @@
 #      bench sections" markers) must list exactly the section ids
 #      `bench/main.exe --help` reports.
 #   3. Every committed BENCH_*.json baseline must be mentioned by name
-#      in PERFORMANCE.md (the canonical perf-trajectory document).
+#      in PERFORMANCE.md (the canonical perf-trajectory document), and
+#      every baseline README.md names must be committed.
 #
 # A drift in any direction fails `dune runtest` (alias @docs) with a
 # diff.
@@ -88,6 +89,14 @@ for f in "$root"/BENCH_*.json; do
   b=$(basename "$f")
   if ! grep -q "$b" "$performance"; then
     echo "docs_check: baseline $b is not documented in PERFORMANCE.md"
+    status=1
+  fi
+done
+# ...and every baseline the README names must still be committed, so
+# a retired baseline cannot linger in the user-facing docs.
+for b in $(grep -oE 'BENCH_[A-Z0-9]+\.json' "$readme" | sort -u); do
+  if ! [ -e "$root/$b" ]; then
+    echo "docs_check: README.md names $b, which is not committed"
     status=1
   fi
 done

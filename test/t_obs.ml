@@ -247,6 +247,31 @@ let config_cases =
         Alcotest.check relation_t "same answers through one config"
           (anc_relation a.Sim_runtime.answers)
           (anc_relation b.Sim_runtime.answers));
+    case "the domain runtime honours pushdown" (fun () ->
+        (* One domain gives a deterministic schedule, so the probe
+           counts of two runs are comparable. In the nonlinear rule the
+           general scheme's guard is bound by the first atom, so pushdown
+           prunes the second atom's probes. *)
+        let rw =
+          match
+            Strategy.general ~seed:0 ~nprocs:2 Workload.Progs.ancestor_nonlinear
+          with
+          | Ok rw -> rw
+          | Error msg -> Alcotest.fail msg
+        in
+        let probes pushdown =
+          let mx = Obs.Metrics.create () in
+          let config =
+            Run_config.(
+              default |> with_domains (Some 1) |> with_pushdown pushdown
+              |> with_metrics mx)
+          in
+          ignore
+            (Domain_runtime.run ~config rw ~edb:(edb_of_edges (chain_edges 12)));
+          Obs.Metrics.counter mx "joiner.probes"
+        in
+        Alcotest.(check bool) "pushdown changes the join probes" true
+          (probes true <> probes false));
   ]
 
 (* ------------------------------------------------------------------ *)
