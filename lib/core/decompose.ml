@@ -198,7 +198,7 @@ let run program ~nprocs edb =
   let derived = Program.derived_predicates program in
   Array.iter
     (fun engine ->
-      let db = Seminaive.database engine in
+      let db = Seminaive.store engine in
       List.iter
         (fun pred ->
           match Database.find db pred with
@@ -234,8 +234,8 @@ let run program ~nprocs edb =
               tuples_accepted = 0;
               base_resident = Database.total_tuples local_edbs.(pid);
               active_rounds = es.Seminaive.iterations;
-              store_rows = Overload.db_rows (Seminaive.database engine);
-              store_bytes = Overload.db_bytes (Seminaive.database engine);
+              store_rows = Overload.db_rows (Seminaive.store engine);
+              store_bytes = Overload.db_bytes (Seminaive.store engine);
               outbox_peak_rows = 0;
               outbox_peak_bytes = 0;
             })

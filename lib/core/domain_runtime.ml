@@ -122,7 +122,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     if not faulty then data ()
     else begin
       let fc = p.fc in
-      let attempt = Processor.transmitted p b ~now:(Unix.gettimeofday ()) in
+      let attempt = Processor.transmitted p b ~now:(Obs.Clock.now ()) in
       let fate = Fault.fate plan ~src:p.pid ~dst:b.dst ~seq:b.seq ~attempt in
       if fate.f_drop then fc.n_drops <- fc.n_drops + 1
       else begin
@@ -154,7 +154,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
   let route c produced =
     let p = c.p in
     span ~pid:p.pid ~round:c.local_rounds Obs.Trace.Sending (fun () ->
-        let batches = Processor.route p produced in
+        let batches = Processor.route ~local:true p produced in
         (* Adaptive degradation: feed the worst channel demand (this
            step's batch plus what is still deferred or in flight) to the
            dial. Each worker only observes — and the dial only writes —
@@ -213,7 +213,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     | _ -> ()
   in
   let pump_retransmits () =
-    let now = Unix.gettimeofday () in
+    let now = Obs.Clock.now () in
     List.iter
       (fun c ->
         span ~pid:c.p.pid ~round:c.local_rounds Obs.Trace.Retransmission
@@ -304,7 +304,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     if !overload = None && not (Overload.is_none limits) then begin
       (match limits.Overload.deadline with
        | Some seconds ->
-         let elapsed = Unix.gettimeofday () -. t0 in
+         let elapsed = Obs.Clock.now () -. t0 in
          if elapsed > seconds then
            breach (Overload.Deadline { seconds; elapsed; round = 0 })
        | None -> ());
@@ -312,7 +312,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
         (fun (p : Processor.t) ->
           (match limits.Overload.max_store_rows with
            | Some limit when !overload = None ->
-             let rows = Overload.db_rows (Seminaive.database p.engine) in
+             let rows = Overload.db_rows (Seminaive.store p.engine) in
              if rows > limit then
                breach (Overload.Store_budget { pid = p.pid; rows; limit })
            | _ -> ());
@@ -412,7 +412,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let pool = Pool.create ~config rw ~edb in
   let obs = config.Run_config.obs in
   let n = rw.nprocs in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let ndomains =
     match config.Run_config.domains with
     | Some d ->

@@ -22,11 +22,14 @@ let apply h key =
 
 let bit ~seed c = Const.hash_seeded seed c land 1
 
+(* The families below fold their key with plain loops: they run once
+   per routed tuple and per guard test, so they allocate nothing. *)
 let combined_hash ~seed key =
-  Array.fold_left
-    (fun acc c -> (acc * 0x01000193) lxor Const.hash_seeded seed c)
-    (Array.length key) key
-  land max_int
+  let acc = ref (Array.length key) in
+  for i = 0 to Array.length key - 1 do
+    acc := (!acc * 0x01000193) lxor Const.hash_seeded seed key.(i)
+  done;
+  !acc land max_int
 
 let modulo ?(name = "h") ?(seed = 0) ~nprocs ~arity () =
   {
@@ -40,7 +43,9 @@ let modulo ?(name = "h") ?(seed = 0) ~nprocs ~arity () =
 let symmetric_modulo ?(name = "h") ?(seed = 0) ~nprocs ~arity () =
   let apply key =
     let acc = ref 0 in
-    Array.iter (fun c -> acc := !acc + Const.hash_seeded seed c) key;
+    for i = 0 to Array.length key - 1 do
+      acc := !acc + Const.hash_seeded seed key.(i)
+    done;
     (!acc land max_int) mod nprocs
   in
   { name; arity; space = Pid.dense nprocs; apply; spec = Opaque }
@@ -48,7 +53,9 @@ let symmetric_modulo ?(name = "h") ?(seed = 0) ~nprocs ~arity () =
 let bitvec ?(name = "h") ?(seed = 0) ~arity () =
   let apply key =
     let id = ref 0 in
-    Array.iter (fun c -> id := (!id lsl 1) lor bit ~seed c) key;
+    for i = 0 to Array.length key - 1 do
+      id := (!id lsl 1) lor bit ~seed key.(i)
+    done;
     !id
   in
   { name; arity; space = Pid.bitvec arity; apply; spec = Bitvec }
@@ -60,7 +67,9 @@ let linear ?(name = "h") ?(seed = 0) ~coeffs () =
   let hi = Array.fold_left (fun acc c -> acc + max 0 c) 0 coeffs in
   let apply key =
     let v = ref 0 in
-    Array.iteri (fun i c -> v := !v + (coeffs.(i) * bit ~seed c)) key;
+    for i = 0 to Array.length key - 1 do
+      v := !v + (coeffs.(i) * bit ~seed key.(i))
+    done;
     !v - lo
   in
   {

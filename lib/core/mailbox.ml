@@ -143,7 +143,7 @@ let drain_blocking mb =
    coarse but portable, and only used when a fault plan or deadline is
    active. *)
 let drain_timeout mb ~seconds =
-  let deadline = Unix.gettimeofday () +. seconds in
+  let deadline = Obs.Clock.now () +. seconds in
   let rec go () =
     Mutex.lock mb.mutex;
     if (not (Queue.is_empty mb.queue)) || mb.closed then begin
@@ -153,7 +153,7 @@ let drain_timeout mb ~seconds =
     end
     else begin
       Mutex.unlock mb.mutex;
-      if Unix.gettimeofday () >= deadline then []
+      if Obs.Clock.now () >= deadline then []
       else begin
         Unix.sleepf 0.0005;
         go ()

@@ -172,7 +172,7 @@ let query t stores pred =
 
 let stores procs =
   Array.to_list
-    (Array.map (fun (p : Processor.t) -> Seminaive.database p.engine) procs)
+    (Array.map (fun (p : Processor.t) -> Seminaive.store p.engine) procs)
 
 let add_faults (a : Stats.faults) (b : Stats.faults) : Stats.faults =
   {

@@ -56,7 +56,10 @@ val query : t -> Database.t list -> string -> Tuple.t list
 (** One predicate of {!pool}, sorted. *)
 
 val stores : Processor.t array -> Database.t list
-(** The processors' current engine databases. *)
+(** The processors' engine stores, read in place ({!Seminaive.store}):
+    nothing is copied until {!pool} or {!query} copies the [@out]
+    relations it answers with. Read them only while the processors are
+    not running. *)
 
 val add_faults : Stats.faults -> Stats.faults -> Stats.faults
 

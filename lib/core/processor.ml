@@ -18,20 +18,33 @@ type batch = {
   mutable retry_at : float;
 }
 
+(* One derived predicate's routing, resolved once at [create]: its
+   names, the send specs of its consuming atoms staged for this sender,
+   and the engine inlet that takes its self-addressed tuples (dropped
+   when [rebuild] replaces the engine). *)
+type route = {
+  r_pred : string;
+  r_out : string;
+  r_in : string;
+  r_dests : (Tuple.t -> Pid.t list) array;
+  mutable r_inlet : Seminaive.inlet option;
+}
+
 type t = {
   pid : int;
   program : Program.t;
   pushdown : bool;
   fragment : Database.t;
   mutable engine : Seminaive.t;
-  routes : string -> Rewrite.send_spec list;
-  derived : string list;
+  routes : route array;
   capacity : int option;
   reliable : bool;
   retry_after : int -> float;
   metrics : Obs.Metrics.t;
   fc : Fault.counters;
   history : unit Ktbl.t array;
+  stamp : int array;
+  mutable production : int;
   next_seq : int array;
   unacked : (int, batch) Hashtbl.t array;
   seen : (int * int * int, unit) Hashtbl.t;
@@ -55,15 +68,23 @@ let create ?(fc = Fault.counters ()) ?(metrics = Obs.Metrics.none) ~pushdown
     ~capacity ~reliable ~retry_after (rw : Rewrite.t) ~fragment pid =
   let n = rw.nprocs in
   let routes =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (s : Rewrite.send_spec) ->
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt tbl s.ss_pred)
-        in
-        Hashtbl.replace tbl s.ss_pred (existing @ [ s ]))
-      rw.sends;
-    fun pred -> Option.value ~default:[] (Hashtbl.find_opt tbl pred)
+    Array.of_list
+      (List.map
+         (fun pred ->
+           {
+             r_pred = pred;
+             r_out = Rewrite.out_pred pred;
+             r_in = Rewrite.in_pred pred;
+             r_dests =
+               Array.of_list
+                 (List.filter_map
+                    (fun (s : Rewrite.send_spec) ->
+                      if String.equal s.ss_pred pred then Some (s.ss_route pid)
+                      else None)
+                    rw.sends);
+             r_inlet = None;
+           })
+         rw.derived)
   in
   let program = rw.programs.(pid) in
   {
@@ -73,13 +94,14 @@ let create ?(fc = Fault.counters ()) ?(metrics = Obs.Metrics.none) ~pushdown
     fragment;
     engine = Seminaive.create ~pushdown program ~edb:fragment;
     routes;
-    derived = rw.derived;
     capacity;
     reliable;
     retry_after;
     metrics;
     fc;
-    history = Array.init n (fun _ -> Ktbl.create 64);
+    history = Array.init n (fun _ -> Ktbl.create (if reliable then 64 else 1));
+    stamp = Array.make n (-1);
+    production = 0;
     next_seq = Array.make n 0;
     unacked = Array.init n (fun _ -> Hashtbl.create 8);
     seen = Hashtbl.create 16;
@@ -152,6 +174,7 @@ let totals p =
    The channel layer is stable and survives. *)
 let rebuild ?snapshot p =
   p.lost <- totals p;
+  Array.iter (fun r -> r.r_inlet <- None) p.routes;
   p.engine <-
     (match snapshot with
      | Some snap -> Seminaive.restore ~pushdown:p.pushdown p.program snap
@@ -161,7 +184,7 @@ let row ?active_rounds ?(store = true) p : Stats.per_proc =
   let s = totals p in
   let store_rows, store_bytes =
     if store then
-      let db = Seminaive.database p.engine in
+      let db = Seminaive.store p.engine in
       (Overload.db_rows db, Overload.db_bytes db)
     else (0, 0)
   in
@@ -185,32 +208,82 @@ let row ?active_rounds ?(store = true) p : Stats.per_proc =
 (* ------------------------------------------------------------------ *)
 (* Sending                                                             *)
 
-(* One seen-set per channel: a (pred, tuple) pair travels each channel
-   at most once — the paper's difference-based resend suppression. It
-   doubles as the channel history replayed to a recovering processor. *)
-let route ?(dedup = true) p produced =
+(* The route of a produced name — a step's [@out] name or an original
+   one — or [-1]. A handful of derived predicates at most, so a scan. *)
+let route_index p name =
+  let rec find i =
+    if i = Array.length p.routes then -1
+    else
+      let r = p.routes.(i) in
+      if String.equal r.r_out name || String.equal r.r_pred name then i
+      else find (i + 1)
+  in
+  find 0
+
+let inlet p r tuple =
+  match r.r_inlet with
+  | Some i -> i
+  | None ->
+    let i = Seminaive.inlet p.engine r.r_in ~arity:(Tuple.arity tuple) in
+    r.r_inlet <- Some i;
+    i
+
+(* Receipt into an [@in] relation: counted as received, and as
+   accepted when the engine did not know the tuple. *)
+let accept ?on_new p name tuple fresh =
+  p.received <- p.received + 1;
+  Obs.Metrics.incr p.metrics "runtime.tuples_received";
+  if fresh then begin
+    p.accepted <- p.accepted + 1;
+    Option.iter (fun f -> f name tuple) on_new
+  end
+
+(* A tuple the processor addresses to itself, delivered on the spot:
+   the engine's own canonical row goes straight into its [@in]
+   relation, counted as one tuple sent on the self channel and
+   received. *)
+let deliver_self ?on_new p r tuple =
+  p.sent_row.(p.pid) <- p.sent_row.(p.pid) + 1;
+  Obs.Metrics.incr p.metrics "runtime.tuples_sent";
+  accept ?on_new p r.r_in tuple (Seminaive.deliver (inlet p r tuple) tuple)
+
+(* Channel dedup, the paper's difference-based resend suppression: a
+   (pred, tuple) pair travels each channel at most once. The engine
+   produces each tuple once, so within one production is enough —
+   unless the reliable layer is armed, whose per-channel history is
+   recovery state (the replay source, like [unacked]) and doubles as
+   the filter across productions, e.g. a rebuilt engine's re-derived
+   tuples. *)
+let route ?(dedup = true) ?(local = false) ?on_new p produced =
   let batches = Array.make (Array.length p.history) [] in
+  let keep = dedup && p.reliable in
+  let sent_before r tuple dst =
+    if keep then
+      Ktbl.mem p.history.(dst) (r.r_pred, tuple)
+      || (Ktbl.add p.history.(dst) (r.r_pred, tuple) (); false)
+    else
+      dedup
+      && (p.stamp.(dst) = p.production
+         || (p.stamp.(dst) <- p.production; false))
+  in
+  let rec send r tuple = function
+    | [] -> ()
+    | dst :: dsts ->
+      if not (sent_before r tuple dst) then
+        if local && dst = p.pid then deliver_self ?on_new p r tuple
+        else batches.(dst) <- (r.r_pred, tuple) :: batches.(dst);
+      send r tuple dsts
+  in
   List.iter
     (fun (name, tuple) ->
-      let pred = Rewrite.original_pred name in
-      if List.mem pred p.derived then
-        List.iter
-          (fun (s : Rewrite.send_spec) ->
-            List.iter
-              (fun dst ->
-                let fresh =
-                  (not dedup)
-                  ||
-                  let seen = p.history.(dst) in
-                  if Ktbl.mem seen (pred, tuple) then false
-                  else begin
-                    Ktbl.add seen (pred, tuple) ();
-                    true
-                  end
-                in
-                if fresh then batches.(dst) <- (pred, tuple) :: batches.(dst))
-              (s.ss_route p.pid tuple))
-          (p.routes pred))
+      let i = route_index p name in
+      if i >= 0 then begin
+        let r = p.routes.(i) in
+        p.production <- p.production + 1;
+        for k = 0 to Array.length r.r_dests - 1 do
+          send r tuple (r.r_dests.(k) tuple)
+        done
+      end)
     produced;
   Array.map List.rev batches
 
@@ -370,18 +443,15 @@ let fresh p key =
   end
 
 let receive ?on_new p pred tuple =
-  p.received <- p.received + 1;
-  Obs.Metrics.incr p.metrics "runtime.tuples_received";
-  let name = Rewrite.in_pred pred in
-  if Seminaive.inject p.engine name tuple then begin
-    p.accepted <- p.accepted + 1;
-    Option.iter (fun f -> f name tuple) on_new
-  end
+  let i = route_index p pred in
+  let name = if i >= 0 then p.routes.(i).r_in else Rewrite.in_pred pred in
+  accept ?on_new p name tuple (Seminaive.inject p.engine name tuple)
 
 (* ------------------------------------------------------------------ *)
 (* Session patches                                                     *)
 
-let is_derived p pred = List.mem pred p.derived
+let is_derived p pred =
+  Array.exists (fun r -> String.equal r.r_pred pred) p.routes
 
 let retract p removed =
   let keys =

@@ -1,15 +1,18 @@
 (** One paper processor, independent of its transport.
 
     The state every runtime keeps per processor (Section 3's Q_i/T_i):
-    the semi-naive engine over the base fragment, send-spec routing
-    with per-channel history dedup, sequence numbers, unacknowledged
-    batches and their retransmit due-times, [(src, inc, seq)] receiver
-    dedup, credit with pending deferral and outbox peaks, the
-    sent/received/accepted counters and the work lost with crashed
-    engines. Functions hand the batches to put on the wire to the
-    caller's [emit]; the runtime that calls them owns the transport —
-    the simulator's per-tuple rounds, the domain runtime's mailboxes,
-    the net worker's socket. *)
+    the semi-naive engine over the base fragment, send-spec routes
+    resolved once per derived predicate, sequence numbers,
+    unacknowledged batches and their retransmit due-times, the
+    per-channel history that the reliable layer replays,
+    [(src, inc, seq)] receiver dedup, credit with pending deferral and
+    outbox peaks, the sent/received/accepted counters and the work
+    lost with crashed engines. Functions hand the batches to put on the
+    wire to the caller's [emit]; the runtime that calls them owns the
+    transport — the simulator's per-tuple rounds, the domain runtime's
+    mailboxes, the net worker's socket. Tuples a processor addresses to
+    itself never need a transport: {!route} [~local:true] delivers them
+    into its own engine on the spot. *)
 
 open Datalog
 
@@ -25,6 +28,10 @@ type batch = {
   mutable retry_at : float;  (** Retransmit when still unacked by then. *)
 }
 
+type route
+(** One derived predicate's names, send specs and self-delivery inlet,
+    resolved at {!create}. *)
+
 type t = private {
   pid : int;
   program : Program.t;
@@ -33,16 +40,21 @@ type t = private {
       (** Resident base facts; session patches keep it current and
           {!rebuild} starts over it. *)
   mutable engine : Seminaive.t;
-  routes : string -> Rewrite.send_spec list;
-  derived : string list;
+  routes : route array;  (** One per derived predicate. *)
   capacity : int option;
   reliable : bool;
   retry_after : int -> float;
   metrics : Obs.Metrics.t;
   fc : Fault.counters;
   history : unit Ktbl.t array;
-      (** Per destination: every tuple routed there (the resend filter
-          and the replay source). *)
+      (** Per destination, when [reliable]: every tuple routed there
+          (the replay source, and the resend filter across engine
+          lifetimes). Empty otherwise. *)
+  stamp : int array;
+      (** Per destination, the last production routed there: the
+          resend filter within one production when no history is
+          kept. *)
+  mutable production : int;  (** Derived tuples routed so far. *)
   next_seq : int array;
   unacked : (int, batch) Hashtbl.t array;
   seen : (int * int * int, unit) Hashtbl.t;
@@ -106,13 +118,33 @@ val row : ?active_rounds:int -> ?store:bool -> t -> Stats.per_proc
 (** {1 Sending} *)
 
 val route :
-  ?dedup:bool -> t -> (string * Tuple.t) list -> (string * Tuple.t) list array
-(** Per destination, in production order, the derived products the
-    send specs route there and that have not travelled that channel
-    before ([dedup:false] skips and leaves the history). *)
+  ?dedup:bool ->
+  ?local:bool ->
+  ?on_new:(string -> Tuple.t -> unit) ->
+  t ->
+  (string * Tuple.t) list ->
+  (string * Tuple.t) list array
+(** Per destination, in production order, the derived products
+    (under [@out] or original names) that the send specs route there,
+    under their original names. A tuple travels each channel once: a
+    tuple that several specs send to one destination is sent once,
+    and, when the processor is [reliable], one already in that
+    channel's history is not sent again. [dedup:false] sends every
+    routed copy and leaves the history alone.
+
+    [local] (the domain and net drivers) delivers the tuples addressed
+    to the processor itself on the spot, through
+    {!Seminaive.deliver} into its own [@in] relations, and leaves its
+    own entry of the result empty. Each counts as sent on the self
+    channel ([sent_row.(pid)], [runtime.tuples_sent]) and as received
+    and accepted as {!receive} counts it; [on_new] sees those the
+    engine did not know. No batch, sequence number or credit is
+    involved. Without [local] (the simulator's modelled self channel)
+    they are returned like any other destination's. *)
 
 val history : t -> int -> (string * Tuple.t) list
-(** Everything routed to a destination so far. *)
+(** Everything routed to a destination so far; empty unless
+    [reliable]. *)
 
 val enqueue : replay:bool -> t -> int -> (string * Tuple.t) list -> unit
 (** Defer tuples for a destination until {!flush}. *)

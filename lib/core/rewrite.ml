@@ -118,7 +118,7 @@ let send_specs_of_rule program nprocs idx policy (rule : Rule.t) =
          its body carries the consuming atom's pattern, so tuples that
          cannot match Ȳ (repeated variables, constants) never travel for
          this rule. *)
-      let pattern_ok tuple = Atom.matches_tuple atom tuple in
+      let pattern_ok = Atom.matches_tuple atom in
       match policy with
       | Uniform d ->
         let fn = d.Discriminant.fn in
@@ -157,10 +157,12 @@ let send_specs_of_rule program nprocs idx policy (rule : Rule.t) =
           ss_unicast = true;
           ss_label = label "h_i";
           ss_route =
-            (fun sender tuple ->
-              if pattern_ok tuple then
-                [ (fn_for sender).Hash_fn.apply (Tuple.project_key tuple positions) ]
-              else []);
+            (fun sender ->
+              let fn = fn_for sender in
+              fun tuple ->
+                if pattern_ok tuple then
+                  [ fn.Hash_fn.apply (Tuple.project_key tuple positions) ]
+                else []);
         })
     derived_atoms
 

@@ -33,7 +33,10 @@ type send_spec = {
   ss_unicast : bool;  (** False = the spec broadcasts. *)
   ss_label : string;  (** e.g. ["h(Z)"] — for reports. *)
   ss_route : Pid.t -> Datalog.Tuple.t -> Pid.t list;
-      (** [ss_route sender tuple] = destination processors. *)
+      (** [ss_route sender tuple] = destination processors. Staged:
+          [ss_route sender] resolves the sender's discriminating
+          function once, for a processor to apply to every tuple it
+          routes. *)
 }
 
 type t = {

@@ -47,7 +47,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let tr = config.Run_config.obs.Obs.trace in
   let mx = config.Run_config.obs.Obs.metrics in
   (* Wall-clock accumulator behind [Stats.phase_ns]: unlike the trace
-     sink it is always on — one gettimeofday pair per phase span. *)
+     sink it is always on — one monotonic clock pair per phase span. *)
   let ptimer = Obs.Phase_timer.create ~metrics:mx () in
   let span ~pid ~round phase f =
     Obs.Phase_timer.time ptimer (Obs.Trace.phase_name phase) (fun () ->
@@ -69,7 +69,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       "Sim_runtime.run: resend_all cannot be combined with a channel \
        capacity (re-sending the whole output every round outgrows any \
        bound)";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let fc = Fault.counters () in
   (* The channel layer — histories, pending queues, sequence numbers,
      unacked buffers, credit — is stable storage in the fault model and
@@ -351,7 +351,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         (Round_budget_exceeded { round = !rounds; stats = build_stats ~pooled:0 });
     (match options.limits.Overload.deadline with
      | Some seconds ->
-       let elapsed = Unix.gettimeofday () -. t0 in
+       let elapsed = Obs.Clock.now () -. t0 in
        if elapsed > seconds then
          overload (Deadline { seconds; elapsed; round = !rounds })
      | None -> ());
@@ -445,7 +445,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
          | _ -> ());
         match options.limits.Overload.max_store_rows with
         | Some limit ->
-          let rows = Overload.db_rows (Seminaive.database p.engine) in
+          let rows = Overload.db_rows (Seminaive.store p.engine) in
           if rows > limit then overload (Store_budget { pid = p.pid; rows; limit })
         | None -> ())
       sims;

@@ -44,24 +44,37 @@ let subst env a =
   in
   { a with args = Array.map apply a.args }
 
-let matches_tuple a tuple =
-  if Array.length a.args <> Tuple.arity tuple then
-    invalid_arg "Atom.matches_tuple: arity mismatch";
-  let binding = Hashtbl.create 4 in
-  let ok = ref true in
+(* Staged: the pattern compiles to position checks once, because a
+   sending rule tests every tuple it routes; an atom of distinct
+   variables tests nothing. *)
+let rec all_hold tuple = function
+  | [] -> true
+  | check :: checks -> check tuple && all_hold tuple checks
+
+let matches_tuple a =
+  let arity = Array.length a.args in
+  let checks = ref [] in
+  let check f = checks := f :: !checks in
   Array.iteri
     (fun i term ->
-      if !ok then
-        match term with
-        | Term.Const c ->
-          if not (Const.equal c (Tuple.get tuple i)) then ok := false
-        | Term.Var v ->
-          (match Hashtbl.find_opt binding v with
-           | Some c ->
-             if not (Const.equal c (Tuple.get tuple i)) then ok := false
-           | None -> Hashtbl.add binding v (Tuple.get tuple i)))
+      match term with
+      | Term.Const c -> check (fun t -> Const.equal c (Tuple.get t i))
+      | Term.Var v ->
+        (* Positions sharing a variable must match its first one. *)
+        let rec first j =
+          if j < i then
+            match a.args.(j) with
+            | Term.Var w when String.equal v w ->
+              check (fun t -> Const.equal (Tuple.get t j) (Tuple.get t i))
+            | _ -> first (j + 1)
+        in
+        first 0)
     a.args;
-  !ok
+  let checks = !checks in
+  fun tuple ->
+    if arity <> Tuple.arity tuple then
+      invalid_arg "Atom.matches_tuple: arity mismatch";
+    all_hold tuple checks
 
 let compare a b =
   let c = String.compare a.pred b.pred in

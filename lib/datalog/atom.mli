@@ -29,7 +29,8 @@ val matches_tuple : t -> Tuple.t -> bool
 (** Whether a tuple unifies with the atom's argument pattern: constants
     must be equal and positions sharing a variable must hold equal
     constants. (Used by the sending rules, whose bodies carry the
-    consuming atom's pattern.)
+    consuming atom's pattern.) Staged: [matches_tuple a] compiles the
+    pattern once and returns the test.
     @raise Invalid_argument on arity mismatch. *)
 
 val compare : t -> t -> int

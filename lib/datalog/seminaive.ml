@@ -140,6 +140,20 @@ let inject engine pred tuple =
     true
   end
 
+(* A resolved delivery point: the predicate's mark, looked up once
+   instead of once per tuple. Deliveries skip the arena, so they must
+   carry this engine's own canonical tuples. *)
+type inlet = mark
+
+let inlet engine pred ~arity = mark_of engine pred ~arity
+
+let deliver (m : inlet) tuple =
+  if Relation.mem m.m_rel tuple then false
+  else begin
+    Relation.add_new m.m_rel tuple;
+    true
+  end
+
 let windows engine : Joiner.relations =
   {
     window_of =
@@ -423,6 +437,7 @@ let restore ?(pushdown = true) ?(reorder = false) ?(intern = true) program
     (Database.predicates full);
   engine
 
+let store engine = engine.full
 let database engine = Database.copy engine.full
 
 let stats engine =

@@ -46,6 +46,23 @@ val inject : t -> string -> Tuple.t -> bool
     the database or already queued) — such tuples are discarded, which
     implements the receive-step duplicate elimination of the paper. *)
 
+type inlet
+(** One predicate of one engine, resolved once for repeated
+    {!deliver}s. It stays valid for the engine's lifetime, across
+    {!step}s and {!retract_facts}. *)
+
+val inlet : t -> string -> arity:int -> inlet
+(** The inlet of [pred], declaring the relation on first use. *)
+
+val deliver : inlet -> Tuple.t -> bool
+(** {!inject} through a resolved inlet, and without interning: the
+    tuple is stored as given. Meant for the engine's own products —
+    a {!bootstrap} or {!step} result re-entering the same engine under
+    another name (a processor's tuple addressed to itself), which is
+    already the arena's canonical value. Any other tuple should go
+    through {!inject}; a foreign one is still stored correctly, it
+    just forgoes the pointer-equality shortcut. *)
+
 val bootstrap : t -> (string * Tuple.t) list
 (** Fire every rule once against the initial database and queue the
     results. Returns the newly queued (pred, tuple) pairs. Must be
@@ -85,6 +102,12 @@ val retract_facts : t -> (string * Tuple.t) list -> int
 val database : t -> Database.t
 (** A fresh snapshot of the engine's database: base relations plus
     every derived tuple known so far, including still-queued ones. *)
+
+val store : t -> Database.t
+(** The same contents as {!database}, without the copy: the engine's
+    own store, read in place. For counting, pooling and answering
+    between steps; the caller must not modify it, and what it reads
+    changes with the next {!inject}, {!deliver} or {!step}. *)
 
 type snapshot
 (** A resumable checkpoint: the processed database and the pending

@@ -148,7 +148,7 @@ let evaluate ?pushdown ?reorder program edb =
           Seminaive.create ?pushdown ?reorder (Program.make rules) ~edb:db
         in
         Seminaive.run_to_fixpoint engine;
-        let produced = Seminaive.database engine in
+        let produced = Seminaive.store engine in
         List.iter
           (fun pred ->
             match Database.find produced pred with

@@ -40,7 +40,15 @@ let project t positions =
   make (Array.map (fun p -> t.data.(p)) positions)
 
 let project_key t positions =
-  Array.map (fun p -> t.data.(p)) positions
+  let n = Array.length positions in
+  if n = 0 then [||]
+  else begin
+    let key = Array.make n t.data.(positions.(0)) in
+    for i = 1 to n - 1 do
+      key.(i) <- t.data.(positions.(i))
+    done;
+    key
+  end
 
 let hash_proj t positions =
   let h = ref (Array.length positions) in

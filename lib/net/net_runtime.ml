@@ -90,7 +90,7 @@ let rec waitpid_retry flags pid =
   try Unix.waitpid flags pid
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry flags pid
 
-let now () = Unix.gettimeofday ()
+let now = Obs.Clock.now
 
 (* ================================================================== *)
 (* Worker                                                             *)
@@ -274,11 +274,19 @@ let worker_body ~addr ~worker ~inc =
            batch = Wire.of_batch b.tuples;
          })
   in
+  (* Accepted [@in] tuples are derived-store growth too, recorded for
+     the next checkpoint delta. *)
+  let on_accept w =
+    if ckpt_on then Some (fun name t -> w.ckpt_acc <- (name, t) :: w.ckpt_acc)
+    else None
+  in
+  (* A fresh product addressed to its own processor is delivered in
+     place; a recovery replay travels like any other, marked as one. *)
   let route ~replay w produced =
     Array.iteri
       (fun dst batch ->
         if batch <> [] then Processor.dispatch ~replay w.p dst batch (transmit w))
-      (Processor.route w.p produced);
+      (Processor.route ~local:(not replay) ?on_new:(on_accept w) w.p produced);
     Processor.note_outbox w.p
   in
   let pump_retransmits () =
@@ -351,7 +359,7 @@ let worker_body ~addr ~worker ~inc =
     if not !breached then begin
       (match limits.Overload.max_store_rows with
        | Some limit ->
-         let rows = Overload.db_rows (Seminaive.database p.engine) in
+         let rows = Overload.db_rows (Seminaive.store p.engine) in
          if rows > limit then
            breach (Overload.Store_budget { pid = p.pid; rows; limit })
        | None -> ());
@@ -364,8 +372,8 @@ let worker_body ~addr ~worker ~inc =
     end
   in
   (* Record derived-store growth for the next checkpoint delta —
-     every insertion flows through here or [accept_batch], so a scan
-     of the whole store at checkpoint time is never needed. *)
+     every insertion flows through here or [on_accept], so a scan of
+     the whole store at checkpoint time is never needed. *)
   let ckpt_note w produced =
     if ckpt_on then
       List.iter
@@ -374,10 +382,7 @@ let worker_body ~addr ~worker ~inc =
         produced
   in
   let accept_batch w batch =
-    let on_new =
-      if ckpt_on then Some (fun name t -> w.ckpt_acc <- (name, t) :: w.ckpt_acc)
-      else None
-    in
+    let on_new = on_accept w in
     List.iter
       (fun (pred, tuple) -> Processor.receive ?on_new w.p pred tuple)
       (Wire.to_batch batch)
@@ -431,7 +436,7 @@ let worker_body ~addr ~worker ~inc =
     restores;
   let all_idle () = List.for_all (fun w -> Processor.idle w.p) procs in
   let answers_of w =
-    let db = Seminaive.database w.p.engine in
+    let db = Seminaive.store w.p.engine in
     List.filter_map
       (fun pred ->
         match Database.find db (Rewrite.out_pred pred) with

@@ -1,6 +1,7 @@
 (** Observability sinks for the parallel runtimes: tracing and
     metrics bundled as one value threaded through [Run_config]. *)
 
+module Clock = Clock
 module Trace = Trace
 module Metrics = Metrics
 module Phase_timer = Phase_timer

@@ -28,11 +28,9 @@ let record t name ns =
   if Metrics.enabled t.metrics then
     Metrics.observe t.metrics ("phase_ns." ^ name) (float_of_int ns)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let time t name f =
-  let start = now_ns () in
-  Fun.protect ~finally:(fun () -> record t name (now_ns () - start)) f
+  let start = Clock.now_ns () in
+  Fun.protect ~finally:(fun () -> record t name (Clock.now_ns () - start)) f
 
 let totals t =
   Hashtbl.fold (fun name c acc -> (name, c.total_ns) :: acc) t.cells []

@@ -3,7 +3,7 @@
     Where {!Trace} records individual span events for offline viewing
     (and is usually disabled), a phase timer accumulates per-phase
     nanosecond totals cheaply enough to stay on for every run: one
-    [Unix.gettimeofday] pair per span and no allocation on the hot
+    {!Clock.now_ns} pair per span and no allocation on the hot
     path. The runtimes surface the totals as [Stats.phase_ns].
 
     Not thread-safe: the simulator owns a single timer; the multicore

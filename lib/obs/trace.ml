@@ -37,7 +37,7 @@ type t = {
 let none = { on = false; mu = Mutex.create (); t0 = 0.; events = []; count = 0 }
 
 let create () =
-  { on = true; mu = Mutex.create (); t0 = Unix.gettimeofday (); events = []; count = 0 }
+  { on = true; mu = Mutex.create (); t0 = Clock.now (); events = []; count = 0 }
 
 let enabled t = t.on
 let transport_pid = -1
@@ -48,7 +48,7 @@ let add t ev =
   t.count <- t.count + 1;
   Mutex.unlock t.mu
 
-let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
+let now_us t = (Clock.now () -. t.t0) *. 1e6
 
 let span t ~pid ~round phase f =
   if not t.on then f ()

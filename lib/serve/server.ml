@@ -976,11 +976,11 @@ let await t =
         try Unix.shutdown s.s_fd Unix.SHUTDOWN_RECEIVE
         with Unix.Unix_error _ -> ())
       idle;
-    let deadline = Unix.gettimeofday () +. t.cfg.drain_grace in
+    let deadline = Obs.Clock.now () +. t.cfg.drain_grace in
     let rec wait_sessions () =
       let n = locked t (fun () -> Hashtbl.length t.sessions) in
       if n = 0 then 0
-      else if Unix.gettimeofday () >= deadline then n
+      else if Obs.Clock.now () >= deadline then n
       else begin
         Thread.delay 0.005;
         wait_sessions ()

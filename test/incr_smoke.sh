@@ -47,11 +47,40 @@ fail () {
   exit 1
 }
 
+# One client session: request lines on stdin, replies on stdout. A
+# nonzero exit fails the smoke with the client's exit code and stderr.
+client () {
+  what=$1
+  shift
+  rc=0
+  "$datalogd" --connect "$@" 2> "$dir/client.err" || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    fail "$what exited $rc: $(cat "$dir/client.err")"
+  fi
+}
+
+# The client's own connect retries cover about a second; a daemon
+# still starting on a loaded machine can take longer. Wait for a PING
+# answer, failing fast if the daemon dies and giving up after 60 s.
+wait_ready () {
+  ready_sock=$1 ready_pid=$2 ready_log=$3
+  deadline=$(( $(date +%s) + 60 ))
+  until printf 'PING\n' | "$datalogd" --connect "$ready_sock" > /dev/null 2>&1
+  do
+    kill -0 "$ready_pid" 2>/dev/null \
+      || fail "daemon on $ready_sock exited before answering: $(cat "$ready_log")"
+    [ "$(date +%s)" -lt "$deadline" ] \
+      || fail "daemon on $ready_sock not ready after 60 s"
+    sleep 0.1
+  done
+}
+wait_ready "$sock" "$server" "$dir/server.log"
+
 # The scripted stream: grow a branch, cut the chain in the middle,
 # reconnect it elsewhere. Each batch mixes signed inserts/deletes;
 # every live query in between must answer from the maintained model
 # (scheme=live), never a re-evaluation.
-out=$("$datalogd" --connect "$sock" <<'EOF'
+out=$(client "update stream" "$sock" <<'EOF'
 UPDATE id=u1 prog=tc
 +edge(6,7). edge(7,8).
 .
@@ -66,7 +95,7 @@ edge(7,8).
 .
 QUERY id=l3 prog=tc live=true rows=true
 EOF
-) || fail "update stream exited nonzero"
+) || exit 1
 
 echo "$out" | grep -q 'OK update prog=tc id=u1' \
   || fail "u1 not acknowledged: $out"
@@ -78,8 +107,8 @@ echo "$out" | grep -q 'RESULT id=l3 status=ok .* scheme=live' \
 # Replaying a mid-stream batch id must be byte-identical and must not
 # apply the batch a second time (the final model below stays exact).
 replay=$(printf 'UPDATE id=u2 prog=tc\n-edge(3,4).\n+edge(3,8).\n.\n' \
-           | "$datalogd" --connect "$sock") \
-  || fail "replay exited nonzero"
+           | client replay "$sock") \
+  || exit 1
 echo "$out" | grep -qF "$(echo "$replay" | grep 'OK update prog=tc id=u2')" \
   || fail "replay of u2 was not byte-identical: $replay"
 
@@ -88,8 +117,8 @@ live_rows=$(echo "$out" | sed -n '/RESULT id=l3/,/END id=l3/p' | grep '^ROW ')
 # (a) From-scratch recomputation on the same server: the EDB was
 # patched batch-by-batch, so a plain QUERY must see the same rows.
 scratch=$(printf 'QUERY id=s1 prog=tc rows=true\n' \
-            | "$datalogd" --connect "$sock") \
-  || fail "from-scratch query exited nonzero"
+            | client "from-scratch query" "$sock") \
+  || exit 1
 scratch_rows=$(echo "$scratch" | grep '^ROW ')
 [ "$live_rows" = "$scratch_rows" ] \
   || fail "live rows differ from same-server recomputation:
@@ -104,9 +133,10 @@ EOF
   --load tc="$dir/tc.dl" --facts tc="$dir/final.dl" \
   > "$dir/server2.log" 2>&1 &
 server2=$!
+wait_ready "$sock2" "$server2" "$dir/server2.log"
 fresh=$(printf 'QUERY id=f1 prog=tc rows=true\n' \
-          | "$datalogd" --connect "$sock2") \
-  || fail "fresh-server query exited nonzero"
+          | client "fresh-server query" "$sock2") \
+  || exit 1
 fresh_rows=$(echo "$fresh" | grep '^ROW ')
 [ "$live_rows" = "$fresh_rows" ] \
   || fail "live rows differ from a fresh batch recomputation:
