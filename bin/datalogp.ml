@@ -385,7 +385,7 @@ let par_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Print the run statistics as versioned JSON (schema 1) \
+            "Print the run statistics as versioned JSON (schema 5) \
              instead of the table.")
   in
   let plan_arg =

@@ -68,9 +68,14 @@ let probes p = p.probes
 (* Greedy scan-order heuristic: repeatedly pick the atom with the most
    already-bound argument positions (then the fewest unbound variables,
    then textual order). Avoids accidental cross products in rules
-   written join-variable-last. *)
-let greedy_order body =
+   written join-variable-last. [start] is the already-chosen prefix of
+   the order (its variables count as bound). *)
+let greedy_order ~start remaining =
   let bound = Hashtbl.create 8 in
+  List.iter
+    (fun (_, a) ->
+      List.iter (fun v -> Hashtbl.replace bound v ()) (Atom.vars a))
+    start;
   let score (a : Atom.t) =
     let bound_positions = ref 0 and unbound_vars = Hashtbl.create 4 in
     Array.iter
@@ -104,15 +109,27 @@ let greedy_order body =
          pick (item :: acc)
            (List.filter (fun other -> not (other == item)) remaining))
   in
-  pick [] (List.mapi (fun i a -> (i, a)) body)
+  pick (List.rev start) remaining
 
-let compile ?(pushdown = true) ?(reorder = false) (rule : Rule.t) =
+(* The body atoms, paired with their textual positions, in scan order:
+   [first] (when given) leads, and the others follow in textual order
+   or, under [reorder], in the greedy order computed from that start. *)
+let scan_order ~reorder ?first (body : Atom.t list) =
+  let items = List.mapi (fun i a -> (i, a)) body in
+  let start, rest =
+    match first with
+    | None -> ([], items)
+    | Some f ->
+      if f < 0 || f >= List.length body then
+        invalid_arg "Joiner.compile: first is not a body position";
+      List.partition (fun (i, _) -> i = f) items
+  in
+  if reorder then greedy_order ~start rest else start @ rest
+
+let compile ?(pushdown = true) ?(reorder = false) ?first (rule : Rule.t) =
   if not (Rule.is_safe rule) then
     invalid_arg ("Joiner.compile: unsafe rule " ^ Rule.to_string rule);
-  let scan_order =
-    if reorder then greedy_order rule.body
-    else List.mapi (fun i a -> (i, a)) rule.body
-  in
+  let scan_order = scan_order ~reorder ?first rule.body in
   let var_ids = Hashtbl.create 16 in
   let nvars = ref 0 in
   let var_id v =
@@ -283,10 +300,16 @@ let guard_holds env cg =
   done;
   cg.cg.gfn key = cg.cg.gexpect
 
+(* Loops rather than local recursive functions here and in the scan
+   below: a local closure over the environment would be allocated on
+   every candidate tuple. *)
 let guards_ok env guards =
-  let n = Array.length guards in
-  let rec go i = i >= n || (guard_holds env (Array.unsafe_get guards i) && go (i + 1)) in
-  go 0
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length guards do
+    ok := guard_holds env (Array.unsafe_get guards !i);
+    incr i
+  done;
+  !ok
 
 (* The probe function of one atom: its relation window under the
    chosen source, with the index already resolved
@@ -378,14 +401,15 @@ let run plan ~sources ?fast_dedup rels ~emit =
           env.(Array.unsafe_get bind_var i) <-
             Tuple.get t (Array.unsafe_get bind_pos i)
         done;
-        let rec checks_ok i =
-          i >= nchecks
-          || Const.equal
-               (Tuple.get t (Array.unsafe_get check_pos i))
-               env.(Array.unsafe_get check_var i)
-             && checks_ok (i + 1)
-        in
-        if checks_ok 0 && guards_ok env guards then continue_k ()
+        let ok = ref true and i = ref 0 in
+        while !ok && !i < nchecks do
+          ok :=
+            Const.equal
+              (Tuple.get t (Array.unsafe_get check_pos !i))
+              env.(Array.unsafe_get check_var !i);
+          incr i
+        done;
+        if !ok && guards_ok env guards then continue_k ()
       in
       fun () ->
         (* Instantiate the index key in the atom's reusable buffer: the

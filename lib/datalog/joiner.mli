@@ -1,11 +1,14 @@
 (** Compiled rule plans and substitution enumeration.
 
-    A plan fixes the join order (the textual body order), the variable
-    numbering, and the placement of hash guards. At run time each body
-    atom is given a {!source} — the semi-naive engine uses this to
-    evaluate the delta variants of a rule — and the plan enumerates
-    every satisfying ground substitution exactly once, calling [emit]
-    with the instantiated head tuple. *)
+    A plan fixes the join order (the body atom scanned first, then the
+    rest in textual or greedy order), the variable numbering, and the
+    placement of hash guards. At run time each body atom is given a
+    {!source} — the semi-naive engine uses this to evaluate the delta
+    variants of a rule — and the plan enumerates every satisfying
+    ground substitution exactly once, calling [emit] with the
+    instantiated head tuple. Every plan of one rule enumerates the
+    same substitutions under the same sources; the scan order changes
+    only the work ({!probes}) and the order of the emits. *)
 
 type source =
   | Old  (** The relation as of the previous iteration. *)
@@ -14,17 +17,25 @@ type source =
 
 type plan
 
-val compile : ?pushdown:bool -> ?reorder:bool -> Rule.t -> plan
+val compile :
+  ?pushdown:bool -> ?reorder:bool -> ?first:int -> Rule.t -> plan
 (** Compile a rule. [pushdown] (default [true]) places each hash guard
-    at the earliest point where its variables are bound; with [false]
-    guards run only after the full join, which reproduces the
-    "selection cannot be pushed into the joins" worst case discussed at
-    the end of Section 3 of the paper. [reorder] (default [false])
-    scans the body in a greedy bound-variables-first order instead of
-    the textual one; the enumerated substitution set — and the delta
-    semantics of {!run}'s per-atom sources, which are indexed by the
-    {e original} body positions — is unchanged.
-    @raise Invalid_argument if the rule is unsafe. *)
+    at the earliest point in the scan order where its variables are
+    bound; with [false] guards run only after the full join, which
+    reproduces the "selection cannot be pushed into the joins" worst
+    case discussed at the end of Section 3 of the paper. [first]
+    (default: none) is the body position scanned first — the outer
+    loop of the join; the semi-naive engine compiles one plan per
+    position and runs each variant with the one whose first atom has
+    the smallest window (see {!Seminaive}). The atoms after it keep
+    their textual order, or, under [reorder] (default [false]), follow
+    a greedy bound-variables-first order computed from that start;
+    without [first], [reorder] also picks the first atom greedily.
+    Neither option changes the enumerated substitution set — nor the
+    delta semantics of {!run}'s per-atom sources, which are indexed by
+    the {e original} body positions.
+    @raise Invalid_argument if the rule is unsafe or [first] is not a
+    body position. *)
 
 val rule_of : plan -> Rule.t
 val var_count : plan -> int

@@ -23,9 +23,26 @@ type mark = {
   mutable m_cur : int;
 }
 
+(* One rule, compiled for every variant it can run. [rp_plans.(f)]
+   scans body atom [f] first (a bodiless rule has the single plan
+   [rp_plans.(0)]); each {!Joiner.run} takes the plan whose first atom
+   has the smallest window under the variant's sources. The source
+   arrays, the head relation and the emit path are fixed here too, so
+   a step allocates none of them. *)
+type rule_plan = {
+  rp_plans : Joiner.plan array;
+  rp_preds : string array;  (* body predicates, by position *)
+  rp_variants : Joiner.source array array;
+      (* variant [m]: Old before [m], Delta at [m], Current after *)
+  rp_current : Joiner.source array;  (* the bootstrap: all Current *)
+  rp_fast_dedup :
+    (exact:bool -> hash:int -> int array -> [ `Dup | `New ]) option;
+  rp_emit : Tuple.t -> unit;
+}
+
 type t = {
   program : Program.t;
-  plans : Joiner.plan list;
+  mutable rules : rule_plan array;  (* filled once the marks exist *)
   rule_firings : int array;
   (* Per-engine interning arena (see Arena): every tuple entering the
      engine — derived heads and injected deliveries alike — is mapped
@@ -42,6 +59,9 @@ type t = {
   slab : bool;
   full : Database.t;  (* the single store; windows select the views *)
   marks : (string, mark) Hashtbl.t;
+  rels : Joiner.relations;  (* the marks as join windows *)
+  mutable fresh : (string * Tuple.t) list;
+      (* this bootstrap's or step's new tuples, newest first *)
   mutable bootstrapped : bool;
   mutable iterations : int;
   mutable firings : int;
@@ -77,60 +97,39 @@ let mark_of engine pred ~arity =
     Hashtbl.add engine.marks pred m;
     m
 
-let create ?(pushdown = true) ?(reorder = false) ?(intern = true) program
-    ~edb =
-  (match Program.check program with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Seminaive.create: " ^ msg));
-  let full = Database.copy ~slab:intern edb in
-  let derived = Program.derived_predicates program in
-  (* Declare derived relations so lookups during joins are uniform. *)
-  List.iter
-    (fun pred ->
-      match arity_of program pred with
-      | Some a -> ignore (Database.declare ~slab:intern full pred a)
-      | None -> ())
-    derived;
-  let engine =
-    {
-      program;
-      plans =
-        List.map
-          (fun r -> Joiner.compile ~pushdown ~reorder r)
-          (Program.rules program);
-      rule_firings = Array.make (List.length (Program.rules program)) 0;
-      arena = (if intern then Some (Arena.create ()) else None);
-      slab = intern;
-      full;
-      marks = Hashtbl.create 16;
-      bootstrapped = false;
-      iterations = 0;
-      firings = 0;
-      new_tuples = 0;
-      duplicate_firings = 0;
-    }
-  in
-  (* Base program facts are initial state (visible to the bootstrap
-     scan); derived program facts are queued as if injected. Marking
-     base predicates after their facts and derived predicates before
-     theirs gets both for free. *)
-  List.iter
-    (fun (pred, tuple) ->
-      if not (List.mem pred derived) then
-        ignore (Database.add_fact engine.full pred tuple))
-    program.facts;
-  List.iter
-    (fun pred -> ignore (mark_of engine pred ~arity:0))
-    (Database.predicates engine.full);
-  List.iter
-    (fun (pred, tuple) ->
-      if List.mem pred derived then begin
-        let m = mark_of engine pred ~arity:(Tuple.arity tuple) in
-        if not (Relation.mem m.m_rel tuple) then
-          Relation.add_new m.m_rel (canonical engine tuple)
-      end)
-    program.facts;
-  engine
+(* The marks as join windows: one closure for the engine's lifetime,
+   reading a predicate's watermarks when a run looks it up. *)
+let windows marks : Joiner.relations =
+  {
+    window_of =
+      (fun pred ->
+        match Hashtbl.find_opt marks pred with
+        | None -> None
+        | Some m ->
+          Some
+            { Joiner.w_rel = m.m_rel; w_old = m.m_old; w_cur = m.m_cur });
+  }
+
+(* An engine over [full] with no marks and no compiled rules yet:
+   {!create} and {!restore} set the marks up, then {!compile_rules}. *)
+let blank ~intern program full ~bootstrapped =
+  let marks = Hashtbl.create 16 in
+  {
+    program;
+    rules = [||];
+    rule_firings = Array.make (List.length (Program.rules program)) 0;
+    arena = (if intern then Some (Arena.create ()) else None);
+    slab = intern;
+    full;
+    marks;
+    rels = windows marks;
+    fresh = [];
+    bootstrapped;
+    iterations = 0;
+    firings = 0;
+    new_tuples = 0;
+    duplicate_firings = 0;
+  }
 
 let inject engine pred tuple =
   let m = mark_of engine pred ~arity:(Tuple.arity tuple) in
@@ -154,23 +153,12 @@ let deliver (m : inlet) tuple =
     true
   end
 
-let windows engine : Joiner.relations =
-  {
-    window_of =
-      (fun pred ->
-        match Hashtbl.find_opt engine.marks pred with
-        | None -> None
-        | Some m ->
-          Some
-            { Joiner.w_rel = m.m_rel; w_old = m.m_old; w_cur = m.m_cur });
-  }
-
-(* The per-run emit path: the head predicate's relation is resolved
-   once per Joiner.run (it is invariant across the run's firings), so
+(* The emit path of one rule: the head predicate's relation is resolved
+   once, when the rule is compiled (the relation is never replaced), so
    a firing costs one membership probe — the single store covers what
    used to be separate full-, pending- and delta-probes — and, when
    new, one unchecked insert. *)
-let make_emit engine ~idx ~head_pred ~head_rel ~fresh =
+let make_emit engine ~idx ~head_pred ~head_rel =
  fun t ->
   engine.rule_firings.(idx) <- engine.rule_firings.(idx) + 1;
   engine.firings <- engine.firings + 1;
@@ -182,7 +170,7 @@ let make_emit engine ~idx ~head_pred ~head_rel ~fresh =
        the next delta, invisible to the sources of this run. *)
     Relation.add_new head_rel t;
     engine.new_tuples <- engine.new_tuples + 1;
-    fresh := (head_pred, t) :: !fresh
+    engine.fresh <- (head_pred, t) :: engine.fresh
   end
 
 (* The slab-mode emit path: a [Joiner.run] firing first hits the
@@ -195,7 +183,7 @@ let make_emit engine ~idx ~head_pred ~head_rel ~fresh =
    is inserted without a second membership probe, while inexact heads
    and demoted relations (filter couldn't decide) re-check with
    {!Relation.mem}. *)
-let make_fast_pair engine ~idx ~head_pred ~head_rel ~fresh =
+let make_fast_pair engine ~idx ~head_pred ~head_rel =
   let known_new = ref false in
   let fast_dedup ~exact ~hash raws =
     engine.rule_firings.(idx) <- engine.rule_firings.(idx) + 1;
@@ -221,40 +209,132 @@ let make_fast_pair engine ~idx ~head_pred ~head_rel ~fresh =
       let t = canonical engine t in
       Relation.add_new head_rel t;
       engine.new_tuples <- engine.new_tuples + 1;
-      fresh := (head_pred, t) :: !fresh
+      engine.fresh <- (head_pred, t) :: engine.fresh
     end
   in
   (fast_dedup, emit)
 
-let head_mark engine (rule : Rule.t) =
-  mark_of engine rule.head.Atom.pred
-    ~arity:(Array.length rule.head.Atom.args)
+(* Compile every rule once per body position, with the emit path and
+   the source array of each variant. Called by {!create} and
+   {!restore} once the marks exist, so the head relations resolve. *)
+let compile_rules engine ~pushdown ~reorder =
+  let compile idx (rule : Rule.t) =
+    let body = Array.of_list rule.body in
+    let n = Array.length body in
+    let head_pred = rule.head.Atom.pred in
+    let head_rel =
+      (mark_of engine head_pred ~arity:(Array.length rule.head.Atom.args))
+        .m_rel
+    in
+    let rp_fast_dedup, rp_emit =
+      if engine.slab then
+        let fd, emit = make_fast_pair engine ~idx ~head_pred ~head_rel in
+        (Some fd, emit)
+      else (None, make_emit engine ~idx ~head_pred ~head_rel)
+    in
+    {
+      rp_plans =
+        (if n = 0 then [| Joiner.compile ~pushdown ~reorder rule |]
+         else
+           Array.init n (fun first ->
+               Joiner.compile ~pushdown ~reorder ~first rule));
+      rp_preds = Array.map (fun (a : Atom.t) -> a.pred) body;
+      rp_variants =
+        Array.init n (fun m ->
+            Array.init n (fun i ->
+                if i < m then Joiner.Old
+                else if i = m then Joiner.Delta
+                else Joiner.Current));
+      rp_current = Array.make n Joiner.Current;
+      rp_fast_dedup;
+      rp_emit;
+    }
+  in
+  engine.rules <-
+    Array.of_list (List.mapi compile (Program.rules engine.program))
+
+let create ?(pushdown = true) ?(reorder = false) ?(intern = true) program
+    ~edb =
+  (match Program.check program with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Seminaive.create: " ^ msg));
+  let full = Database.copy ~slab:intern edb in
+  let derived = Program.derived_predicates program in
+  (* Declare derived relations so lookups during joins are uniform. *)
+  List.iter
+    (fun pred ->
+      match arity_of program pred with
+      | Some a -> ignore (Database.declare ~slab:intern full pred a)
+      | None -> ())
+    derived;
+  let engine = blank ~intern program full ~bootstrapped:false in
+  (* Base program facts are initial state (visible to the bootstrap
+     scan); derived program facts are queued as if injected. Marking
+     base predicates after their facts and derived predicates before
+     theirs gets both for free. *)
+  List.iter
+    (fun (pred, tuple) ->
+      if not (List.mem pred derived) then
+        ignore (Database.add_fact engine.full pred tuple))
+    program.facts;
+  List.iter
+    (fun pred -> ignore (mark_of engine pred ~arity:0))
+    (Database.predicates engine.full);
+  List.iter
+    (fun (pred, tuple) ->
+      if List.mem pred derived then begin
+        let m = mark_of engine pred ~arity:(Tuple.arity tuple) in
+        if not (Relation.mem m.m_rel tuple) then
+          Relation.add_new m.m_rel (canonical engine tuple)
+      end)
+    program.facts;
+  compile_rules engine ~pushdown ~reorder;
+  engine
+
+(* The number of tuples a body atom's window holds under one source:
+   the outer loop of a plan that scans that atom first. *)
+let window_size engine pred (source : Joiner.source) =
+  match Hashtbl.find_opt engine.marks pred with
+  | None -> 0
+  | Some m ->
+    (match source with
+     | Old -> m.m_old
+     | Delta -> m.m_cur - m.m_old
+     | Current -> m.m_cur)
+
+(* Run one variant of a rule with the plan whose first atom has the
+   smallest window under [sources], ties going to textual order. Every
+   plan enumerates the same substitutions; the choice only decides
+   which window is the outer loop — the delta, when it is the smaller
+   side, instead of the whole base relation. *)
+let run_variant engine rp sources =
+  let best = ref 0 and best_size = ref max_int in
+  for i = 0 to Array.length rp.rp_preds - 1 do
+    let size = window_size engine rp.rp_preds.(i) sources.(i) in
+    if size < !best_size then begin
+      best := i;
+      best_size := size
+    end
+  done;
+  Joiner.run rp.rp_plans.(!best) ~sources engine.rels
+    ?fast_dedup:rp.rp_fast_dedup ~emit:rp.rp_emit
+
+let take_fresh engine =
+  let fresh = List.rev engine.fresh in
+  engine.fresh <- [];
+  fresh
 
 let bootstrap engine =
   if engine.bootstrapped then
     invalid_arg "Seminaive.bootstrap: already bootstrapped";
   engine.bootstrapped <- true;
-  let rels = windows engine in
-  let fresh = ref [] in
-  List.iteri
-    (fun idx plan ->
-      let rule = Joiner.rule_of plan in
-      let head = head_mark engine rule in
-      let sources = Array.make (List.length rule.body) Joiner.Current in
-      if engine.slab then begin
-        let fast_dedup, emit =
-          make_fast_pair engine ~idx ~head_pred:rule.head.Atom.pred
-            ~head_rel:head.m_rel ~fresh
-        in
-        Joiner.run plan ~sources rels ~fast_dedup ~emit
-      end
-      else
-        Joiner.run plan ~sources rels
-          ~emit:
-            (make_emit engine ~idx ~head_pred:rule.head.Atom.pred
-               ~head_rel:head.m_rel ~fresh))
-    engine.plans;
-  List.rev !fresh
+  Array.iter (fun rp -> run_variant engine rp rp.rp_current) engine.rules;
+  take_fresh engine
+
+let has_delta engine pred =
+  match Hashtbl.find_opt engine.marks pred with
+  | Some m -> m.m_cur > m.m_old
+  | None -> false
 
 let step engine =
   if not engine.bootstrapped then
@@ -272,44 +352,14 @@ let step engine =
   if not !any_delta then []
   else begin
     engine.iterations <- engine.iterations + 1;
-    let rels = windows engine in
-    let has_delta pred =
-      match Hashtbl.find_opt engine.marks pred with
-      | Some m -> m.m_cur > m.m_old
-      | None -> false
-    in
-    let fresh = ref [] in
-    List.iteri
-      (fun idx plan ->
-        let rule = Joiner.rule_of plan in
-        let head = head_mark engine rule in
-        let head_pred = rule.head.Atom.pred in
-        let fast_dedup, emit =
-          if engine.slab then
-            let fd, emit =
-              make_fast_pair engine ~idx ~head_pred ~head_rel:head.m_rel
-                ~fresh
-            in
-            (Some fd, emit)
-          else
-            ( None,
-              make_emit engine ~idx ~head_pred ~head_rel:head.m_rel ~fresh )
-        in
-        let body = Array.of_list rule.body in
-        let n = Array.length body in
-        for m = 0 to n - 1 do
-          if has_delta body.(m).Atom.pred then begin
-            let sources =
-              Array.init n (fun i ->
-                  if i < m then Joiner.Old
-                  else if i = m then Joiner.Delta
-                  else Joiner.Current)
-            in
-            Joiner.run plan ~sources rels ?fast_dedup ~emit
-          end
-        done)
-      engine.plans;
-    List.rev !fresh
+    for r = 0 to Array.length engine.rules - 1 do
+      let rp = engine.rules.(r) in
+      for m = 0 to Array.length rp.rp_preds - 1 do
+        if has_delta engine rp.rp_preds.(m) then
+          run_variant engine rp rp.rp_variants.(m)
+      done
+    done;
+    take_fresh engine
   end
 
 let has_pending engine =
@@ -408,23 +458,7 @@ let restore ?(pushdown = true) ?(reorder = false) ?(intern = true) program
    | Error msg -> invalid_arg ("Seminaive.restore: " ^ msg));
   let full = Database.copy ~slab:intern snap.snap_db in
   let engine =
-    {
-      program;
-      plans =
-        List.map
-          (fun r -> Joiner.compile ~pushdown ~reorder r)
-          (Program.rules program);
-      rule_firings = Array.make (List.length (Program.rules program)) 0;
-      arena = (if intern then Some (Arena.create ()) else None);
-      slab = intern;
-      full;
-      marks = Hashtbl.create 16;
-      bootstrapped = snap.snap_bootstrapped;
-      iterations = 0;
-      firings = 0;
-      new_tuples = 0;
-      duplicate_firings = 0;
-    }
+    blank ~intern program full ~bootstrapped:snap.snap_bootstrapped
   in
   List.iter
     (fun pred ->
@@ -435,6 +469,7 @@ let restore ?(pushdown = true) ?(reorder = false) ?(intern = true) program
         m.m_cur <- frontier
       | None -> ())
     (Database.predicates full);
+  compile_rules engine ~pushdown ~reorder;
   engine
 
 let store engine = engine.full
@@ -449,7 +484,11 @@ let stats engine =
   }
 
 let join_probes engine =
-  List.fold_left (fun acc plan -> acc + Joiner.probes plan) 0 engine.plans
+  Array.fold_left
+    (fun acc rp ->
+      Array.fold_left (fun acc plan -> acc + Joiner.probes plan) acc
+        rp.rp_plans)
+    0 engine.rules
 
 let evaluate ?pushdown ?reorder ?intern program edb =
   let engine = create ?pushdown ?reorder ?intern program ~edb in

@@ -6,6 +6,18 @@
     atoms before [m] read the pre-iteration state, atom [m] reads the
     delta, and atoms after [m] read their union.
 
+    Each rule is compiled once per body position ({!Joiner.compile}
+    [~first]), at {!create} and {!restore}. Every join — the
+    {!bootstrap}'s and each delta variant's — runs the plan whose
+    first atom has the smallest window under that variant's sources
+    (Old: the pre-iteration prefix, Delta: the new suffix, Current:
+    both), ties going to textual order: on a linear recursion the
+    delta, not the whole base relation, is the outer loop once it is
+    the smaller side. The choice changes only {!join_probes} and the
+    order in which a step produces its tuples; every variant
+    enumerates the same substitutions, so firings, new tuples and
+    duplicate firings do not depend on it.
+
     Besides whole-program evaluation ({!evaluate}), the engine exposes
     an incremental interface — {!inject} external tuples, {!step} one
     iteration, observe the newly derived tuples — which is exactly what
@@ -132,8 +144,9 @@ val restore :
 val stats : t -> stats
 
 val join_probes : t -> int
-(** Sum of {!Joiner.probes} over the engine's plans: the candidate
-    tuples scanned by the join machinery so far. *)
+(** Sum of {!Joiner.probes} over the engine's plans — every rule's
+    plan for every first atom: the candidate tuples scanned by the
+    join machinery so far. *)
 
 val per_rule_firings : t -> (Rule.t * int) list
 (** Successful ground substitutions per rule, in program order — e.g.
