@@ -22,23 +22,42 @@ let mix64 z =
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   z lxor (z lsr 31)
 
-let raw = function
-  | Int i -> (i lsl 1) lor 0
+(* The payload shifted left by one, with the low bit telling ints
+   from symbols. Integers with magnitude >= 2^61 wrap here, so two of
+   them can share a word: [hash] reads this word (its values are
+   pinned by routing, certificates and every counter), while
+   [to_raw] replaces it for wide integers. *)
+let shifted = function
+  | Int i -> i lsl 1
   | Sym s -> (Symtab.to_int s lsl 1) lor 1
 
-let to_raw = raw
+(* Integers outside [-2^61, 2^61) are interned, like symbols, into a
+   process-wide table; the [k]th one encodes as the negative odd word
+   [-2k - 1]. Symbol words are non-negative, so no symbol shares it. *)
+let wide_lock = Mutex.create ()
+let wide : (int, int) Hashtbl.t = Hashtbl.create 16
 
-(* [raw] shifts the payload left by one to make room for the kind bit,
-   so integers with magnitude >= 2^61 wrap: two such ints can share a
-   raw word. Symbols are dense small ints and always encode exactly.
-   Slab relations only trust raw words for dedup when every stored
-   constant is raw-exact. *)
-let raw_exact = function
-  | Sym _ -> true
-  | Int i -> i >= -0x2000000000000000 && i < 0x2000000000000000
+let wide_raw i =
+  Mutex.lock wide_lock;
+  let k =
+    match Hashtbl.find_opt wide i with
+    | Some k -> k
+    | None ->
+      let k = Hashtbl.length wide in
+      Hashtbl.add wide i k;
+      k
+  in
+  Mutex.unlock wide_lock;
+  (-2 * k) - 1
 
-let hash c = mix64 (raw c) land max_int
-let hash_seeded seed c = mix64 (raw c lxor mix64 seed) land max_int
+let to_raw = function
+  | Int i ->
+    if i >= -0x2000000000000000 && i < 0x2000000000000000 then i lsl 1
+    else wide_raw i
+  | Sym s -> (Symtab.to_int s lsl 1) lor 1
+
+let hash c = mix64 (shifted c) land max_int
+let hash_seeded seed c = mix64 (shifted c lxor mix64 seed) land max_int
 
 (* Symbols that are not plain lowercase identifiers must be quoted so
    that printed constants reparse to themselves. *)

@@ -3,7 +3,8 @@
     A constant is either an integer or an interned symbol (a lowercase
     identifier or quoted string in the concrete syntax). Constants are
     totally ordered and hashable, so they can key relations and be fed
-    to discriminating functions. *)
+    to discriminating functions, and every constant has a one-word raw
+    encoding ({!to_raw}) that relation columns store. *)
 
 type t =
   | Int of int
@@ -17,15 +18,13 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val to_raw : t -> int
-(** The flat one-word encoding slab columns store: the payload shifted
-    left by one, with the low bit distinguishing ints from symbols.
-    Only injective on raw-exact constants — see {!raw_exact}. *)
-
-val raw_exact : t -> bool
-(** Whether {!to_raw} encodes this constant without losing bits.
-    Symbols always; integers iff they fit in 62 bits. Slab relations
-    demote themselves to boxed dedup the first time a non-exact
-    constant is stored, so raw-word comparisons stay sound. *)
+(** The flat one-word encoding slab columns store, injective on all
+    constants: [to_raw a = to_raw b] iff [equal a b]. Integers in
+    \[-2{^61}, 2{^61}) and symbols are their payload shifted left by
+    one, the low bit telling ints (0) from symbols (1). Wider integers
+    are interned into a process-wide, mutex-guarded table and encoded
+    as negative odd words, which no symbol uses. Raw words are only
+    meaningful inside one process: the wire carries constants. *)
 
 val hash : t -> int
 (** A well-mixed hash (splitmix64 finalizer), suitable as the basis of

@@ -10,7 +10,7 @@ let add_relation db pred rel =
    | _ -> ());
   Hashtbl.replace db pred rel
 
-let declare ?slab db pred arity =
+let declare db pred arity =
   match Hashtbl.find_opt db pred with
   | Some rel ->
     if Relation.arity rel <> arity then
@@ -20,7 +20,7 @@ let declare ?slab db pred arity =
            (Relation.arity rel) arity)
     else rel
   | None ->
-    let rel = Relation.create ?slab ~arity () in
+    let rel = Relation.create ~arity () in
     Hashtbl.add db pred rel;
     rel
 
@@ -45,9 +45,9 @@ let cardinal db pred =
 let total_tuples db =
   Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) db 0
 
-let copy ?slab db =
+let copy db =
   let fresh = create () in
-  Hashtbl.iter (fun p r -> Hashtbl.replace fresh p (Relation.copy ?slab r)) db;
+  Hashtbl.iter (fun p r -> Hashtbl.replace fresh p (Relation.copy r)) db;
   fresh
 
 let restrict db preds =

@@ -1,4 +1,5 @@
-(** A database: a mutable map from predicate symbols to relations. *)
+(** A database: a mutable map from predicate symbols to relations.
+    Every relation has the one columnar layout of {!Relation}. *)
 
 type t
 
@@ -9,10 +10,9 @@ val add_relation : t -> string -> Relation.t -> unit
     @raise Invalid_argument if the predicate is already bound with a
     different arity. *)
 
-val declare : ?slab:bool -> t -> string -> int -> Relation.t
+val declare : t -> string -> int -> Relation.t
 (** [declare db pred arity] returns the relation of [pred], creating an
-    empty one of the given arity (and storage layout, default
-    slab-backed) if absent.
+    empty one of the given arity if absent.
     @raise Invalid_argument on arity mismatch with an existing
     relation. *)
 
@@ -35,9 +35,8 @@ val cardinal : t -> string -> int
 
 val total_tuples : t -> int
 
-val copy : ?slab:bool -> t -> t
-(** Copy every relation ({!Relation.copy}); [~slab] forces the storage
-    layout of the copies. *)
+val copy : t -> t
+(** Copy every relation ({!Relation.copy}). *)
 
 val restrict : t -> string list -> t
 (** A fresh database holding only the listed predicates (those that are

@@ -359,7 +359,7 @@ let run plan ~sources ?fast_dedup rels ~emit =
          tuple with the hash it already has. *)
       let vals = plan.head_vals and raws = plan.head_raws in
       fun () ->
-        let h = ref nhead and exact = ref true in
+        let h = ref nhead in
         for i = 0 to nhead - 1 do
           let c =
             match Array.unsafe_get plan.head i with
@@ -368,11 +368,10 @@ let run plan ~sources ?fast_dedup rels ~emit =
           in
           Array.unsafe_set vals i c;
           Array.unsafe_set raws i (Const.to_raw c);
-          if not (Const.raw_exact c) then exact := false;
           h := (!h * 0x01000193) lxor Const.hash c
         done;
         let h = !h land max_int in
-        (match fd ~exact:!exact ~hash:h raws with
+        (match fd ~hash:h raws with
         | `Dup -> ()
         | `New ->
           let data = Array.make nhead (Const.Int 0) in

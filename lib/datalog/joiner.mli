@@ -74,7 +74,7 @@ val current_of : (string -> Relation.t option) -> relations
 val run :
   plan ->
   sources:source array ->
-  ?fast_dedup:(exact:bool -> hash:int -> int array -> [ `Dup | `New ]) ->
+  ?fast_dedup:(hash:int -> int array -> [ `Dup | `New ]) ->
   relations ->
   emit:(Tuple.t -> unit) ->
   unit
@@ -85,13 +85,12 @@ val run :
     [fast_dedup], when provided, is consulted once per firing {e
     before} the head tuple is materialized: it receives the head
     instance's raw words ([Const.to_raw] per position, in a buffer
-    owned by the plan — read it synchronously, don't retain it), its
-    [Tuple.hash_key], and whether every constant is
-    [Const.raw_exact]. Answering [`Dup] suppresses the firing with
+    owned by the plan — read it synchronously, don't retain it) and
+    its [Tuple.hash_key]. Answering [`Dup] suppresses the firing with
     zero allocation; [`New] lets the tuple be built (reusing the
     already-folded hash) and passed to [emit]. The semi-naive engine
     implements it with {!Relation.mem_raw} on the head relation and
-    counts firings there, so callbacks see every firing exactly once
-    whichever path it takes.
+    counts firings there; without it, [emit] sees every firing (the
+    path {!Naive}, the reference evaluator, takes).
     @raise Invalid_argument if [sources] length differs from the body
     length. *)

@@ -35,8 +35,10 @@ type lexer = {
 
 let lexer src = { src; pos = 0; line = 1; bol = 0 }
 
-let fail lx message =
-  raise (Parse_error { line = lx.line; column = lx.pos - lx.bol + 1; message })
+let fail_at lx pos message =
+  raise (Parse_error { line = lx.line; column = pos - lx.bol + 1; message })
+
+let fail lx message = fail_at lx lx.pos message
 
 let peek_char lx =
   if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
@@ -88,6 +90,12 @@ let lex_while lx pred =
   go ();
   String.sub lx.src start (lx.pos - start)
 
+(* The sign is lexed with the digits, so [min_int] can be written. *)
+let integer lx start text =
+  match int_of_string_opt text with
+  | Some i -> Integer i
+  | None -> fail_at lx start "integer literal out of range"
+
 let next_token lx =
   skip_space lx;
   match peek_char lx with
@@ -120,13 +128,14 @@ let next_token lx =
        Quoted s
      | _ -> fail lx "unterminated quoted symbol")
   | Some '-' ->
+    let start = lx.pos in
     advance lx;
     (match peek_char lx with
-     | Some c when is_digit c ->
-       let digits = lex_while lx is_digit in
-       Integer (-int_of_string digits)
+     | Some c when is_digit c -> integer lx start ("-" ^ lex_while lx is_digit)
      | _ -> fail lx "expected digits after '-'")
-  | Some c when is_digit c -> Integer (int_of_string (lex_while lx is_digit))
+  | Some c when is_digit c ->
+    let start = lx.pos in
+    integer lx start (lex_while lx is_digit)
   | Some c when is_ident_start c ->
     let word = lex_while lx is_ident_char in
     if c = '_' || (c >= 'A' && c <= 'Z') then Variable word else Ident word

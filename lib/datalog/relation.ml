@@ -1,12 +1,8 @@
-module Tbl = Hashtbl.Make (Tuple)
-
 (* Index buckets are keyed by the *hash* of a tuple's projection on
    the index positions, not by a materialized key tuple: inserts and
    lookups cost one hash fold and zero allocations. Hash collisions
    put unrelated tuples in one bucket, so every probe re-checks the
-   projection — against the raw column words when the relation is
-   slab-backed and the key encodes exactly, falling back to
-   [Tuple.proj_equal] otherwise.
+   projection against the raw column words.
 
    A bucket holds *insertion positions* (indexes into [elements]), not
    tuple pointers: an unboxed, strictly ascending int vector. Ascending
@@ -20,36 +16,25 @@ type index = {
   ix_buckets : (int, int Vec.t) Hashtbl.t;
 }
 
-(* Dedup structure. A slab relation keeps, alongside the boxed tuples,
-   one unboxed int column per position holding [Const.to_raw] of every
-   stored constant, and dedups through a flat open-chained hash table:
-   [sl_table] maps [hash land mask] to a chain head (insertion
-   position + 1; 0 = empty), [sl_next] threads the chain through the
-   elements themselves, and [sl_hashes] caches each element's tuple
-   hash for chain filtering and table resizes. An insert is two int
-   pushes and one array store — no per-bucket heap structure, no
-   allocation beyond amortized array growth — and a membership probe
-   walks the chain comparing cached hashes and then raw column words,
-   never touching the boxed tuples.
-   Invariant: while [Slab], every stored constant is [Const.raw_exact]
-   (the first inexact insert demotes the relation to [Boxed] for
-   good — raw words are only injective on exact constants). *)
-type slab = {
-  mutable sl_table : int array;  (* chain heads: position + 1; 0 = empty *)
-  mutable sl_mask : int;  (* Array.length sl_table - 1; power of two *)
-  sl_next : int Vec.t;  (* per element: next chain entry, same encoding *)
-  sl_hashes : int Vec.t;  (* per element: cached Tuple.hash *)
-}
-
-type dedup =
-  | Boxed of unit Tbl.t
-  | Slab of slab
-
+(* Storage: the boxed tuples in insertion order, plus one unboxed int
+   column per position holding [Const.to_raw] of every stored constant
+   (injective on all constants), and dedup through a flat open-chained
+   hash table: [table] maps [hash land mask] to a chain head
+   (insertion position + 1; 0 = empty), [next] threads the chain
+   through the elements themselves, and [hashes] caches each element's
+   tuple hash for chain filtering and table resizes. An insert is a
+   few int pushes and one array store — no per-bucket heap structure,
+   no allocation beyond amortized array growth — and a raw-word
+   membership probe walks the chain comparing cached hashes and then
+   column words, never touching the boxed tuples. *)
 type t = {
   arity : int;
-  mutable seen : dedup;
   elements : Tuple.t Vec.t;  (* insertion order *)
-  mutable cols : int Vec.t array;  (* one per position iff slabbed *)
+  cols : int Vec.t array;  (* one per position *)
+  mutable table : int array;  (* chain heads: position + 1; 0 = empty *)
+  mutable mask : int;  (* Array.length table - 1; power of two *)
+  next : int Vec.t;  (* per element: next chain entry, same encoding *)
+  hashes : int Vec.t;  (* per element: cached Tuple.hash *)
   indexes : (int list, index) Hashtbl.t;
   mutable ix_all : index array;  (* = indexes, iterable without closures *)
 }
@@ -58,27 +43,17 @@ let dummy_tuple = Tuple.of_list []
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
-let fresh_slab size =
-  let cap = pow2_at_least (max 16 size) 16 in
-  {
-    sl_table = Array.make cap 0;
-    sl_mask = cap - 1;
-    sl_next = Vec.create ~capacity:(max size 8) ~dummy:0 ();
-    sl_hashes = Vec.create ~capacity:(max size 8) ~dummy:0 ();
-  }
-
-let create ?(initial_size = 64) ?(slab = true) ~arity () =
+let create ?(initial_size = 64) ~arity () =
+  let cap = pow2_at_least (max 16 initial_size) 16 in
+  let ints () = Vec.create ~capacity:(max initial_size 8) ~dummy:0 () in
   {
     arity;
-    seen =
-      (if slab then Slab (fresh_slab initial_size)
-       else Boxed (Tbl.create initial_size));
     elements = Vec.create ~capacity:(max initial_size 8) ~dummy:dummy_tuple ();
-    cols =
-      (if slab then
-         Array.init arity (fun _ ->
-             Vec.create ~capacity:(max initial_size 8) ~dummy:0 ())
-       else [||]);
+    cols = Array.init arity (fun _ -> ints ());
+    table = Array.make cap 0;
+    mask = cap - 1;
+    next = ints ();
+    hashes = ints ();
     indexes = Hashtbl.create 4;
     ix_all = [||];
   }
@@ -87,52 +62,39 @@ let arity r = r.arity
 let cardinal r = Vec.length r.elements
 let is_empty r = Vec.is_empty r.elements
 
-let slabbed r =
-  match r.seen with
-  | Slab _ -> true
-  | Boxed _ -> false
-
 let mem r t =
-  match r.seen with
-  | Boxed tbl -> Tbl.mem tbl t
-  | Slab s ->
-    let h = Tuple.hash t in
-    let els = r.elements in
-    let hashes = s.sl_hashes and next = s.sl_next in
-    let rec walk p =
-      p <> 0
-      &&
-      let pos = p - 1 in
-      (Vec.unsafe_get hashes pos = h
-      && Tuple.equal (Vec.unsafe_get els pos) t)
-      || walk (Vec.unsafe_get next pos)
-    in
-    walk (Array.unsafe_get s.sl_table (h land s.sl_mask))
+  let h = Tuple.hash t in
+  let els = r.elements in
+  let hashes = r.hashes and next = r.next in
+  let rec walk p =
+    p <> 0
+    &&
+    let pos = p - 1 in
+    (Vec.unsafe_get hashes pos = h && Tuple.equal (Vec.unsafe_get els pos) t)
+    || walk (Vec.unsafe_get next pos)
+  in
+  walk (Array.unsafe_get r.table (h land r.mask))
 
 (* Raw-word membership: the semi-naive duplicate filter. [raws] must be
-   the exact raw encoding of a would-be tuple of this relation's arity
-   and [hash] its [Tuple.hash_key]; the caller must have checked
-   [slabbed] first (a demoted relation cannot answer from raw words). *)
+   the raw encoding of a would-be tuple of this relation's arity and
+   [hash] its [Tuple.hash_key]. *)
 let mem_raw r ~hash raws =
-  match r.seen with
-  | Boxed _ -> invalid_arg "Relation.mem_raw: relation is not slab-backed"
-  | Slab s ->
-    let cols = r.cols in
-    let k = r.arity in
-    let hashes = s.sl_hashes and next = s.sl_next in
-    let rec same pos i =
-      i >= k
-      || Vec.unsafe_get (Array.unsafe_get cols i) pos = Array.unsafe_get raws i
-         && same pos (i + 1)
-    in
-    let rec walk p =
-      p <> 0
-      &&
-      let pos = p - 1 in
-      (Vec.unsafe_get hashes pos = hash && same pos 0)
-      || walk (Vec.unsafe_get next pos)
-    in
-    walk (Array.unsafe_get s.sl_table (hash land s.sl_mask))
+  let cols = r.cols in
+  let k = r.arity in
+  let hashes = r.hashes and next = r.next in
+  let rec same pos i =
+    i >= k
+    || Vec.unsafe_get (Array.unsafe_get cols i) pos = Array.unsafe_get raws i
+       && same pos (i + 1)
+  in
+  let rec walk p =
+    p <> 0
+    &&
+    let pos = p - 1 in
+    (Vec.unsafe_get hashes pos = hash && same pos 0)
+    || walk (Vec.unsafe_get next pos)
+  in
+  walk (Array.unsafe_get r.table (hash land r.mask))
 
 let index_insert ix t pos =
   let h = Tuple.hash_proj t ix.ix_positions in
@@ -143,51 +105,34 @@ let index_insert ix t pos =
     Vec.push bucket pos;
     Hashtbl.add ix.ix_buckets h bucket
 
-(* One-way door: rebuild boxed dedup from the element store and drop
-   the columns. Existing column content stays readable (probes staged
-   over old windows remain sound) but is no longer appended to. *)
-let demote r =
-  let tbl = Tbl.create (max 64 (Vec.length r.elements)) in
-  Vec.iter (fun t -> Tbl.add tbl t ()) r.elements;
-  r.seen <- Boxed tbl;
-  r.cols <- [||];
-  tbl
-
 (* Double the chain-head table when load passes 3/4: chains are
-   rebuilt in insertion order by re-threading [sl_next] through the
+   rebuilt in insertion order by re-threading [next] through the
    fresh table — a linear sweep of the cached hashes, no tuple access,
    no allocation beyond the new head array. *)
-let slab_grow s n =
-  let cap = (s.sl_mask + 1) * 2 in
+let grow r n =
+  let cap = (r.mask + 1) * 2 in
   let table = Array.make cap 0 in
   let mask = cap - 1 in
   for p = 0 to n - 1 do
-    let idx = Vec.unsafe_get s.sl_hashes p land mask in
-    Vec.set s.sl_next p (Array.unsafe_get table idx);
+    let idx = Vec.unsafe_get r.hashes p land mask in
+    Vec.set r.next p (Array.unsafe_get table idx);
     Array.unsafe_set table idx (p + 1)
   done;
-  s.sl_table <- table;
-  s.sl_mask <- mask
-
-let slab_insert r s pos t =
-  if (pos + 1) * 4 > (s.sl_mask + 1) * 3 then slab_grow s pos;
-  let h = Tuple.hash t in
-  let idx = h land s.sl_mask in
-  Vec.push s.sl_hashes h;
-  Vec.push s.sl_next (Array.unsafe_get s.sl_table idx);
-  Array.unsafe_set s.sl_table idx (pos + 1);
-  let cols = r.cols in
-  for i = 0 to r.arity - 1 do
-    Vec.push (Array.unsafe_get cols i) (Const.to_raw (Tuple.get t i))
-  done
+  r.table <- table;
+  r.mask <- mask
 
 let unchecked_push r t =
   let pos = Vec.length r.elements in
-  (match r.seen with
-  | Boxed tbl -> Tbl.add tbl t ()
-  | Slab s ->
-    if Tuple.raw_exact t then slab_insert r s pos t
-    else Tbl.add (demote r) t ());
+  if (pos + 1) * 4 > (r.mask + 1) * 3 then grow r pos;
+  let h = Tuple.hash t in
+  let idx = h land r.mask in
+  Vec.push r.hashes h;
+  Vec.push r.next (Array.unsafe_get r.table idx);
+  Array.unsafe_set r.table idx (pos + 1);
+  let cols = r.cols in
+  for i = 0 to r.arity - 1 do
+    Vec.push (Array.unsafe_get cols i) (Const.to_raw (Tuple.get t i))
+  done;
   Vec.push r.elements t;
   let ixs = r.ix_all in
   for k = 0 to Array.length ixs - 1 do
@@ -259,48 +204,34 @@ let lower_bound bucket lo =
     !left
   end
 
-(* Candidate verification for index probes. When the relation is
-   slab-backed and the key encodes exactly, candidates are checked by
-   comparing raw int words straight out of the columns — no boxed
-   tuple is touched until a candidate passes. Otherwise fall back to
-   [Tuple.proj_equal] on the stored tuple. *)
-let probe_index r ix positions key ~raws ~raws_ok ~lo ~hi f =
+(* Candidates are verified by comparing raw int words straight out of
+   the columns: no boxed tuple is touched until a candidate passes. *)
+let probe_index r ix positions key ~raws ~lo ~hi f =
   match Hashtbl.find ix.ix_buckets (Tuple.hash_key key) with
   | exception Not_found -> ()
   | bucket ->
     let els = r.elements in
+    let cols = r.cols in
     let np = Array.length positions in
     let n = Vec.length bucket in
     let i = ref (lower_bound bucket lo) in
     let continue = ref true in
-    let cols = if raws_ok && slabbed r then r.cols else [||] in
-    if Array.length cols > 0 then
-      while !continue && !i < n do
-        let pos = Vec.unsafe_get bucket !i in
-        if pos >= hi then continue := false
-        else begin
-          let rec same j =
-            j >= np
-            || Vec.unsafe_get
-                 (Array.unsafe_get cols (Array.unsafe_get positions j))
-                 pos
-               = Array.unsafe_get raws j
-               && same (j + 1)
-          in
-          if same 0 then f (Vec.unsafe_get els pos);
-          incr i
-        end
-      done
-    else
-      while !continue && !i < n do
-        let pos = Vec.unsafe_get bucket !i in
-        if pos >= hi then continue := false
-        else begin
-          let t = Vec.unsafe_get els pos in
-          if Tuple.proj_equal t positions key then f t;
-          incr i
-        end
-      done
+    while !continue && !i < n do
+      let pos = Vec.unsafe_get bucket !i in
+      if pos >= hi then continue := false
+      else begin
+        let rec same j =
+          j >= np
+          || Vec.unsafe_get
+               (Array.unsafe_get cols (Array.unsafe_get positions j))
+               pos
+             = Array.unsafe_get raws j
+             && same (j + 1)
+        in
+        if same 0 then f (Vec.unsafe_get els pos);
+        incr i
+      end
+    done
 
 let iter_range r ~lo ~hi f =
   let els = r.elements in
@@ -336,30 +267,26 @@ let scan_window r positions ~raws ~lo ~hi f =
    string of hashtable lookups that is invariant across the probes of
    one Joiner.run — is paid at most once, and each application costs
    only the bucket lookup plus the windowed walk (or, for windows
-   narrower than [scan_cutoff] on a slab relation, a direct columnar
-   scan that never touches the index at all — the index is then built
-   only when a wide window first needs it). The returned closure reads
-   the live relation, so tuples added after staging are still found;
-   it is invalidated by [compact] and [clear] (which drop indexes) and
-   must not be kept across them. It owns a scratch key buffer, so it
-   is not re-entrant: don't call it from within its own callback. *)
+   narrower than [scan_cutoff], a direct columnar scan that never
+   touches the index at all — the index is then built only when a
+   wide window first needs it). The returned closure reads the live
+   relation, so tuples added after staging are still found; it is
+   invalidated by [compact] and [clear] (which drop indexes) and must
+   not be kept across them. It owns a scratch key buffer, so it is not
+   re-entrant: don't call it from within its own callback. *)
 let matcher r ~positions =
   if Array.length positions = 0 then fun _key ~lo ~hi f ->
     iter_range r ~lo ~hi f
   else begin
     let np = Array.length positions in
     let rawbuf = Array.make np 0 in
-    let raws_ok = ref true in  (* scratch, like rawbuf: not re-entrant *)
     let ix = ref None in
     fun key ~lo ~hi f ->
       if hi > lo then begin
-        raws_ok := true;
         for j = 0 to np - 1 do
-          let c = Array.unsafe_get key j in
-          Array.unsafe_set rawbuf j (Const.to_raw c);
-          if not (Const.raw_exact c) then raws_ok := false
+          Array.unsafe_set rawbuf j (Const.to_raw (Array.unsafe_get key j))
         done;
-        if !raws_ok && hi - lo <= scan_cutoff && slabbed r then
+        if hi - lo <= scan_cutoff then
           scan_window r positions ~raws:rawbuf ~lo ~hi f
         else begin
           let ix =
@@ -370,8 +297,7 @@ let matcher r ~positions =
               ix := Some resolved;
               resolved
           in
-          probe_index r ix positions key ~raws:rawbuf ~raws_ok:!raws_ok ~lo
-            ~hi f
+          probe_index r ix positions key ~raws:rawbuf ~lo ~hi f
         end
       end
   end
@@ -388,54 +314,28 @@ let lookup r ~positions ~key =
     List.rev !acc
   end
 
-(* Copying between identical layouts is a structural clone — the
-   element vector, columns and dedup buckets are duplicated with flat
-   array copies, never rehashing a tuple. This is what makes
-   [Database.copy] (snapshotting an engine's model, assembling run
-   results) cheap enough to sit inside [Seminaive.evaluate]. Forcing a
-   layout change falls back to element-by-element re-insertion. *)
-let copy ?slab r =
-  let want =
-    match slab with
-    | None -> slabbed r
-    | Some b -> b
-  in
-  if want = slabbed r then
-    {
-      arity = r.arity;
-      seen =
-        (match r.seen with
-        | Boxed tbl -> Boxed (Tbl.copy tbl)
-        | Slab s ->
-          Slab
-            {
-              sl_table = Array.copy s.sl_table;
-              sl_mask = s.sl_mask;
-              sl_next = Vec.copy s.sl_next;
-              sl_hashes = Vec.copy s.sl_hashes;
-            });
-      elements = Vec.copy r.elements;
-      cols = Array.map Vec.copy r.cols;
-      indexes = Hashtbl.create 4;
-      ix_all = [||];
-    }
-  else begin
-    let fresh =
-      create ~initial_size:(max 16 (cardinal r)) ~slab:want ~arity:r.arity ()
-    in
-    iter (fun t -> ignore (add fresh t)) r;
-    fresh
-  end
-
-let slab_reset s =
-  Array.fill s.sl_table 0 (Array.length s.sl_table) 0;
-  Vec.clear s.sl_next;
-  Vec.clear s.sl_hashes
+(* A structural clone: the element vector, columns and dedup chains
+   are duplicated with flat array copies, never rehashing a tuple.
+   This is what makes [Database.copy] (snapshotting an engine's model,
+   assembling run results) cheap enough to sit inside
+   [Seminaive.evaluate]. *)
+let copy r =
+  {
+    arity = r.arity;
+    elements = Vec.copy r.elements;
+    cols = Array.map Vec.copy r.cols;
+    table = Array.copy r.table;
+    mask = r.mask;
+    next = Vec.copy r.next;
+    hashes = Vec.copy r.hashes;
+    indexes = Hashtbl.create 4;
+    ix_all = [||];
+  }
 
 let clear r =
-  (match r.seen with
-  | Boxed tbl -> Tbl.reset tbl
-  | Slab s -> slab_reset s);
+  Array.fill r.table 0 (Array.length r.table) 0;
+  Vec.clear r.next;
+  Vec.clear r.hashes;
   Array.iter Vec.clear r.cols;
   Vec.clear r.elements;
   Hashtbl.reset r.indexes;
@@ -454,13 +354,7 @@ let remove_all r keep_out =
   if !victims = 0 then 0
   else begin
     let survivors = List.filter (fun t -> not (keep_out t)) (to_list r) in
-    (match r.seen with
-    | Boxed tbl -> Tbl.reset tbl
-    | Slab s -> slab_reset s);
-    Array.iter Vec.clear r.cols;
-    Vec.clear r.elements;
-    Hashtbl.reset r.indexes;
-    r.ix_all <- [||];
+    clear r;
     List.iter (fun t -> unchecked_push r t) survivors;
     !victims
   end
@@ -471,8 +365,8 @@ let compact r =
   Hashtbl.reset r.indexes;
   r.ix_all <- [||]
 
-let of_list ?slab ~arity tuples =
-  let r = create ?slab ~arity () in
+let of_list ~arity tuples =
+  let r = create ~arity () in
   List.iter (fun t -> ignore (add r t)) tuples;
   r
 

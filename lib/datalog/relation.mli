@@ -10,40 +10,28 @@
     inserts and probes are allocation-free, with candidates re-checked
     against the key to absorb hash collisions.
 
-    By default a relation is additionally {e slab-backed}: one unboxed
-    int column per position mirrors [Const.to_raw] of every stored
-    constant, dedup is by whole-tuple hash buckets verified against
-    those columns, and index probes compare raw int words instead of
-    chasing boxed tuple pointers. The raw encoding is only injective
-    for {!Const.raw_exact} constants, so the first insert of an
-    out-of-range integer permanently demotes the relation to the boxed
-    path ([Tuple.proj_equal] verification, hashtable dedup) — results
-    are identical either way. [~slab:false] opts out up front. *)
+    Every relation is {e slab-backed}: one unboxed int column per
+    position mirrors [Const.to_raw] of every stored constant (an
+    injective encoding, wide integers included), dedup is by
+    whole-tuple hash chains verified against those columns, and index
+    probes compare raw int words instead of chasing boxed tuple
+    pointers. *)
 
 type t
 
-val create : ?initial_size:int -> ?slab:bool -> arity:int -> unit -> t
-(** [slab] defaults to [true]. *)
+val create : ?initial_size:int -> arity:int -> unit -> t
 
 val arity : t -> int
 val cardinal : t -> int
 val is_empty : t -> bool
 
-val slabbed : t -> bool
-(** Whether the relation currently keeps raw columns: [false] when
-    created with [~slab:false] or after demotion by an inexact
-    constant. *)
-
 val mem : t -> Tuple.t -> bool
 
 val mem_raw : t -> hash:int -> int array -> bool
 (** [mem_raw r ~hash raws]: does [r] contain the tuple whose raw
-    encoding is [raws] (one {!Const.to_raw} word per position, all
-    {!Const.raw_exact}) and whose [Tuple.hash_key] is [hash]? The
-    semi-naive duplicate filter: answers from the columns without
-    materializing a tuple.
-    @raise Invalid_argument if [not (slabbed r)] — callers must check
-    first, since a demoted relation cannot answer from raw words. *)
+    encoding is [raws] (one {!Const.to_raw} word per position) and
+    whose [Tuple.hash_key] is [hash]? The semi-naive duplicate filter:
+    answers from the columns without materializing a tuple. *)
 
 val add : t -> Tuple.t -> bool
 (** [add r t] inserts [t]; returns [true] iff [t] was new.
@@ -96,25 +84,27 @@ val matcher :
     Old/Delta/Current windows over one append-only store. Index
     buckets hold strictly ascending positions, so a windowed probe
     binary-searches the lower bound and walks only in-range
-    candidates; on a slab-backed relation, windows narrower than a
-    small cutoff are instead answered by scanning the raw key columns
-    directly over [\[lo, hi)], skipping the index (and deferring its
-    construction) entirely. Both paths enumerate the same tuples in
-    the same order. The probe sees tuples added after staging; it is
+    candidates; windows at most {!scan_cutoff} wide are instead
+    answered by scanning the raw key columns directly over
+    [\[lo, hi)], skipping the index (and deferring its construction)
+    entirely. Both paths enumerate the same tuples in the same
+    order. The probe sees tuples added after staging; it is
     invalidated by {!compact} and {!clear}, and it owns a scratch key
     buffer, so it must not be re-entered from its own callback. *)
+
+val scan_cutoff : int
+(** The widest window a {!matcher} probe answers by a columnar scan
+    rather than through the index. *)
 
 val iter_range : t -> lo:int -> hi:int -> (Tuple.t -> unit) -> unit
 (** Iterate the tuples with insertion positions in [\[lo, hi)], in
     insertion order. *)
 
-val copy : ?slab:bool -> t -> t
-(** An independent relation with the same contents. When the layout is
-    unchanged (the default) this is a structural clone — flat copies
-    of the element vector, columns and dedup buckets, no rehashing —
-    which is what keeps [Database.copy] cheap on big models. Passing
-    [~slab] forces the layout of the copy, re-inserting elements when
-    it differs. *)
+val copy : t -> t
+(** An independent relation with the same contents: a structural
+    clone — flat copies of the element vector, columns and dedup
+    chains, no rehashing — which is what keeps [Database.copy] cheap
+    on big models. *)
 
 val clear : t -> unit
 
@@ -132,7 +122,7 @@ val compact : t -> unit
     drop all materialized indexes (they are rebuilt on the next
     {!lookup} that needs them). Contents are unchanged. *)
 
-val of_list : ?slab:bool -> arity:int -> Tuple.t list -> t
+val of_list : arity:int -> Tuple.t list -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

@@ -35,8 +35,7 @@ type rule_plan = {
   rp_variants : Joiner.source array array;
       (* variant [m]: Old before [m], Delta at [m], Current after *)
   rp_current : Joiner.source array;  (* the bootstrap: all Current *)
-  rp_fast_dedup :
-    (exact:bool -> hash:int -> int array -> [ `Dup | `New ]) option;
+  rp_fast_dedup : hash:int -> int array -> [ `Dup | `New ];
   rp_emit : Tuple.t -> unit;
 }
 
@@ -44,19 +43,6 @@ type t = {
   program : Program.t;
   mutable rules : rule_plan array;  (* filled once the marks exist *)
   rule_firings : int array;
-  (* Per-engine interning arena (see Arena): every tuple entering the
-     engine — derived heads and injected deliveries alike — is mapped
-     to one canonical physical value, so the seen-probes and dedup
-     paths downstream resolve equality by pointer. Per-engine, not
-     global: the domain runtime runs engines concurrently. [None]
-     disables interning (the property suite checks both modes agree). *)
-  arena : Arena.t option;
-  (* Slab-backed storage rides the same switch as the arena: the flat
-     columns only pay off when tuples are interned (one canonical
-     physical value per tuple), and [~intern:false] is the documented
-     way to A/B the whole fast path against the boxed reference
-     implementation (see DESIGN.md §16). *)
-  slab : bool;
   full : Database.t;  (* the single store; windows select the views *)
   marks : (string, mark) Hashtbl.t;
   rels : Joiner.relations;  (* the marks as join windows *)
@@ -68,11 +54,6 @@ type t = {
   mutable new_tuples : int;
   mutable duplicate_firings : int;
 }
-
-let canonical engine tuple =
-  match engine.arena with
-  | Some a -> Arena.intern a tuple
-  | None -> tuple
 
 let arity_of program pred =
   match List.assoc_opt pred (Program.arities program) with
@@ -90,7 +71,7 @@ let mark_of engine pred ~arity =
     let rel =
       match Database.find engine.full pred with
       | Some r -> r
-      | None -> Database.declare ~slab:engine.slab engine.full pred arity
+      | None -> Database.declare engine.full pred arity
     in
     let n = Relation.cardinal rel in
     let m = { m_rel = rel; m_old = n; m_cur = n } in
@@ -112,14 +93,12 @@ let windows marks : Joiner.relations =
 
 (* An engine over [full] with no marks and no compiled rules yet:
    {!create} and {!restore} set the marks up, then {!compile_rules}. *)
-let blank ~intern program full ~bootstrapped =
+let blank program full ~bootstrapped =
   let marks = Hashtbl.create 16 in
   {
     program;
     rules = [||];
     rule_firings = Array.make (List.length (Program.rules program)) 0;
-    arena = (if intern then Some (Arena.create ()) else None);
-    slab = intern;
     full;
     marks;
     rels = windows marks;
@@ -131,17 +110,8 @@ let blank ~intern program full ~bootstrapped =
     duplicate_firings = 0;
   }
 
-let inject engine pred tuple =
-  let m = mark_of engine pred ~arity:(Tuple.arity tuple) in
-  if Relation.mem m.m_rel tuple then false
-  else begin
-    Relation.add_new m.m_rel (canonical engine tuple);
-    true
-  end
-
 (* A resolved delivery point: the predicate's mark, looked up once
-   instead of once per tuple. Deliveries skip the arena, so they must
-   carry this engine's own canonical tuples. *)
+   instead of once per tuple. *)
 type inlet = mark
 
 let inlet engine pred ~arity = mark_of engine pred ~arity
@@ -153,64 +123,32 @@ let deliver (m : inlet) tuple =
     true
   end
 
-(* The emit path of one rule: the head predicate's relation is resolved
-   once, when the rule is compiled (the relation is never replaced), so
-   a firing costs one membership probe — the single store covers what
-   used to be separate full-, pending- and delta-probes — and, when
-   new, one unchecked insert. *)
+let inject engine pred tuple =
+  deliver (mark_of engine pred ~arity:(Tuple.arity tuple)) tuple
+
+(* The emit path of one rule. The head predicate's relation is
+   resolved once, when the rule is compiled (the relation is never
+   replaced). A [Joiner.run] firing first hits the [fast_dedup] filter,
+   which answers duplicate-or-not from the head relation's raw columns
+   ({!Relation.mem_raw}) without materializing a tuple — on the
+   duplicate-heavy workloads (grid, hotspot) most firings end right
+   there, allocation-free. Raw words are injective, so a [`New]
+   verdict is final: the emit inserts without a second probe, past
+   m_cur, hence into the next delta, invisible to this run's sources. *)
 let make_emit engine ~idx ~head_pred ~head_rel =
- fun t ->
-  engine.rule_firings.(idx) <- engine.rule_firings.(idx) + 1;
-  engine.firings <- engine.firings + 1;
-  if Relation.mem head_rel t then
-    engine.duplicate_firings <- engine.duplicate_firings + 1
-  else begin
-    let t = canonical engine t in
-    (* Absent — checked just above; appended past m_cur, hence part of
-       the next delta, invisible to the sources of this run. *)
+  let fast_dedup ~hash raws =
+    engine.rule_firings.(idx) <- engine.rule_firings.(idx) + 1;
+    engine.firings <- engine.firings + 1;
+    if Relation.mem_raw head_rel ~hash raws then begin
+      engine.duplicate_firings <- engine.duplicate_firings + 1;
+      `Dup
+    end
+    else `New
+  in
+  let emit t =
     Relation.add_new head_rel t;
     engine.new_tuples <- engine.new_tuples + 1;
     engine.fresh <- (head_pred, t) :: engine.fresh
-  end
-
-(* The slab-mode emit path: a [Joiner.run] firing first hits the
-   [fast_dedup] filter, which answers duplicate-or-not from the head
-   relation's raw columns ({!Relation.mem_raw}) without materializing
-   a tuple — on the duplicate-heavy workloads (grid, hotspot) most
-   firings end right there, allocation-free. All counters live in the
-   filter so they advance exactly as in {!make_emit}; [known_new]
-   carries the filter's verdict to the emit so a verified-absent tuple
-   is inserted without a second membership probe, while inexact heads
-   and demoted relations (filter couldn't decide) re-check with
-   {!Relation.mem}. *)
-let make_fast_pair engine ~idx ~head_pred ~head_rel =
-  let known_new = ref false in
-  let fast_dedup ~exact ~hash raws =
-    engine.rule_firings.(idx) <- engine.rule_firings.(idx) + 1;
-    engine.firings <- engine.firings + 1;
-    if exact && Relation.slabbed head_rel then
-      if Relation.mem_raw head_rel ~hash raws then begin
-        engine.duplicate_firings <- engine.duplicate_firings + 1;
-        `Dup
-      end
-      else begin
-        known_new := true;
-        `New
-      end
-    else begin
-      known_new := false;
-      `New
-    end
-  in
-  let emit t =
-    if (not !known_new) && Relation.mem head_rel t then
-      engine.duplicate_firings <- engine.duplicate_firings + 1
-    else begin
-      let t = canonical engine t in
-      Relation.add_new head_rel t;
-      engine.new_tuples <- engine.new_tuples + 1;
-      engine.fresh <- (head_pred, t) :: engine.fresh
-    end
   in
   (fast_dedup, emit)
 
@@ -226,12 +164,7 @@ let compile_rules engine ~pushdown ~reorder =
       (mark_of engine head_pred ~arity:(Array.length rule.head.Atom.args))
         .m_rel
     in
-    let rp_fast_dedup, rp_emit =
-      if engine.slab then
-        let fd, emit = make_fast_pair engine ~idx ~head_pred ~head_rel in
-        (Some fd, emit)
-      else (None, make_emit engine ~idx ~head_pred ~head_rel)
-    in
+    let rp_fast_dedup, rp_emit = make_emit engine ~idx ~head_pred ~head_rel in
     {
       rp_plans =
         (if n = 0 then [| Joiner.compile ~pushdown ~reorder rule |]
@@ -253,21 +186,20 @@ let compile_rules engine ~pushdown ~reorder =
   engine.rules <-
     Array.of_list (List.mapi compile (Program.rules engine.program))
 
-let create ?(pushdown = true) ?(reorder = false) ?(intern = true) program
-    ~edb =
+let create ?(pushdown = true) ?(reorder = false) program ~edb =
   (match Program.check program with
    | Ok () -> ()
    | Error msg -> invalid_arg ("Seminaive.create: " ^ msg));
-  let full = Database.copy ~slab:intern edb in
+  let full = Database.copy edb in
   let derived = Program.derived_predicates program in
   (* Declare derived relations so lookups during joins are uniform. *)
   List.iter
     (fun pred ->
       match arity_of program pred with
-      | Some a -> ignore (Database.declare ~slab:intern full pred a)
+      | Some a -> ignore (Database.declare full pred a)
       | None -> ())
     derived;
-  let engine = blank ~intern program full ~bootstrapped:false in
+  let engine = blank program full ~bootstrapped:false in
   (* Base program facts are initial state (visible to the bootstrap
      scan); derived program facts are queued as if injected. Marking
      base predicates after their facts and derived predicates before
@@ -282,11 +214,7 @@ let create ?(pushdown = true) ?(reorder = false) ?(intern = true) program
     (Database.predicates engine.full);
   List.iter
     (fun (pred, tuple) ->
-      if List.mem pred derived then begin
-        let m = mark_of engine pred ~arity:(Tuple.arity tuple) in
-        if not (Relation.mem m.m_rel tuple) then
-          Relation.add_new m.m_rel (canonical engine tuple)
-      end)
+      if List.mem pred derived then ignore (inject engine pred tuple))
     program.facts;
   compile_rules engine ~pushdown ~reorder;
   engine
@@ -317,7 +245,7 @@ let run_variant engine rp sources =
     end
   done;
   Joiner.run rp.rp_plans.(!best) ~sources engine.rels
-    ?fast_dedup:rp.rp_fast_dedup ~emit:rp.rp_emit
+    ~fast_dedup:rp.rp_fast_dedup ~emit:rp.rp_emit
 
 let take_fresh engine =
   let fresh = List.rev engine.fresh in
@@ -451,15 +379,12 @@ let snapshot engine =
     snap_bootstrapped = engine.bootstrapped;
   }
 
-let restore ?(pushdown = true) ?(reorder = false) ?(intern = true) program
-    snap =
+let restore ?(pushdown = true) ?(reorder = false) program snap =
   (match Program.check program with
    | Ok () -> ()
    | Error msg -> invalid_arg ("Seminaive.restore: " ^ msg));
-  let full = Database.copy ~slab:intern snap.snap_db in
-  let engine =
-    blank ~intern program full ~bootstrapped:snap.snap_bootstrapped
-  in
+  let full = Database.copy snap.snap_db in
+  let engine = blank program full ~bootstrapped:snap.snap_bootstrapped in
   List.iter
     (fun pred ->
       let m = mark_of engine pred ~arity:0 in
@@ -490,15 +415,10 @@ let join_probes engine =
         rp.rp_plans)
     0 engine.rules
 
-let evaluate ?pushdown ?reorder ?intern program edb =
-  let engine = create ?pushdown ?reorder ?intern program ~edb in
+let evaluate ?pushdown ?reorder program edb =
+  let engine = create ?pushdown ?reorder program ~edb in
   run_to_fixpoint engine;
   (database engine, stats engine)
-
-let arena_stats engine =
-  match engine.arena with
-  | Some a -> Some (Arena.size a, Arena.hits a, Arena.misses a)
-  | None -> None
 
 let per_rule_firings engine =
   List.mapi

@@ -18,6 +18,11 @@
     enumerates the same substitutions, so firings, new tuples and
     duplicate firings do not depend on it.
 
+    Every firing is checked against the head relation's raw columns
+    ({!Relation.mem_raw}) before its tuple is built: a duplicate costs
+    no allocation, and a new tuple is appended without a second
+    probe. There is one storage layout and one emit path.
+
     Besides whole-program evaluation ({!evaluate}), the engine exposes
     an incremental interface — {!inject} external tuples, {!step} one
     iteration, observe the newly derived tuples — which is exactly what
@@ -40,16 +45,11 @@ val pp_stats : Format.formatter -> stats -> unit
 type t
 
 val create :
-  ?pushdown:bool -> ?reorder:bool -> ?intern:bool -> Program.t ->
-  edb:Database.t -> t
+  ?pushdown:bool -> ?reorder:bool -> Program.t -> edb:Database.t -> t
 (** Build an engine over a copy of [edb]. Base-predicate facts of the
     program are loaded into the database; derived-predicate facts are
     queued as if injected. [pushdown] and [reorder] are passed to
-    {!Joiner.compile}. [intern] (default [true]) routes every derived
-    or injected tuple through a per-engine {!Arena}, so equal tuples
-    share one physical value and dedup probes short-circuit on pointer
-    equality; [~intern:false] keeps the pre-arena behaviour (results
-    and statistics are identical — property-tested).
+    {!Joiner.compile}.
     @raise Invalid_argument if the program fails {!Program.check}. *)
 
 val inject : t -> string -> Tuple.t -> bool
@@ -67,13 +67,10 @@ val inlet : t -> string -> arity:int -> inlet
 (** The inlet of [pred], declaring the relation on first use. *)
 
 val deliver : inlet -> Tuple.t -> bool
-(** {!inject} through a resolved inlet, and without interning: the
-    tuple is stored as given. Meant for the engine's own products —
-    a {!bootstrap} or {!step} result re-entering the same engine under
-    another name (a processor's tuple addressed to itself), which is
-    already the arena's canonical value. Any other tuple should go
-    through {!inject}; a foreign one is still stored correctly, it
-    just forgoes the pointer-equality shortcut. *)
+(** {!inject} through a resolved inlet: the predicate is looked up
+    once, not per tuple. Meant for repeated deliveries to one
+    predicate — e.g. a processor's tuples addressed to itself,
+    re-entering its engine under the [@in] name. *)
 
 val bootstrap : t -> (string * Tuple.t) list
 (** Fire every rule once against the initial database and queue the
@@ -131,9 +128,7 @@ val snapshot : t -> snapshot
 (** Copy the engine's state. The engine is unaffected and the snapshot
     does not alias it. *)
 
-val restore :
-  ?pushdown:bool -> ?reorder:bool -> ?intern:bool -> Program.t ->
-  snapshot -> t
+val restore : ?pushdown:bool -> ?reorder:bool -> Program.t -> snapshot -> t
 (** A fresh engine resuming from a {!snapshot} of an engine running
     the same program: processed relations, pending delta and the
     bootstrapped flag are restored; statistics restart from zero (the
@@ -153,13 +148,9 @@ val per_rule_firings : t -> (Rule.t * int) list
     to compare exit-rule and recursive-rule workloads. *)
 
 val evaluate :
-  ?pushdown:bool -> ?reorder:bool -> ?intern:bool -> Program.t ->
-  Database.t -> Database.t * stats
+  ?pushdown:bool -> ?reorder:bool -> Program.t -> Database.t ->
+  Database.t * stats
 (** One-shot sequential evaluation: the least model plus statistics.
     The input database is not modified. *)
-
-val arena_stats : t -> (int * int * int) option
-(** [(size, hits, misses)] of the engine's interning arena, [None]
-    when the engine runs with [~intern:false]. Test hook. *)
 
 

@@ -1,8 +1,8 @@
 (* A tuple caches its structural hash at construction, so the hot
    paths — `seen` probes, index inserts, channel dedup — never rehash
    the constant array. Equality takes the physical-equality fast path
-   first (interned tuples are shared), then compares cached hashes
-   (cheap rejection), and only then the constants. *)
+   first, then compares cached hashes (cheap rejection), and only then
+   the constants. *)
 type t = {
   data : Const.t array;
   hcache : int;
@@ -24,12 +24,6 @@ let make a = { data = a; hcache = hash_key a }
    hash while filling the array; must equal [hash_key a]. *)
 let make_with_hash a h = { data = a; hcache = h }
 
-let raw_exact t =
-  let n = Array.length t.data in
-  let rec go i =
-    i >= n || (Const.raw_exact (Array.unsafe_get t.data i) && go (i + 1))
-  in
-  go 0
 let of_list l = make (Array.of_list l)
 let arity t = Array.length t.data
 let get t i = t.data.(i)
@@ -58,18 +52,6 @@ let hash_proj t positions =
       lxor Const.hash t.data.(Array.unsafe_get positions i)
   done;
   !h land max_int
-
-let proj_equal t positions key =
-  let n = Array.length positions in
-  Array.length key = n
-  &&
-  let rec go i =
-    i >= n
-    || (Const.equal t.data.(Array.unsafe_get positions i)
-          (Array.unsafe_get key i)
-       && go (i + 1))
-  in
-  go 0
 
 let compare a b =
   if a == b then 0

@@ -5,8 +5,10 @@
     representation is abstract: construction computes the hash once,
     so every later [seen]-probe, index insert and channel-dedup lookup
     reads a cached word instead of rehashing the constant array, and
-    {!equal} short-circuits on physical equality — tuples interned
-    through an {!Arena} compare in O(1). *)
+    {!equal} short-circuits on physical equality, then on differing
+    cached hashes. Relations store tuples alongside their raw column
+    words ({!Const.to_raw}); the tuple itself is what crosses processor
+    boundaries. *)
 
 type t
 
@@ -19,10 +21,6 @@ val make_with_hash : Const.t array -> int -> t
     [h = hash_key a] while filling [a] (the Joiner folds the hash as it
     instantiates a head). Passing a wrong hash breaks dedup — the array
     is owned by the tuple, as with {!make}. *)
-
-val raw_exact : t -> bool
-(** Every constant satisfies {!Const.raw_exact} — the condition under
-    which a slab relation may dedup by raw column words. *)
 
 val of_list : Const.t list -> t
 val arity : t -> int
@@ -53,10 +51,6 @@ val hash_proj : t -> int array -> int
 (** [hash_proj t positions = hash_key (project_key t positions)],
     computed without allocating. Index inserts use this to bucket a
     tuple by its projection for free. *)
-
-val proj_equal : t -> int array -> Const.t array -> bool
-(** [proj_equal t positions key]: does [t] project to [key] on
-    [positions]? The index-probe filter, again allocation-free. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [(c1, c2, ...)]. *)

@@ -24,6 +24,21 @@ let edb_of_edges ?(pred = "par") edges =
 
 let ancestor = Workload.Progs.ancestor
 
+(* A [par] cycle over integers at and beyond the 62-bit raw-word edge,
+   a small int and a symbol: its ancestor closure has 25 tuples. *)
+let wide_cycle_edb () =
+  let nodes =
+    [ Const.int max_int; Const.int (1 lsl 61); Const.int (-(1 lsl 61));
+      Const.int 7; Const.sym "leaf" ]
+  in
+  let db = Database.create () in
+  List.iteri
+    (fun i a ->
+      let b = List.nth nodes ((i + 1) mod List.length nodes) in
+      ignore (Database.add_fact db "par" (Tuple.of_list [ a; b ])))
+    nodes;
+  db
+
 let relation_of_pairs pairs =
   Relation.of_list ~arity:2 (List.map (fun (a, b) -> Tuple.of_ints [ a; b ]) pairs)
 

@@ -211,6 +211,30 @@ let unit_worker_clamp () =
         (Database.get r.Sim_runtime.answers "anc"))
     [ 1; 2; 5 ]
 
+(* ------------------------------------------------------------------ *)
+(* Integers beyond 62 bits: relations intern their raw words, the wire *)
+(* carries the constants, and the sequential engine, the simulator and *)
+(* the net runtime all match the naive oracle (domains: t_parallel).   *)
+(* ------------------------------------------------------------------ *)
+
+let unit_wide_ints_every_runtime () =
+  let edb = Helpers.wide_cycle_edb () in
+  let program = Parser.program_exn anc_text in
+  let oracle = Database.get (Naive.evaluate program edb) "anc" in
+  Alcotest.(check int) "the cycle closes into 25 tuples" 25
+    (Relation.cardinal oracle);
+  let check name db =
+    Alcotest.check Helpers.relation_t name oracle (Database.get db "anc")
+  in
+  let seed = 5 and nprocs = 3 in
+  check "sequential" (fst (Seminaive.evaluate program edb));
+  check "sim" (Sim_runtime.run (anc_rw ~seed ~nprocs) ~edb).Sim_runtime.answers;
+  check "net"
+    (Net.Net_runtime.run ~config:Run_config.default ~program:anc_text
+       ~spec:anc_spec ~seed ~procs:2 ~spawn:Net.Net_runtime.Fork
+       (anc_rw ~seed ~nprocs) ~edb)
+      .Sim_runtime.answers
+
 let suites =
   [
     ( "net",
@@ -221,5 +245,7 @@ let suites =
           Alcotest.test_case "zero-probability plan: exact counts" `Quick
             unit_zero_fault_exact_counts;
           Alcotest.test_case "worker count clamps" `Quick unit_worker_clamp;
+          Alcotest.test_case "wide integers: seq, sim and net = naive" `Quick
+            unit_wide_ints_every_runtime;
         ] );
   ]

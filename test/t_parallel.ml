@@ -222,6 +222,13 @@ let domain_tests =
                   rw ~edb);
              false
            with Invalid_argument _ -> true));
+    slow_case "wide integers: domain runtime = naive" (fun () ->
+        let edb = wide_cycle_edb () in
+        let rw = Result.get_ok (Strategy.example3 ~nprocs:3 ancestor) in
+        let r = Domain_runtime.run rw ~edb in
+        Alcotest.check relation_t "equal"
+          (anc_relation (Naive.evaluate ancestor edb))
+          (anc_relation r.Sim_runtime.answers));
     slow_case "repeated runs are deterministic in their answers" (fun () ->
         let rw = Result.get_ok (Strategy.example3 ~nprocs:4 ancestor) in
         let a = Domain_runtime.run rw ~edb in

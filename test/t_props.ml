@@ -24,6 +24,12 @@ let edge_list =
         (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) es))
     edge_list_gen
 
+(* Integers at and beyond the 62-bit edge of the shifted raw word:
+   wider ones are interned into [Const]'s side table, and [min_int + k]
+   shifts to the same word as [k]. *)
+let wide_ints =
+  [ 1 lsl 61; -(1 lsl 61); (1 lsl 61) - 1; max_int; min_int ]
+
 let arbitrary_const_gen =
   QCheck.Gen.(
     oneof
@@ -32,6 +38,19 @@ let arbitrary_const_gen =
         map
           (fun i -> Const.sym (Printf.sprintf "c%d" i))
           (int_range 0 20);
+        map Const.int (oneofl wide_ints);
+      ])
+
+(* Constants whose shifted words collide in pairs ([k] and
+   [min_int + k], [-1] and [max_int]), plus symbols. *)
+let colliding_const_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map Const.int (int_range (-3) 3);
+        map (fun k -> Const.int (min_int + k)) (int_range 0 3);
+        map Const.int (oneofl wide_ints);
+        map (fun i -> Const.sym (Printf.sprintf "c%d" i)) (int_range 0 3);
       ])
 
 let tuple_gen arity =
@@ -80,11 +99,20 @@ let prop_relation_lookup_is_filter =
       let scanned =
         List.sort Tuple.compare
           (List.filter
-             (fun t -> Tuple.proj_equal t positions key)
+             (fun t ->
+               Array.for_all2 Const.equal (Tuple.project_key t positions) key)
              (Relation.to_list r))
       in
       List.length looked = List.length scanned
       && List.for_all2 Tuple.equal looked scanned)
+
+let prop_raw_words_injective =
+  QCheck.Test.make ~count:500 ~name:"raw words are equal iff constants are"
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "%s, %s" (Const.to_string a) (Const.to_string b))
+       QCheck.Gen.(pair colliding_const_gen colliding_const_gen))
+    (fun (a, b) -> (Const.to_raw a = Const.to_raw b) = Const.equal a b)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation properties                                               *)
@@ -372,6 +400,7 @@ let props =
       prop_example1_never_communicates;
       prop_derived_network_is_respected;
       prop_safra_sound_and_live;
+      prop_raw_words_injective;
     ]
 
 let suites = [ ("properties", props) ]

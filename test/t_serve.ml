@@ -535,6 +535,24 @@ let server_cases =
                 with
                 | Protocol.Result_head { rows = 210; _ } -> ()
                 | _ -> Alcotest.fail "live model lost after a refused batch")));
+    case "an out-of-range integer in LOAD is an ERR; the connection serves on"
+      (fun () ->
+        with_server sim_tweaks (fun _srv addr ->
+            with_client addr (fun c ->
+                (match
+                   head_of
+                     (Client.request c ~payload:"p(99999999999999999999).\n"
+                        "LOAD wide")
+                 with
+                 | Protocol.Err { code = "parse"; msg } ->
+                   Alcotest.(check bool) "says why" true
+                     (contains msg "integer literal out of range")
+                 | _ -> Alcotest.fail "expected ERR parse");
+                match
+                  head_of (Client.request c "QUERY id=after prog=anc")
+                with
+                | Protocol.Result_head { rows = 210; _ } -> ()
+                | _ -> Alcotest.fail "expected a RESULT after the ERR")));
     case "live queries open the session lazily; FACTS invalidates it"
       (fun () ->
         with_server sim_tweaks (fun srv addr ->

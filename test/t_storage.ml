@@ -1,8 +1,8 @@
-(* The storage engine: Vec growth, the interning arena, cached tuple
-   hashes, index life cycle across compaction (PR5), the columnar slab
-   layer (PR10 — slab/boxed equivalence, demotion, the per-round
-   allocation budget), and the interned/non-interned equivalence
-   properties. *)
+(* The storage engine: Vec growth, cached tuple hashes and pinned
+   constant hashes, index life cycle across compaction, and the
+   columnar slab layer (wide integers, structural copies, the
+   per-round allocation budget, and the columnar-scan probe path
+   against the index path). *)
 
 open Datalog
 open Helpers
@@ -30,37 +30,6 @@ let test_vec_growth () =
   Alcotest.(check int) "cleared" 0 (Vec.length v)
 
 (* ------------------------------------------------------------------ *)
-(* Arena                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_arena_canonical () =
-  let a = Arena.create () in
-  let t1 = Tuple.of_ints [ 1; 2 ] in
-  let t2 = Tuple.of_ints [ 1; 2 ] in
-  Alcotest.(check bool) "distinct values" false (t1 == t2);
-  let c1 = Arena.intern a t1 in
-  let c2 = Arena.intern a t2 in
-  Alcotest.(check bool) "same canonical value" true (c1 == c2);
-  Alcotest.(check bool) "first wins" true (c1 == t1);
-  Alcotest.(check int) "size" 1 (Arena.size a);
-  Alcotest.(check int) "misses" 1 (Arena.misses a);
-  Alcotest.(check int) "hits" 1 (Arena.hits a)
-
-let test_arena_growth () =
-  let a = Arena.create ~initial_size:2 () in
-  for i = 0 to 199 do
-    ignore (Arena.intern a (Tuple.of_ints [ i; i + 1 ]))
-  done;
-  Alcotest.(check int) "all distinct" 200 (Arena.size a);
-  Alcotest.(check int) "no hits" 0 (Arena.hits a);
-  (* Re-interning structural copies is all hits, no growth. *)
-  for i = 0 to 199 do
-    ignore (Arena.intern a (Tuple.of_ints [ i; i + 1 ]))
-  done;
-  Alcotest.(check int) "size unchanged" 200 (Arena.size a);
-  Alcotest.(check int) "all hits" 200 (Arena.hits a)
-
-(* ------------------------------------------------------------------ *)
 (* Cached hashes                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -77,6 +46,41 @@ let test_hash_stability () =
   arr.(0) <- Const.int 999;
   Alcotest.(check bool) "tuple unchanged" true (Tuple.equal a b);
   Alcotest.(check int) "hash unchanged" (Tuple.hash b) (Tuple.hash a)
+
+(* Discriminating functions, routing, plan certificates and every
+   counter downstream read [Const.hash], so its values are pinned —
+   wide integers included, whose raw words come from a side table but
+   whose hash still reads the shifted payload. A symbol's hash depends
+   on its interning order, so it is checked against the splitmix64
+   finalizer of its shifted id, itself pinned by the integer cases. *)
+let splitmix_of_word w =
+  let z = w * 0x1E3779B97F4A7C15 in
+  let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
+  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
+  (z lxor (z lsr 31)) land max_int
+
+let test_const_hash_pinned () =
+  List.iter
+    (fun (name, i, h) ->
+      Alcotest.(check int) name h (Const.hash (Const.int i));
+      Alcotest.(check int) (name ^ " (reference)") h
+        (splitmix_of_word (i lsl 1)))
+    [
+      ("42", 42, 1044567586874720411);
+      ("-7", -7, 943333922369904511);
+      ("2^61", 1 lsl 61, 1360429390938723525);
+      ("max_int", max_int, 964973312370967167);
+    ];
+  Alcotest.(check int) "seeded 42" 3701023222495373022
+    (Const.hash_seeded 7 (Const.int 42));
+  Alcotest.(check int) "seeded 2^61" 1480822416706278603
+    (Const.hash_seeded 7 (Const.int (1 lsl 61)));
+  match Const.sym "x" with
+  | Const.Sym s as c ->
+    Alcotest.(check int) "symbol"
+      (splitmix_of_word ((Symtab.to_int s lsl 1) lor 1))
+      (Const.hash c)
+  | Const.Int _ -> Alcotest.fail "Const.sym made an integer"
 
 (* ------------------------------------------------------------------ *)
 (* Index life cycle                                                    *)
@@ -122,52 +126,57 @@ let test_windowed_matcher () =
   Alcotest.(check int) "empty window" 0 (count ~lo:2 ~hi:2)
 
 (* ------------------------------------------------------------------ *)
-(* The engine's arena                                                  *)
+(* Columnar slabs                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_engine_arena_stats () =
-  let edb = edb_of_edges (Workload.Graphgen.chain 30) in
-  let engine = Seminaive.create ancestor ~edb in
-  Seminaive.run_to_fixpoint engine;
-  (match Seminaive.arena_stats engine with
-   | None -> Alcotest.fail "interning engine reports no arena"
-   | Some (size, _hits, misses) ->
-     Alcotest.(check bool) "arena is populated" true (size > 0);
-     Alcotest.(check int) "every canonical tuple was a miss" size misses);
-  let plain = Seminaive.create ~intern:false ancestor ~edb in
-  Seminaive.run_to_fixpoint plain;
-  Alcotest.(check bool) "non-interning engine has no arena" true
-    (Seminaive.arena_stats plain = None)
-
-(* ------------------------------------------------------------------ *)
-(* Columnar slabs (PR10)                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_slab_demotion () =
-  let r = Relation.create ~arity:1 () in
-  Alcotest.(check bool) "starts slabbed" true (Relation.slabbed r);
-  ignore (Relation.add r (Tuple.of_ints [ 1 ]));
-  Alcotest.(check bool) "small ints stay slabbed" true (Relation.slabbed r);
-  (* max_int does not fit the 63-bit tagged raw encoding, so its
-     arrival permanently demotes the relation to boxed storage. *)
-  ignore (Relation.add r (Tuple.of_list [ Const.int max_int ]));
-  Alcotest.(check bool) "an unencodable int demotes" false
-    (Relation.slabbed r);
-  Alcotest.(check bool) "old tuple survives demotion" true
-    (Relation.mem r (Tuple.of_ints [ 1 ]));
-  Alcotest.(check bool) "new tuple present" true
-    (Relation.mem r (Tuple.of_list [ Const.int max_int ]));
-  Alcotest.(check bool) "dedup still works" false
-    (Relation.add r (Tuple.of_ints [ 1 ]));
-  Alcotest.(check int) "cardinal" 2 (Relation.cardinal r)
-
-let test_slab_opt_out () =
-  let r = Relation.create ~slab:false ~arity:2 () in
-  Alcotest.(check bool) "~slab:false starts boxed" false (Relation.slabbed r);
-  ignore (Relation.add r (Tuple.of_ints [ 1; 2 ]));
-  Alcotest.(check bool) "probes still answer" true
-    (Relation.lookup r ~positions:[| 0 |] ~key:[| Const.int 1 |]
-     = [ Tuple.of_ints [ 1; 2 ] ])
+(* Integers at and beyond the 62-bit edge: [to_raw] interns the wide
+   ones, so none of them may share a raw word with another stored
+   constant — [min_int] and 0 shift to the same payload, as do
+   [max_int] and -1, and their hashes collide. The ten interesting
+   tuples come first, so a probe over [0, 10) takes the columnar scan;
+   filler rows push a whole-relation lookup through the index. *)
+let test_wide_ints_distinct () =
+  let wide = [ 1 lsl 61; -(1 lsl 61); max_int; min_int ] in
+  let firsts = 0 :: -1 :: wide in
+  let r = Relation.create ~arity:2 () in
+  let pair a b = Tuple.of_ints [ a; b ] in
+  List.iter (fun i -> ignore (Relation.add r (pair i 0))) firsts;
+  List.iter (fun i -> ignore (Relation.add r (pair 0 i))) wide;
+  Alcotest.(check int) "all distinct" 10 (Relation.cardinal r);
+  for i = 1 to Relation.scan_cutoff do
+    ignore (Relation.add r (pair i 1))
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) "re-adding is a duplicate" false
+        (Relation.add r (pair i 0));
+      Alcotest.(check bool) "mem" true (Relation.mem r (pair i 0)))
+    firsts;
+  Alcotest.(check bool) "absent wide tuple" false
+    (Relation.mem r (pair max_int max_int));
+  let scan positions key =
+    let acc = ref [] in
+    (Relation.matcher r ~positions) key ~lo:0 ~hi:10 (fun t ->
+        acc := t :: !acc);
+    List.rev !acc
+  in
+  List.iter
+    (fun i ->
+      let key = [| Const.int i |] in
+      Alcotest.(check (list tuple_t))
+        (Printf.sprintf "lookup %d" i)
+        [ pair i 0 ]
+        (Relation.lookup r ~positions:[| 0 |] ~key);
+      Alcotest.(check (list tuple_t))
+        (Printf.sprintf "columnar scan %d" i)
+        [ pair i 0 ] (scan [| 0 |] key))
+    (-1 :: wide);
+  Alcotest.(check (list tuple_t)) "lookup by the second column"
+    [ pair 0 min_int ]
+    (Relation.lookup r ~positions:[| 1 |] ~key:[| Const.int min_int |]);
+  Alcotest.(check (list tuple_t)) "columnar scan of both columns"
+    [ pair 0 max_int ]
+    (scan [| 0; 1 |] [| Const.int 0; Const.int max_int |])
 
 let test_slab_copy () =
   let r = Relation.create ~arity:2 () in
@@ -175,8 +184,6 @@ let test_slab_copy () =
     ignore (Relation.add r (Tuple.of_ints [ i mod 7; i ]))
   done;
   let c = Relation.copy r in
-  Alcotest.(check bool) "structural copy stays slabbed" true
-    (Relation.slabbed c);
   Alcotest.(check bool) "copy equals original" true (Relation.equal r c);
   ignore (Relation.add c (Tuple.of_ints [ 3; 1000 ]));
   Alcotest.(check int) "original unchanged" 100 (Relation.cardinal r);
@@ -207,81 +214,79 @@ let test_chain_allocation_budget () =
     (per_round < 40_000.)
 
 (* ------------------------------------------------------------------ *)
-(* Interned / non-interned equivalence                                 *)
+(* Columnar scan against the index                                     *)
 (* ------------------------------------------------------------------ *)
 
-let edge_list_gen =
+(* A probe over a window at most [Relation.scan_cutoff] wide scans the
+   key columns; a wider one goes through the index. Both must
+   enumerate exactly the tuples of [iter_range] that match the key, in
+   insertion order — windows and key positions are random, and the
+   window widths straddle the cutoff. *)
+let matcher_case_gen =
   QCheck.Gen.(
-    let* nodes = int_range 2 15 in
-    let* nedges = int_range 1 35 in
-    list_size (return nedges)
-      (pair (int_range 0 (nodes - 1)) (int_range 0 (nodes - 1))))
+    let* arity = int_range 1 3 in
+    let* n = int_range 0 (3 * Relation.scan_cutoff) in
+    let* rows = list_size (return n) (list_size (return arity) (int_range 0 3)) in
+    let* positions =
+      map
+        (fun mask ->
+          Array.of_list
+            (List.filter (fun i -> mask land (1 lsl i) <> 0)
+               (List.init arity Fun.id)))
+        (int_range 1 ((1 lsl arity) - 1))
+    in
+    let* key = list_size (return (Array.length positions)) (int_range 0 3) in
+    let* lo = int_range 0 (n + 1) in
+    let* width = int_range 0 (2 * Relation.scan_cutoff) in
+    return (arity, rows, positions, key, lo, lo + width))
 
-let edge_list =
+let matcher_case =
   QCheck.make
-    ~print:(fun es ->
-      String.concat "; "
-        (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) es))
-    edge_list_gen
+    ~print:(fun (arity, rows, positions, key, lo, hi) ->
+      Printf.sprintf "arity %d, %d rows [%s], positions [%s], key [%s], [%d, %d)"
+        arity (List.length rows)
+        (String.concat "; "
+           (List.map
+              (fun r -> String.concat "," (List.map string_of_int r))
+              rows))
+        (String.concat "," (Array.to_list (Array.map string_of_int positions)))
+        (String.concat "," (List.map string_of_int key))
+        lo hi)
+    matcher_case_gen
 
-(* [~intern:true] is also the slabbed engine and [~intern:false] the
-   boxed one (PR10 ties the columnar layer to interning), so this
-   property now pins the whole storage stack: identical model,
-   identical semi-naive counters, and an identical join-probe count —
-   the columnar window scans and raw-compare verification must
-   enumerate exactly the candidates the boxed index path does. *)
-let same_run program edges =
-  let edb = edb_of_edges edges in
-  let run ~intern =
-    let e = Seminaive.create ~intern program ~edb in
-    Seminaive.run_to_fixpoint e;
-    (Seminaive.database e, Seminaive.stats e, Seminaive.join_probes e)
-  in
-  let db_on, s_on, p_on = run ~intern:true in
-  let db_off, s_off, p_off = run ~intern:false in
-  Database.equal db_on db_off && s_on = s_off && p_on = p_off
-
-let prop_intern_equiv_linear =
-  QCheck.Test.make ~count:150
-    ~name:"slab = boxed: answers, counters and probes (linear)"
-    edge_list
-    (fun edges -> same_run ancestor edges)
-
-let prop_intern_equiv_nonlinear =
-  QCheck.Test.make ~count:100
-    ~name:"slab = boxed: answers, counters and probes (nonlinear)"
-    edge_list
-    (fun edges -> same_run Workload.Progs.ancestor_nonlinear edges)
-
-let prop_intern_equiv_samegen =
-  QCheck.Test.make ~count:100
-    ~name:"slab = boxed: answers, counters and probes (same-generation)"
-    edge_list
-    (fun edges -> same_run Workload.Progs.same_generation edges)
+let prop_matcher_is_filtered_range =
+  QCheck.Test.make ~count:400
+    ~name:"matcher = key-filtered iter_range, both sides of scan_cutoff"
+    matcher_case
+    (fun (arity, rows, positions, key, lo, hi) ->
+      let r = Relation.create ~arity () in
+      List.iter (fun row -> ignore (Relation.add r (Tuple.of_ints row))) rows;
+      let key = Array.of_list (List.map Const.int key) in
+      let probed = ref [] and expected = ref [] in
+      (Relation.matcher r ~positions) key ~lo ~hi (fun t ->
+          probed := t :: !probed);
+      Relation.iter_range r ~lo ~hi (fun t ->
+          if Array.for_all2 Const.equal (Tuple.project_key t positions) key
+          then expected := t :: !expected);
+      List.equal Tuple.equal !probed !expected)
 
 (* ------------------------------------------------------------------ *)
 
 let storage =
   [
     case "vec grows by doubling and preserves order" test_vec_growth;
-    case "arena interns to one physical tuple" test_arena_canonical;
-    case "arena grows past its initial size" test_arena_growth;
     case "cached hashes are stable" test_hash_stability;
+    case "constant hashes are pinned, wide integers included"
+      test_const_hash_pinned;
     case "compaction drops and rebuilds indexes identically"
       test_index_rebuild_after_compact;
     case "windowed matcher sees exactly [lo, hi)" test_windowed_matcher;
-    case "engine arena stats" test_engine_arena_stats;
-    case "an unencodable constant demotes the slab in place"
-      test_slab_demotion;
-    case "~slab:false opts a relation out of columnar storage"
-      test_slab_opt_out;
-    case "copying a slabbed relation is structural and independent"
-      test_slab_copy;
+    case "wide integers stay distinct through add, mem and lookup"
+      test_wide_ints_distinct;
+    case "copying a relation is structural and independent" test_slab_copy;
     case "steady-state rounds stay within the allocation budget"
       test_chain_allocation_budget;
-    to_alcotest prop_intern_equiv_linear;
-    to_alcotest prop_intern_equiv_nonlinear;
-    to_alcotest prop_intern_equiv_samegen;
+    to_alcotest prop_matcher_is_filtered_range;
   ]
 
 let suites = [ ("storage", storage) ]
