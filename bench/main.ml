@@ -9,9 +9,11 @@
 
    Usage:  dune exec bench/main.exe            (all sections)
            dune exec bench/main.exe f3 s6 p2   (selected sections)
+           dune build @paper                   (all but timing; part of
+                                                dune runtest)
 
    Sections: f1 f2 f3 f4  e1 e2 e3  t2 s6 e8 d8  p1 p2 p3
-              a1 a2 a3 a4 a5  r1 r2  timing obs plan incr serve net
+              a1 a2 a3 a4 a5  r1 r2  timing
 
    Flags: --help   list sections and flags, then exit
 
@@ -932,359 +934,11 @@ let timing () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* OBS: observability — metrics cross-check and the PR4 baseline.      *)
-(* ------------------------------------------------------------------ *)
 
-let obs () =
-  let runs = ref [] in
-  let run_one name ?(fault = Fault.none) edges =
-    let rw = Result.get_ok (Strategy.example3 ~seed:0 ~nprocs:4 ancestor) in
-    let metrics = Obs.Metrics.create () in
-    let trace = Obs.Trace.create () in
-    let config =
-      Run_config.(
-        default |> with_fault fault |> with_max_rounds 500_000
-        |> with_obs { Obs.trace; metrics })
-    in
-    let r = Sim_runtime.run ~config rw ~edb:(edb_of edges) in
-    let s = r.Sim_runtime.stats in
-    claim (name ^ ": metrics firings = Stats firings")
-      (Obs.Metrics.counter metrics "runtime.firings" = Stats.total_firings s);
-    claim (name ^ ": metrics tuples_sent = Stats messages")
-      (Obs.Metrics.counter metrics "runtime.tuples_sent"
-      = Stats.total_messages ~include_self:true s);
-    claim (name ^ ": enabled tracing recorded spans")
-      (Obs.Trace.event_count trace > 0);
-    Format.printf "  %-18s firings=%6d  messages=%6d  trace events=%6d@." name
-      (Stats.total_firings s)
-      (Stats.total_messages ~include_self:true s)
-      (Obs.Trace.event_count trace);
-    runs := (name, s, metrics) :: !runs
-  in
-  List.iter
-    (fun (name, edges) -> run_one name edges)
-    (Lazy.force workloads);
-  (* One faulty run: loss plus a mid-run crash, still exact and still
-     accounted tuple-for-tuple by the metrics registry. *)
-  let plan =
-    Fault.make ~seed:2026 ~drop:0.05
-      ~crashes:[ { Fault.cr_pid = 1; cr_round = 4; cr_down = 2 } ]
-      ()
-  in
-  run_one "faulty-chain-200" ~fault:plan (Workload.Graphgen.chain 200);
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":1,\"bench\":\"PR4\",\"seed\":2026,\"runs\":[";
-  List.iteri
-    (fun i (name, s, metrics) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"name\":%S,\"stats\":%s,\"metrics\":%s}" name
-           (Stats.to_json s)
-           (Obs.Metrics.to_json metrics)))
-    (List.rev !runs);
-  Buffer.add_string buf "]}\n";
-  let oc = open_out "BENCH_PR4.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_PR4.json (%d runs)@." (List.length !runs)
-
-(* ------------------------------------------------------------------ *)
-(* Shared shapes of the incr and plan sections.                        *)
-(* ------------------------------------------------------------------ *)
-
-let shape_workloads () =
-  let rng = Workload.Rng.create ~seed:2026 in
-  [
-    ("chain-200", Workload.Graphgen.chain 200);
-    ("grid-16", Workload.Graphgen.grid ~rows:16 ~cols:16);
-    ( "hotspot-50x220",
-      Workload.Graphgen.hotspot rng ~nodes:50 ~edges:220 ~hubs:2 );
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* INCR: incremental maintenance vs from-scratch recomputation.        *)
-(* ------------------------------------------------------------------ *)
-
-(* One session per workload stays resident; the measured operation is a
-   two-batch toggle — insert a fresh source edge into the graph, then
-   retract it (so insertion propagation and DRed deletion are both in
-   the measured path, and the model returns to its start state between
-   samples). The baseline is what a batch-oriented caller would do
-   instead: a full from-scratch run of the same rewrite on the same
-   runtime. *)
-let incr_bench () =
-  let rw = Result.get_ok (Strategy.general ~seed:0 ~nprocs:4 ancestor) in
-  Format.printf "  %-16s %12s %12s %8s %11s %10s@." "workload" "apply(ns)"
-    "scratch(ns)" "speedup" "batch-fire" "full-fire";
-  let rows =
-    List.map
-      (fun (name, edges) ->
-        let edb = edb_of edges in
-        let max_node =
-          List.fold_left (fun m (a, b) -> max m (max a b)) 0 edges
-        in
-        let entry, _ = List.hd edges in
-        let fresh = Tuple.of_ints [ max_node + 1; entry ] in
-        let ins =
-          Update_batch.of_list [ Delta.Batch.insert "par" fresh ]
-        in
-        let del =
-          Update_batch.of_list [ Delta.Batch.delete "par" fresh ]
-        in
-        let s = Sim_runtime.open_session rw ~edb in
-        (* One unmeasured toggle warms the session's resident state. *)
-        ignore (Session.apply s ins);
-        ignore (Session.apply s del);
-        let batch_firings = ref 0 in
-        let samples =
-          List.init 5 (fun _ ->
-              let t0 = Unix.gettimeofday () in
-              let oi = Session.apply s ins in
-              let od = Session.apply s del in
-              let t = Unix.gettimeofday () -. t0 in
-              batch_firings :=
-                max !batch_firings
-                  (oi.Session.oc_summary.Datalog.Delta.s_firings
-                  + od.Session.oc_summary.Datalog.Delta.s_firings);
-              t /. 2.)
-        in
-        let apply_t = List.nth (List.sort compare samples) 2 in
-        ignore (Session.close s);
-        let scratch_samples =
-          List.init 5 (fun _ ->
-              fst (time_once (fun () -> Sim_runtime.run rw ~edb)))
-        in
-        let scratch_t = List.nth (List.sort compare scratch_samples) 2 in
-        let full = Sim_runtime.run rw ~edb in
-        let full_firings = Stats.total_firings full.Sim_runtime.stats in
-        let speedup = scratch_t /. max 1e-9 apply_t in
-        Format.printf "  %-16s %12.0f %12.0f %7.1fx %11d %10d@." name
-          (apply_t *. 1e9) (scratch_t *. 1e9) speedup !batch_firings
-          full_firings;
-        (name, apply_t, scratch_t, speedup, !batch_firings, full_firings))
-      (shape_workloads ())
-  in
-  claim "small-batch apply is >= 5x faster than from-scratch everywhere"
-    (List.for_all (fun (_, _, _, sp, _, _) -> sp >= 5.0) rows);
-  claim "maintenance fires a fraction of the full recomputation"
-    (List.for_all (fun (_, _, _, _, bf, ff) -> bf * 2 < ff) rows);
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "{\"schema\":1,\"bench\":\"INCR\",\"seed\":2026,\"runtime\":\"sim\",\"nprocs\":4,\"batch\":\"toggle one source edge\",\"workloads\":[";
-  List.iteri
-    (fun i (name, apply_t, scratch_t, speedup, bf, ff) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"apply_ns\":%.0f,\"scratch_ns\":%.0f,\"speedup\":%.1f,\"batch_firings\":%d,\"full_firings\":%d}"
-           name (apply_t *. 1e9) (scratch_t *. 1e9) speedup bf ff))
-    rows;
-  Buffer.add_string buf "]}\n";
-  let oc = open_out "BENCH_INCR.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_INCR.json@."
-
-(* ------------------------------------------------------------------ *)
-(* PLAN: the static planner's pick vs the CLI default scheme.          *)
-(* ------------------------------------------------------------------ *)
-
-let plan_bench () =
-  Format.printf "  %-16s %-26s %9s %9s %10s %10s@." "workload" "auto scheme"
-    "auto msg" "dflt msg" "auto ns/r" "dflt ns/r";
-  let measure rw edb =
-    let r = Sim_runtime.run rw ~edb in
-    let stats = r.Sim_runtime.stats in
-    let messages = Stats.total_messages stats in
-    let ns =
-      List.fold_left (fun acc (_, n) -> acc + n) 0 stats.Stats.phase_ns
-    in
-    (messages, float_of_int ns /. float_of_int (max 1 stats.Stats.rounds))
-  in
-  let rows =
-    List.map
-      (fun (name, edges) ->
-        let edb = edb_of edges in
-        let profile = Check.Costmodel.profile_of_db edb in
-        let outcome =
-          Check.Planner.suggest ~profile ~nprocs:4 ~seed:0 ancestor
-        in
-        let plan = Option.get outcome.Check.Planner.plan in
-        let auto_rw = Result.get_ok (Plan.to_rewrite plan ancestor) in
-        let default_rw =
-          Result.get_ok (Strategy.general ~seed:0 ~nprocs:4 ancestor)
-        in
-        let auto_msg, auto_ns = measure auto_rw edb in
-        let dflt_msg, dflt_ns = measure default_rw edb in
-        let scheme = Format.asprintf "%a" Plan.pp_scheme plan.Plan.scheme in
-        Format.printf "  %-16s %-26s %9d %9d %10.0f %10.0f@." name scheme
-          auto_msg dflt_msg auto_ns dflt_ns;
-        (name, Plan.scheme_name plan.Plan.scheme, auto_msg, dflt_msg, auto_ns,
-         dflt_ns))
-      (shape_workloads ())
-  in
-  claim "auto-picked scheme sends no more messages than the default"
-    (List.for_all (fun (_, _, a, d, _, _) -> a <= d) rows);
-  claim "planner certifies a communication-free scheme for ancestor"
-    (List.for_all (fun (_, _, a, _, _, _) -> a = 0) rows);
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\"schema\":1,\"bench\":\"PLAN\",\"seed\":2026,\"workloads\":[";
-  List.iteri
-    (fun i (name, scheme, a, d, ans, dns) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"auto_scheme\":%S,\"auto_messages\":%d,\"default_messages\":%d,\"auto_ns_per_round\":%.0f,\"default_ns_per_round\":%.0f}"
-           name scheme a d ans dns))
-    rows;
-  Buffer.add_string buf "]}\n";
-  let oc = open_out "BENCH_PLAN.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_PLAN.json@."
-
-(* ------------------------------------------------------------------ *)
-(* NET: domains vs processes, and the price of crash recovery.         *)
-(* ------------------------------------------------------------------ *)
-
-(* The same rewrite drives both executors, so the comparison isolates
-   the runtime: shared-memory mailboxes between domains against
-   length-prefixed frames over Unix-domain sockets between forked
-   processes, with the coordinator relaying every batch. Workers
-   rebuild the rewrite from program text, hence the inline source. *)
-let net_text = "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), par(Z,Y).\n"
-(* Discriminating on Y (not the preserved X) keeps tuples migrating,
-   so the wire actually carries the recursion's traffic. *)
-let net_spec = Net.Wire.Spec_q { ve = [ "Y" ]; vr = [ "Y" ] }
-
-(* Wide failure-detector window: on an oversubscribed box (the bench
-   often shares one core with its own workers) a busy worker can miss
-   the default 1s heartbeat deadline and trigger a spurious restart,
-   which inflates the message counts the bench asserts exact. Real
-   worker death is caught by socket EOF regardless, so recovery
-   latency in the crash study is unaffected. *)
-let net_run ?(config = Run_config.default) ~procs rw ~edb =
-  Net.Net_runtime.run ~config ~program:net_text ~spec:net_spec ~seed:0 ~procs
-    ~hb_ms:100 ~hb_miss_limit:100 ~spawn:Net.Net_runtime.Fork rw ~edb
-
-let net_bench () =
-  let program = Parser.program_exn net_text in
-  let rw =
-    Result.get_ok
-      (Strategy.hash_q ~seed:0 ~nprocs:4 ~ve:[ "Y" ] ~vr:[ "Y" ] program)
-  in
-  let edges = Workload.Graphgen.chain 400 in
-  let edb = edb_of edges in
-  let seq_db, _ = Seminaive.evaluate program edb in
-  let seq_t =
-    median_time (fun () -> ignore (Seminaive.evaluate program edb))
-  in
-  Format.printf "  chain-400; sequential semi-naive: %.3fs@." seq_t;
-  Format.printf "  %-22s %9s %9s %9s %12s@." "executor (N=4)" "time(s)"
-    "speedup" "msgs" "wire-bytes";
-  let runs = ref [] in
-  let record name t (r : Sim_runtime.result) =
-    let tr = r.Sim_runtime.stats.Stats.transport in
-    Format.printf "  %-22s %9.3f %9.2f %9d %12d@." name t (seq_t /. t)
-      (Stats.total_messages r.Sim_runtime.stats)
-      (tr.Stats.bytes_sent + tr.Stats.bytes_received);
-    runs := (name, t, r) :: !runs;
-    r
-  in
-  (* Forked rows first: creating a domain poisons Unix.fork for the
-     rest of the process, so the domain comparison row must come after
-     every process-based run (including the recovery study below). *)
-  let nets =
-    List.map
-      (fun procs ->
-        let t, r = time_once (fun () -> net_run ~procs rw ~edb) in
-        record (Printf.sprintf "processes x%d" procs) t r)
-      [ 1; 2; 4 ]
-  in
-  (* Recovery: SIGKILL one worker a few rounds in (the scheduled-crash
-     path is a genuine self-SIGKILL) and measure the wall-clock price
-     of supervision, restart, checkpoint restore and history replay. *)
-  let plan =
-    Fault.make
-      ~crashes:[ { Fault.cr_pid = 1; cr_round = 5; cr_down = 1 } ]
-      ~checkpoint_every:4 ()
-  in
-  let base_t, _ = time_once (fun () -> net_run ~procs:4 rw ~edb) in
-  let crash_t, crash_r =
-    time_once (fun () ->
-        net_run ~config:Run_config.(default |> with_fault plan) ~procs:4 rw
-          ~edb)
-  in
-  let cf = crash_r.Sim_runtime.stats.Stats.faults in
-  let ct = crash_r.Sim_runtime.stats.Stats.transport in
-  (* Only now is it safe to create domains. *)
-  let dom =
-    let t, r = time_once (fun () -> Domain_runtime.run rw ~edb) in
-    record "domains" t r
-  in
-  claim "net runtime pools the sequential answer"
-    (List.for_all
-       (fun (r : Sim_runtime.result) ->
-         Relation.equal (Database.get seq_db "anc")
-           (Database.get r.Sim_runtime.answers "anc"))
-       nets);
-  claim "message volume matches the domain runtime (same rewrite)"
-    (List.for_all
-       (fun (r : Sim_runtime.result) ->
-         Stats.total_messages r.Sim_runtime.stats
-         = Stats.total_messages dom.Sim_runtime.stats)
-       nets);
-  Format.printf
-    "  recovery: fault-free %.3fs, mid-run SIGKILL %.3fs (+%.0f%%); %d \
-     restart(s), %d restore(s), %d tuple(s) replayed@."
-    base_t crash_t
-    ((crash_t -. base_t) /. base_t *. 100.)
-    ct.Stats.worker_restarts cf.Stats.restores cf.Stats.replayed;
-  claim "mid-run SIGKILL recovers to the exact answer"
-    (Relation.equal (Database.get seq_db "anc")
-       (Database.get crash_r.Sim_runtime.answers "anc"));
-  claim "the supervisor restarted and restored the killed worker"
-    (ct.Stats.worker_restarts >= 1 && cf.Stats.restores >= 1);
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":1,\"bench\":\"NET\",\"workload\":\"chain-400\",\"nprocs\":4,\"sequential_s\":%.4f,\"runs\":["
-       seq_t);
-  List.iteri
-    (fun i (name, t, (r : Sim_runtime.result)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let tr = r.Sim_runtime.stats.Stats.transport in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":%S,\"time_s\":%.4f,\"messages\":%d,\"bytes_sent\":%d,\"bytes_received\":%d}"
-           name t
-           (Stats.total_messages r.Sim_runtime.stats)
-           tr.Stats.bytes_sent tr.Stats.bytes_received))
-    (List.rev !runs);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"recovery\":{\"fault_free_s\":%.4f,\"mid_run_kill_s\":%.4f,\"worker_restarts\":%d,\"restores\":%d,\"replayed\":%d,\"wire_retransmits\":%d}}\n"
-       base_t crash_t ct.Stats.worker_restarts cf.Stats.restores
-       cf.Stats.replayed ct.Stats.wire_retransmits);
-  let oc = open_out "BENCH_NET.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_NET.json@."
-
-(* ------------------------------------------------------------------ *)
-
-(* The section registry, in execution order. `net` forks worker
-   processes, and OCaml forbids Unix.fork for the rest of the process
-   once any domain (or thread) has been created — so the fork-based
-   section must run before every section that touches the domain
-   runtime or the daemon. Its own domain comparison row therefore runs
-   after the forked rows inside the section. --help prints this same
+(* The section registry, in execution order. --help prints this same
    list, and test/docs_check.sh keeps README.md in sync with it. *)
 let sections =
   [
-    ("net", "multi-process runtime - domains vs processes, recovery",
-     net_bench);
     ("f1", "Figure 1 - dataflow graph of Example 4", f1);
     ("f2", "Figure 2 - dataflow graph of ancestor; Theorem 3", f2);
     ("f3", "Figure 3 - minimal network of Example 6", f3);
@@ -1307,12 +961,6 @@ let sections =
     ("r1", "robustness - fault sweep and checkpoint ablation", r1);
     ("r2", "overload - skewed traffic, credit, budgets, the dial", r2);
     ("timing", "Bechamel microbenchmarks", timing);
-    ("obs", "observability - metrics cross-check, PR4 baseline", obs);
-    ("plan", "static planner - auto-picked vs default scheme", plan_bench);
-    ("incr", "incremental maintenance vs from-scratch, INCR baseline",
-     incr_bench);
-    ("serve", "datalogd load sweep - qps, tail latency, BUSY/PARTIAL",
-     fun () -> Loadgen.run ~claim ());
   ]
 
 let () =

@@ -228,6 +228,7 @@ let run program ~nprocs edb =
               firings = es.Seminaive.firings;
               new_tuples = es.Seminaive.new_tuples;
               duplicate_firings = es.Seminaive.duplicate_firings;
+              join_probes = Seminaive.join_probes engine;
               iterations = es.Seminaive.iterations;
               tuples_sent = 0;
               tuples_received = 0;

@@ -206,7 +206,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
       Processor.rebuild p;
       p.fc.n_recoveries <- p.fc.n_recoveries + 1;
       Obs.Trace.instant tr ~pid:p.pid ~round:c.local_rounds "recover";
-      route c (Processor.bootstrap p);
+      route c (Seminaive.bootstrap p.engine);
       for d = 0 to Array.length mailboxes - 1 do
         Mailbox.push mailboxes.(d) (Replay { requester = p.pid })
       done
@@ -337,7 +337,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
   if bootstrap then
     List.iter
       (fun c ->
-        route c (Processor.bootstrap c.p);
+        route c (Seminaive.bootstrap c.p.engine);
         Obs.Trace.instant tr ~pid:c.p.pid ~round:0 "bootstrap")
       ctls;
   flush_outbuf ();
@@ -357,7 +357,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
           if Seminaive.has_pending c.p.engine then begin
             worked := true;
             span ~pid:c.p.pid ~round:c.local_rounds Obs.Trace.Processing
-              (fun () -> route c (Processor.step c.p));
+              (fun () -> route c (Seminaive.step c.p.engine));
             c.local_rounds <- c.local_rounds + 1
           end)
         ctls;
@@ -426,8 +426,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      spawn/join cycle of the domains — the initial evaluation or one
      applied batch). *)
   let procs =
-    Pool.processors ~metrics:obs.Obs.metrics ~reliable:faulty
-      ~retry_after:retry_delay pool
+    Pool.processors ~reliable:faulty ~retry_after:retry_delay pool
   in
   let phase_ns = ref [] in
   let mailbox_drops = ref 0 in

@@ -5,6 +5,7 @@ type t = {
   config : Run_config.t;
   edb : Database.t;
   mutable live : Stratified.Live.t option;
+  mutable published : (string * int) list;
 }
 
 let create ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
@@ -33,7 +34,7 @@ let create ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
              pred (Tuple.to_string tuple) pred)
       else ignore (Database.add_fact combined pred tuple))
     rw.original.Program.facts;
-  { rw; config; edb = combined; live = None }
+  { rw; config; edb = combined; live = None; published = [] }
 
 let edb t = t.edb
 let is_derived t pred = List.mem pred t.rw.derived
@@ -57,10 +58,10 @@ let fragment ?(replicate = false) (rw : Rewrite.t) edb pid =
     (Database.predicates edb);
   local
 
-let processors ?metrics ~reliable ~retry_after t =
+let processors ~reliable ~retry_after t =
   let c = t.config in
   Array.init t.rw.nprocs (fun pid ->
-      Processor.create ?metrics ~pushdown:c.Run_config.pushdown
+      Processor.create ~pushdown:c.Run_config.pushdown
         ~capacity:c.Run_config.capacity ~reliable ~retry_after t.rw
         ~fragment:
           (fragment ~replicate:c.Run_config.replicate_base t.rw t.edb pid)
@@ -206,29 +207,66 @@ let faults ?mailbox_drops t counters (procs : Processor.t array) =
        ~alpha_decays:(dial Overload.decays) counters)
     procs
 
+(* The metrics registry's runtime series, written from the report
+   itself, so they equal the Stats counters by construction. A pool
+   that reports again (a session closed after an aborted drive) adds
+   only what changed since its last report. *)
+let publish t (s : Stats.t) =
+  let mx = t.config.Run_config.obs.Obs.metrics in
+  if Obs.Metrics.enabled mx then begin
+    let received =
+      Array.fold_left (fun n r -> n + r.Stats.tuples_received) 0 s.per_proc
+    in
+    let now =
+      [
+        ("joiner.probes", Stats.total_join_probes s);
+        ("runtime.credit_stalls", s.faults.credit_stalls);
+        ("runtime.duplicate_firings", Stats.total_duplicate_firings s);
+        ("runtime.firings", Stats.total_firings s);
+        ("runtime.new_tuples", Stats.total_new_tuples s);
+        ("runtime.retransmits", s.faults.retransmits);
+        ("runtime.tuples_received", received);
+        ("runtime.tuples_sent", Stats.total_messages ~include_self:true s);
+      ]
+    in
+    List.iter
+      (fun (name, v) ->
+        let before =
+          Option.value (List.assoc_opt name t.published) ~default:0
+        in
+        Obs.Metrics.incr mx ~by:(v - before) name)
+      now;
+    t.published <- now;
+    Obs.Metrics.max_gauge mx "runtime.peak_in_flight" s.peak_in_flight
+  end
+
 let stats ?rounds ?(trace = []) ?(transport = Stats.no_transport)
     ?(phase_ns = []) ?(comms = Stats.no_comms) t ~per_proc ~channel_tuples
     ~pooled ~faults ~peak_in_flight : Stats.t =
-  {
-    incr = incr_stats t;
-    nprocs = t.rw.nprocs;
-    rounds =
-      (match rounds with
-       | Some r -> r
-       | None ->
-         Array.fold_left
-           (fun acc (r : Stats.per_proc) -> max acc r.iterations)
-           0 per_proc);
-    per_proc;
-    channel_tuples;
-    pooled_tuples = pooled;
-    trace;
-    faults;
-    transport;
-    peak_in_flight;
-    phase_ns;
-    comms;
-  }
+  let s : Stats.t =
+    {
+      incr = incr_stats t;
+      nprocs = t.rw.nprocs;
+      rounds =
+        (match rounds with
+         | Some r -> r
+         | None ->
+           Array.fold_left
+             (fun acc (r : Stats.per_proc) -> max acc r.iterations)
+             0 per_proc);
+      per_proc;
+      channel_tuples;
+      pooled_tuples = pooled;
+      trace;
+      faults;
+      transport;
+      peak_in_flight;
+      phase_ns;
+      comms;
+    }
+  in
+  publish t s;
+  s
 
 let local_stats ?rounds ?trace ?phase_ns ?comms ?mailbox_drops ?active_rounds
     t counters procs ~pooled =

@@ -29,7 +29,6 @@ val fragment : ?replicate:bool -> Rewrite.t -> Database.t -> int -> Database.t
     [replicate]). *)
 
 val processors :
-  ?metrics:Obs.Metrics.t ->
   reliable:bool ->
   retry_after:(int -> float) ->
   t ->
@@ -77,7 +76,10 @@ val stats :
   peak_in_flight:int ->
   Stats.t
 (** Assemble a report; [rounds] defaults to the largest iteration
-    count, and the maintenance counters come from the pool. *)
+    count, and the maintenance counters come from the pool. The
+    configuration's metrics registry receives the report's runtime
+    series here, and only here: the [runtime.*] counters, the
+    [runtime.peak_in_flight] gauge and [joiner.probes]. *)
 
 val local_stats :
   ?rounds:int ->

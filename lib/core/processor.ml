@@ -40,7 +40,6 @@ type t = {
   capacity : int option;
   reliable : bool;
   retry_after : int -> float;
-  metrics : Obs.Metrics.t;
   fc : Fault.counters;
   history : unit Ktbl.t array;
   stamp : int array;
@@ -59,13 +58,14 @@ type t = {
   mutable credit_stalls : int;
   mutable peak_in_flight : int;
   mutable lost : Seminaive.stats;
+  mutable lost_probes : int;
 }
 
 let no_work =
   { Seminaive.iterations = 0; firings = 0; new_tuples = 0; duplicate_firings = 0 }
 
-let create ?(fc = Fault.counters ()) ?(metrics = Obs.Metrics.none) ~pushdown
-    ~capacity ~reliable ~retry_after (rw : Rewrite.t) ~fragment pid =
+let create ?(fc = Fault.counters ()) ~pushdown ~capacity ~reliable
+    ~retry_after (rw : Rewrite.t) ~fragment pid =
   let n = rw.nprocs in
   let routes =
     Array.of_list
@@ -97,7 +97,6 @@ let create ?(fc = Fault.counters ()) ?(metrics = Obs.Metrics.none) ~pushdown
     capacity;
     reliable;
     retry_after;
-    metrics;
     fc;
     history = Array.init n (fun _ -> Ktbl.create (if reliable then 64 else 1));
     stamp = Array.make n (-1);
@@ -116,6 +115,7 @@ let create ?(fc = Fault.counters ()) ?(metrics = Obs.Metrics.none) ~pushdown
     credit_stalls = 0;
     peak_in_flight = 0;
     lost = no_work;
+    lost_probes = 0;
   }
 
 let reset_channels p =
@@ -128,35 +128,6 @@ let reset_channels p =
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
-
-(* Engine-counter deltas around every bootstrap / step call: metric
-   totals then equal the final engine counters plus the work lost with
-   crashed engines — exactly what [row] reports. *)
-let observe p f =
-  let mx = p.metrics in
-  if not (Obs.Metrics.enabled mx) then f ()
-  else begin
-    let b = Seminaive.stats p.engine in
-    let pb = Seminaive.join_probes p.engine in
-    let r = f () in
-    let a = Seminaive.stats p.engine in
-    Obs.Metrics.incr mx
-      ~by:(a.Seminaive.firings - b.Seminaive.firings)
-      "runtime.firings";
-    Obs.Metrics.incr mx
-      ~by:(a.Seminaive.new_tuples - b.Seminaive.new_tuples)
-      "runtime.new_tuples";
-    Obs.Metrics.incr mx
-      ~by:(a.Seminaive.duplicate_firings - b.Seminaive.duplicate_firings)
-      "runtime.duplicate_firings";
-    Obs.Metrics.incr mx
-      ~by:(Seminaive.join_probes p.engine - pb)
-      "joiner.probes";
-    r
-  end
-
-let bootstrap p = observe p (fun () -> Seminaive.bootstrap p.engine)
-let step p = observe p (fun () -> Seminaive.step p.engine)
 
 let totals p =
   let e = Seminaive.stats p.engine and l = p.lost in
@@ -174,6 +145,7 @@ let totals p =
    The channel layer is stable and survives. *)
 let rebuild ?snapshot p =
   p.lost <- totals p;
+  p.lost_probes <- p.lost_probes + Seminaive.join_probes p.engine;
   Array.iter (fun r -> r.r_inlet <- None) p.routes;
   p.engine <-
     (match snapshot with
@@ -193,6 +165,7 @@ let row ?active_rounds ?(store = true) p : Stats.per_proc =
     firings = s.Seminaive.firings;
     new_tuples = s.Seminaive.new_tuples;
     duplicate_firings = s.Seminaive.duplicate_firings;
+    join_probes = Seminaive.join_probes p.engine + p.lost_probes;
     iterations = s.Seminaive.iterations;
     tuples_sent = Array.fold_left ( + ) 0 p.sent_row;
     tuples_received = p.received;
@@ -232,7 +205,6 @@ let inlet p r tuple =
    accepted when the engine did not know the tuple. *)
 let accept ?on_new p name tuple fresh =
   p.received <- p.received + 1;
-  Obs.Metrics.incr p.metrics "runtime.tuples_received";
   if fresh then begin
     p.accepted <- p.accepted + 1;
     Option.iter (fun f -> f name tuple) on_new
@@ -244,7 +216,6 @@ let accept ?on_new p name tuple fresh =
    received. *)
 let deliver_self ?on_new p r tuple =
   p.sent_row.(p.pid) <- p.sent_row.(p.pid) + 1;
-  Obs.Metrics.incr p.metrics "runtime.tuples_sent";
   accept ?on_new p r.r_in tuple (Seminaive.deliver (inlet p r tuple) tuple)
 
 (* Channel dedup, the paper's difference-based resend suppression: a
@@ -302,10 +273,7 @@ let send p dst entries =
   List.iter
     (fun (_, _, replay) ->
       if replay then p.fc.Fault.n_replayed <- p.fc.Fault.n_replayed + 1
-      else begin
-        p.sent_row.(dst) <- p.sent_row.(dst) + 1;
-        Obs.Metrics.incr p.metrics "runtime.tuples_sent"
-      end)
+      else p.sent_row.(dst) <- p.sent_row.(dst) + 1)
     entries;
   (match p.capacity with
    | None -> ()
@@ -314,8 +282,6 @@ let send p dst entries =
      p.credit_used.(dst) <- p.credit_used.(dst) + size;
      if p.credit_used.(dst) > p.peak_in_flight then
        p.peak_in_flight <- p.credit_used.(dst);
-     Obs.Metrics.max_gauge p.metrics "runtime.peak_in_flight"
-       p.credit_used.(dst);
      Hashtbl.replace p.inflight.(dst) seq size);
   let b =
     {
@@ -356,10 +322,7 @@ let flush ?(per_tuple = false) p emit =
           done;
           emit (send p dst (List.rev !entries))
         done;
-        if !stalled then begin
-          p.credit_stalls <- p.credit_stalls + 1;
-          Obs.Metrics.incr p.metrics "runtime.credit_stalls"
-        end
+        if !stalled then p.credit_stalls <- p.credit_stalls + 1
       end)
     p.pending
 
@@ -407,7 +370,6 @@ let due p ~now emit =
     (Hashtbl.iter (fun _ b ->
          if b.retry_at <= now then begin
            p.fc.Fault.n_retransmits <- p.fc.Fault.n_retransmits + 1;
-           Obs.Metrics.incr p.metrics "runtime.retransmits";
            emit b
          end))
     p.unacked

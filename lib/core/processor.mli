@@ -44,7 +44,6 @@ type t = private {
   capacity : int option;
   reliable : bool;
   retry_after : int -> float;
-  metrics : Obs.Metrics.t;
   fc : Fault.counters;
   history : unit Ktbl.t array;
       (** Per destination, when [reliable]: every tuple routed there
@@ -71,11 +70,11 @@ type t = private {
   mutable credit_stalls : int;
   mutable peak_in_flight : int;
   mutable lost : Seminaive.stats;
+  mutable lost_probes : int;  (** Join probes of crashed engines. *)
 }
 
 val create :
   ?fc:Fault.counters ->
-  ?metrics:Obs.Metrics.t ->
   pushdown:bool ->
   capacity:int option ->
   reliable:bool ->
@@ -89,8 +88,7 @@ val create :
     {!ack}; [retry_after attempt] is the transport's backoff, in the
     unit of the [now] the driver passes to {!transmitted} and {!due}.
     [fc] (default fresh) receives the replay, ack, retransmit and
-    duplicate counters; [metrics] (default disabled) the runtime
-    metrics. *)
+    duplicate counters. *)
 
 val reset_channels : t -> unit
 (** Forget sequence numbers, unacked and deferred batches, receipts and
@@ -98,14 +96,10 @@ val reset_channels : t -> unit
 
 (** {1 Engine} *)
 
-val bootstrap : t -> (string * Tuple.t) list
-val step : t -> (string * Tuple.t) list
-(** {!Seminaive.bootstrap} / {!Seminaive.step}, with the engine-counter
-    deltas added to the metrics. *)
-
 val rebuild : ?snapshot:Seminaive.snapshot -> t -> unit
-(** Crash recovery: fold the engine's counters into [lost], then
-    resume from [snapshot] or start over the base fragment. *)
+(** Crash recovery: fold the engine's counters into [lost] and
+    [lost_probes], then resume from [snapshot] or start over the base
+    fragment. *)
 
 val totals : t -> Seminaive.stats
 (** Engine counters plus the work lost with crashed engines. *)
@@ -136,10 +130,9 @@ val route :
     to the processor itself on the spot, through
     {!Seminaive.deliver} into its own [@in] relations, and leaves its
     own entry of the result empty. Each counts as sent on the self
-    channel ([sent_row.(pid)], [runtime.tuples_sent]) and as received
-    and accepted as {!receive} counts it; [on_new] sees those the
-    engine did not know. No batch, sequence number or credit is
-    involved. Without [local] (the simulator's modelled self channel)
+    channel ([sent_row.(pid)]) and as received and accepted as
+    {!receive} counts it; [on_new] sees those the engine did not know.
+    No batch, sequence number or credit is involved. Without [local] (the simulator's modelled self channel)
     they are returned like any other destination's. *)
 
 val history : t -> int -> (string * Tuple.t) list

@@ -76,7 +76,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      survives processor crashes; only the engine, the inbox and the
      receive-side filter are volatile. *)
   let procs =
-    Pool.processors ~metrics:mx ~reliable:faulty
+    Pool.processors ~reliable:faulty
       ~retry_after:(fun attempt -> float_of_int (Fault.retransmit_after ~attempt))
       pool
   in
@@ -183,7 +183,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let boot_row = Array.make nprocs 0 in
   Array.iter
     (fun s ->
-      let produced = Processor.bootstrap s.p in
+      let produced = Seminaive.bootstrap s.p.engine in
       Obs.Trace.instant tr ~pid:s.p.pid ~round:0 "bootstrap";
       boot_row.(s.p.pid) <- List.length produced;
       collect_new s produced)
@@ -238,7 +238,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
        List.iter (fun kt -> Queue.add kt s.outbox) saved_outbox
      | None ->
        Processor.rebuild s.p;
-       collect_new s (Processor.bootstrap s.p));
+       collect_new s (Seminaive.bootstrap s.p.engine));
     s.alive <- true;
     Obs.Trace.instant tr ~pid ~round:!rounds "recover";
     (* Bucket reassignment: the bucket h(v(r)) = pid is rebuilt (hosted
@@ -402,7 +402,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       (fun s ->
         span ~pid:s.p.pid ~round:round_now Obs.Trace.Processing (fun () ->
             if s.alive && Seminaive.has_pending s.p.engine then begin
-              let produced = Processor.step s.p in
+              let produced = Seminaive.step s.p.engine in
               s.active_rounds <- s.active_rounds + 1;
               any_progress := true;
               round_row.(s.p.pid) <- List.length produced;

@@ -3,6 +3,7 @@ type per_proc = {
   firings : int;
   new_tuples : int;
   duplicate_firings : int;
+  join_probes : int;
   iterations : int;
   tuples_sent : int;
   tuples_received : int;
@@ -127,6 +128,7 @@ let sum_by f t = Array.fold_left (fun acc p -> acc + f p) 0 t.per_proc
 let total_firings t = sum_by (fun p -> p.firings) t
 let total_new_tuples t = sum_by (fun p -> p.new_tuples) t
 let total_duplicate_firings t = sum_by (fun p -> p.duplicate_firings) t
+let total_join_probes t = sum_by (fun p -> p.join_probes) t
 
 let total_messages ?(include_self = false) t =
   let total = ref 0 in
@@ -191,16 +193,12 @@ let pp ppf t =
         p.active_rounds p.store_rows p.outbox_peak_rows)
     t.per_proc;
   let f = t.faults in
-  let legacy =
-    {
-      f with
-      mailbox_drops = 0;
-      credit_stalls = 0;
-      alpha_raises = 0;
-      alpha_decays = 0;
-    }
-  in
-  if legacy <> no_faults then begin
+  if
+    f.drops > 0 || f.dups_injected > 0 || f.dups_suppressed > 0
+    || f.delays > 0 || f.reorders > 0 || f.retransmits > 0 || f.acks > 0
+    || f.crashes > 0 || f.recoveries > 0 || f.replayed > 0
+    || f.checkpoints > 0 || f.restores > 0
+  then begin
     Format.fprintf ppf
       "faults: drops=%d dups=%d suppressed=%d delays=%d reorders=%d \
        retransmits=%d acks=%d@,"
@@ -243,20 +241,21 @@ let pp ppf t =
   Format.fprintf ppf "@]"
 
 (* Versioned machine-readable snapshot ("schema": 5), shared by
-   `datalogp par --json`, the Obs metrics snapshot, the bench baseline
-   files and datalogd's per-query attribution. Hand-rolled: the values
-   are ints and two enum-like strings. Schema 2 was additive over
-   schema 1: it added "scheme" (the plan/scheme identifier the run
-   executed under) and "outcome" (how the run ended — "ok", or an
-   overload/budget kind), so a consumer of a PARTIAL server reply can
-   attribute the degradation without re-parsing CLI output. Schema 3
-   is additive over schema 2: it adds "transport" (wire-level counters
-   of the multi-process runtime — all zero in-process). Schema 4 is
-   additive over schema 3: it adds "incr" (per-session incremental
-   maintenance counters — all zero for one-shot runs). Schema 5 is
-   additive over schema 4: it adds "comms" (mailbox send-coalescing
-   counters of the shared-memory domain runtime — all zero for
-   runtimes that do not batch their sends). *)
+   `datalogp par --json` and datalogd's per-query attribution.
+   Hand-rolled: the values are ints and two enum-like strings. Schema
+   2 was additive over schema 1: it added "scheme" (the plan/scheme
+   identifier the run executed under) and "outcome" (how the run ended
+   — "ok", or an overload/budget kind), so a consumer of a PARTIAL
+   server reply can attribute the degradation without re-parsing CLI
+   output. Schema 3 is additive over schema 2: it adds "transport"
+   (wire-level counters of the multi-process runtime — all zero
+   in-process). Schema 4 is additive over schema 3: it adds "incr"
+   (per-session incremental maintenance counters — all zero for
+   one-shot runs). Schema 5 is additive over schema 4: it adds "comms"
+   (mailbox send-coalescing counters of the shared-memory domain
+   runtime — all zero for runtimes that do not batch their sends) and,
+   additively, the "join_probes" key in "totals" and in every
+   "per_proc" row. *)
 let to_json ?(scheme = "unspecified") ?(outcome = "ok") t =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -269,21 +268,22 @@ let to_json ?(scheme = "unspecified") ?(outcome = "ok") t =
           (fun (name, ns) -> Printf.sprintf "\"%s\":%d" name ns)
           t.phase_ns));
   add
-    "\"totals\":{\"firings\":%d,\"new_tuples\":%d,\"duplicate_firings\":%d,\"messages\":%d,\"tuples_sent\":%d,\"base_resident\":%d,\"store_rows\":%d,\"store_bytes\":%d},"
+    "\"totals\":{\"firings\":%d,\"new_tuples\":%d,\"duplicate_firings\":%d,\"messages\":%d,\"tuples_sent\":%d,\"base_resident\":%d,\"store_rows\":%d,\"store_bytes\":%d,\"join_probes\":%d},"
     (total_firings t) (total_new_tuples t) (total_duplicate_firings t)
     (total_messages t)
     (total_messages ~include_self:true t)
-    (total_base_resident t) (total_store_rows t) (total_store_bytes t);
+    (total_base_resident t) (total_store_rows t) (total_store_bytes t)
+    (total_join_probes t);
   add "\"per_proc\":[";
   Array.iteri
     (fun i p ->
       if i > 0 then add ",";
       add
-        "{\"pid\":%d,\"firings\":%d,\"new_tuples\":%d,\"duplicate_firings\":%d,\"iterations\":%d,\"tuples_sent\":%d,\"tuples_received\":%d,\"tuples_accepted\":%d,\"base_resident\":%d,\"active_rounds\":%d,\"store_rows\":%d,\"store_bytes\":%d,\"outbox_peak_rows\":%d,\"outbox_peak_bytes\":%d}"
+        "{\"pid\":%d,\"firings\":%d,\"new_tuples\":%d,\"duplicate_firings\":%d,\"iterations\":%d,\"tuples_sent\":%d,\"tuples_received\":%d,\"tuples_accepted\":%d,\"base_resident\":%d,\"active_rounds\":%d,\"store_rows\":%d,\"store_bytes\":%d,\"outbox_peak_rows\":%d,\"outbox_peak_bytes\":%d,\"join_probes\":%d}"
         p.pid p.firings p.new_tuples p.duplicate_firings p.iterations
         p.tuples_sent p.tuples_received p.tuples_accepted p.base_resident
         p.active_rounds p.store_rows p.store_bytes p.outbox_peak_rows
-        p.outbox_peak_bytes)
+        p.outbox_peak_bytes p.join_probes)
     t.per_proc;
   add "],\"channel_tuples\":[";
   Array.iteri

@@ -10,6 +10,10 @@ type per_proc = {
   firings : int;  (** Successful ground substitutions at this processor. *)
   new_tuples : int;  (** Distinct tuples this processor derived. *)
   duplicate_firings : int;  (** Firings whose result was already known locally. *)
+  join_probes : int;
+      (** Candidate tuples the processor's joins scanned
+          ({!Datalog.Seminaive.join_probes}), crashed engines
+          included. *)
   iterations : int;  (** Semi-naive steps executed. *)
   tuples_sent : int;  (** Tuples put on channels (self-channel included). *)
   tuples_received : int;  (** Tuples taken from channels. *)
@@ -159,6 +163,7 @@ val peak_parallelism : t -> int
 val total_firings : t -> int
 val total_new_tuples : t -> int
 val total_duplicate_firings : t -> int
+val total_join_probes : t -> int
 
 val total_messages : ?include_self:bool -> t -> int
 (** Tuples sent over channels; by default the self-channels [i→i] —
@@ -190,8 +195,7 @@ val to_json : ?scheme:string -> ?outcome:string -> t -> string
 (** A stable, versioned machine-readable snapshot. The top-level
     object carries ["schema": 5]; future field additions keep existing
     keys and bump the schema only on incompatible changes. Shared by
-    [datalogp par --json], the {!Obs.Metrics} snapshot, the bench
-    baselines ([BENCH_PR4.json]) and the [datalogd] query protocol.
+    [datalogp par --json] and the [datalogd] query protocol.
 
     Schema 2 added two additive attribution fields so that partial
     results can be explained without re-parsing CLI output:
@@ -204,8 +208,7 @@ val to_json : ?scheme:string -> ?outcome:string -> t -> string
     Schema 3 adds the additive ["transport"] object ({!transport}:
     reconnects, wire retransmits, heartbeat misses, worker restarts,
     bytes sent/received) so a recovery by the multi-process runtime's
-    supervisor is attributable from [par --json] and the bench
-    baselines.
+    supervisor is attributable from [par --json].
 
     Schema 4 adds the additive ["incr"] object ({!incr}: batches
     applied, net tuples inserted/deleted, DRed overdeletions and
@@ -214,7 +217,9 @@ val to_json : ?scheme:string -> ?outcome:string -> t -> string
 
     Schema 5 adds the additive ["comms"] object ({!comms}: coalesced
     mailbox deliveries and the messages they carried) reported by the
-    domain runtime's per-phase send batching; all zero elsewhere. *)
+    domain runtime's per-phase send batching; all zero elsewhere. It
+    also carries the additive ["join_probes"] key, in ["totals"] and in
+    every ["per_proc"] row. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** A one-line summary. *)

@@ -422,7 +422,7 @@ let worker_body ~addr ~worker ~inc =
     restores;
   List.iter
     (fun w ->
-      let produced = Processor.bootstrap w.p in
+      let produced = Seminaive.bootstrap w.p.engine in
       ckpt_note w produced;
       route ~replay:false w produced)
     procs;
@@ -588,7 +588,7 @@ let worker_body ~addr ~worker ~inc =
         (fun w ->
           maybe_crash w;
           if Seminaive.has_pending w.p.engine then begin
-            let produced = Processor.step w.p in
+            let produced = Seminaive.step w.p.engine in
             w.local_rounds <- w.local_rounds + 1;
             ckpt_note w produced;
             route ~replay:false w produced;
@@ -670,6 +670,7 @@ let with_lost (s : Wire.psnap) (lost : Wire.psnap) : Wire.psnap =
         firings = a.firings + b.firings;
         new_tuples = a.new_tuples + b.new_tuples;
         duplicate_firings = a.duplicate_firings + b.duplicate_firings;
+        join_probes = a.join_probes + b.join_probes;
         iterations = a.iterations + b.iterations;
         tuples_sent = a.tuples_sent + b.tuples_sent;
         tuples_received = a.tuples_received + b.tuples_received;

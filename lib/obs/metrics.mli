@@ -7,7 +7,10 @@
 
     The snapshot is versioned JSON ([{"schema": 1, ...}]), following
     the same versioning convention as [Stats.to_json] (itself at
-    schema 5) and embedded in the bench baseline [BENCH_PR4.json]. *)
+    schema 5). The parallel runtimes write their [runtime.*] counters,
+    the [runtime.peak_in_flight] gauge and [joiner.probes] once, from
+    the final [Stats] report, so those always equal the [Stats]
+    counters of the run. *)
 
 type t
 

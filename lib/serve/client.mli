@@ -1,7 +1,7 @@
 (** A blocking [datalogd] client connection.
 
     Used by [datalogd --connect] (the CLI client mode), the [@serve]
-    smoke test, and the [bench serve] load generator. One [t] is one
+    smoke test, and the [bench/e2e] serve load. One [t] is one
     session — not thread-safe; give each client thread its own
     connection. *)
 

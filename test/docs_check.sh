@@ -7,14 +7,13 @@
 #   2. The bench-section table in README.md (between the "begin/end
 #      bench sections" markers) must list exactly the section ids
 #      `bench/main.exe --help` reports.
-#   3. Every committed BENCH_*.json baseline must be mentioned by name
-#      in PERFORMANCE.md (the canonical perf-trajectory document), and
-#      every baseline README.md names must be committed.
+#   3. Every BENCH_*.json baseline file that README, PERFORMANCE,
+#      DESIGN, TUTORIAL or EXPERIMENTS names must be committed.
 #
 # A drift in any direction fails `dune runtest` (alias @docs) with a
 # diff.
 #
-# Usage: docs_check.sh DATALOGP DATALOGD BENCH README PERFORMANCE ROOT
+# Usage: docs_check.sh DATALOGP DATALOGD BENCH README ROOT
 #
 # The flag name is the first `--token` of a table row's first cell; on
 # the --help side it is every long option named on an option line
@@ -27,8 +26,7 @@ datalogp=$1
 datalogd=$2
 bench=$3
 readme=$4
-performance=$5
-root=$6
+root=$5
 
 readme_flags () {
   sed -n "/begin $1 flags/,/end $1 flags/p" "$readme" \
@@ -79,32 +77,16 @@ if ! diff -u readme-bench help-bench > diff-bench; then
   status=1
 fi
 
-# Every committed baseline file must be documented in PERFORMANCE.md,
-# so a bench section cannot start writing a new BENCH_*.json without
-# the perf-trajectory document gaining a row for it.
-found_baseline=0
-for f in "$root"/BENCH_*.json; do
-  [ -e "$f" ] || continue
-  found_baseline=1
-  b=$(basename "$f")
-  if ! grep -q "$b" "$performance"; then
-    echo "docs_check: baseline $b is not documented in PERFORMANCE.md"
-    status=1
-  fi
+# Every baseline file a document names must be committed, so a
+# retired baseline cannot linger in the docs.
+for doc in README PERFORMANCE DESIGN TUTORIAL EXPERIMENTS; do
+  for b in $(grep -oE 'BENCH_[A-Z0-9]+\.json' "$root/$doc.md" | sort -u); do
+    if ! [ -e "$root/$b" ]; then
+      echo "docs_check: $doc.md names $b, which is not committed"
+      status=1
+    fi
+  done
 done
-# ...and every baseline the README names must still be committed, so
-# a retired baseline cannot linger in the user-facing docs.
-for b in $(grep -oE 'BENCH_[A-Z0-9]+\.json' "$readme" | sort -u); do
-  if ! [ -e "$root/$b" ]; then
-    echo "docs_check: README.md names $b, which is not committed"
-    status=1
-  fi
-done
-if [ "$found_baseline" = 0 ]; then
-  echo "docs_check: no BENCH_*.json baselines found under '$root';"
-  echo "is the project root argument wrong?"
-  status=1
-fi
 
 # A sanity check that the extraction is not vacuously empty: an empty
 # side would make the diff pass trivially if the markers went missing.

@@ -176,6 +176,37 @@ let unit_malformed_json () =
   | Error r -> Alcotest.(check string) "code" Plan.code_malformed r.Plan.rcode
   | Ok _ -> Alcotest.fail "garbage accepted"
 
+(* The planner's pick over the data's own profile, against the CLI's
+   default Section 7 scheme, on a thin, a wide and a skewed graph. *)
+let shape_workloads () =
+  let rng = Workload.Rng.create ~seed:2026 in
+  [
+    ("chain-200", Workload.Graphgen.chain 200);
+    ("grid-16", Workload.Graphgen.grid ~rows:16 ~cols:16);
+    ("hotspot-50x220", Workload.Graphgen.hotspot rng ~nodes:50 ~edges:220 ~hubs:2);
+  ]
+
+let unit_auto_beats_default () =
+  List.iter
+    (fun (name, edges) ->
+      let edb = edb_of_edges edges in
+      let profile = Check.Costmodel.profile_of_db edb in
+      match plan_for ~profile ancestor ~nprocs:4 ~seed:0 with
+      | None -> Alcotest.failf "%s: no plan for ancestor" name
+      | Some plan ->
+        let messages rw =
+          Stats.total_messages (Sim_runtime.run rw ~edb).Sim_runtime.stats
+        in
+        let auto = messages (Result.get_ok (Plan.to_rewrite plan ancestor)) in
+        let default =
+          messages (Result.get_ok (Strategy.general ~seed:0 ~nprocs:4 ancestor))
+        in
+        Alcotest.(check int) (name ^ ": the pick is communication-free") 0 auto;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: auto %d <= default %d messages" name auto default)
+          true (auto <= default))
+    (shape_workloads ())
+
 let suites =
   [
     ( "plan",
@@ -192,5 +223,9 @@ let suites =
             prop_plan_sim;
             prop_plan_domains;
             prop_stale_rejected;
-          ] );
+          ]
+      @ [
+          case "the auto-picked plan sends no more than the default"
+            unit_auto_beats_default;
+        ] );
   ]

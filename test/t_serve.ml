@@ -589,6 +589,100 @@ let server_cases =
         bad (fun c -> { c with Server.retry_after_ms = 0 });
         bad (fun c -> { c with Server.drain_grace = -1.0 });
         bad (fun c -> { c with Server.deadline_cap_ms = Some 0 }));
+    case "1 ms deadlines degrade to PARTIAL and never hang" (fun () ->
+        with_server ~facts:120 sim_tweaks (fun _srv addr ->
+            with_client addr (fun c ->
+                let partial = ref 0 in
+                for i = 1 to 5 do
+                  match
+                    head_of
+                      (Client.request c
+                         (Printf.sprintf
+                            "QUERY id=d%d prog=anc runtime=sim nprocs=2 \
+                             deadline-ms=1"
+                            i))
+                  with
+                  | Protocol.Result_head { partial = true; reason; _ } ->
+                    Alcotest.(check (option string)) "reason" (Some "deadline")
+                      reason;
+                    incr partial
+                  | Protocol.Result_head { partial = false; _ } -> ()
+                  | _ -> Alcotest.fail "expected RESULT"
+                done;
+                Alcotest.(check bool) "some request degraded" true
+                  (!partial > 0))));
+    case "a 20% drop plan still answers every request OK" (fun () ->
+        with_server ~facts:120
+          (fun c ->
+            { (sim_tweaks c) with
+              Server.fault = Pardatalog.Fault.make ~seed:7 ~drop:0.2 () })
+          (fun _srv addr ->
+            with_client addr (fun c ->
+                for i = 1 to 5 do
+                  match
+                    head_of
+                      (Client.request c
+                         (Printf.sprintf
+                            "QUERY id=f%d prog=anc goal=anc runtime=sim \
+                             nprocs=2"
+                            i))
+                  with
+                  | Protocol.Result_head { partial = false; rows; _ } ->
+                    (* chain-120 transitive closure: 121*120/2 pairs *)
+                    Alcotest.(check int) "exact rows" 7260 rows
+                  | _ -> Alcotest.fail "expected an OK RESULT"
+                done)));
+    case "under saturation every request completes within 2 s" (fun () ->
+        with_server ~facts:120
+          (fun c ->
+            { (sim_tweaks c) with Server.max_inflight = 2; queue_depth = 2;
+              tenant_inflight = 4; hold_eval_ms = 5; retry_after_ms = 5 })
+          (fun _srv addr ->
+            let clients = 12 and requests = 6 in
+            (* Per request: its latency in seconds, and whether it ended
+               in a reply (a RESULT, or BUSY once retries ran out). *)
+            let out = Array.make (clients * requests) (infinity, false) in
+            let client index =
+              match Client.connect addr with
+              | Client.Conn c ->
+                ignore
+                  (Client.request c (Printf.sprintf "HELLO tenant=c%d" index));
+                for req = 0 to requests - 1 do
+                  let t0 = Obs.Clock.now () in
+                  let reply =
+                    Client.request_retry ~max_attempts:8 ~base_ms:2 ~cap_ms:50
+                      c
+                      (Printf.sprintf
+                         "QUERY id=s%d-%d prog=anc runtime=sim nprocs=2" index
+                         req)
+                  in
+                  let answered =
+                    match reply with
+                    | Ok o -> (
+                      match o.Client.reply.Client.head with
+                      | Protocol.Result_head _ | Protocol.Busy _
+                      | Protocol.Retry _ ->
+                        true
+                      | _ -> false)
+                    | Error _ -> false
+                  in
+                  out.((index * requests) + req) <-
+                    (Obs.Clock.now () -. t0, answered)
+                done;
+                Client.close c
+              | Client.Conn_busy _ | Client.Conn_error _ -> ()
+            in
+            List.iter Thread.join
+              (List.init clients (fun i -> Thread.create client i));
+            Array.iteri
+              (fun i (latency, answered) ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "request %d answered" i)
+                  true answered;
+                Alcotest.(check bool)
+                  (Printf.sprintf "request %d within 2 s (%.3f s)" i latency)
+                  true (latency < 2.0))
+              out));
   ]
 
 let suites =
