@@ -104,13 +104,9 @@ let apply t procs ~drive batch =
      after retraction the stores hold only model tuples and any later
      local firing is a sound derivation step. *)
   if removed <> [] then Array.iter (fun p -> Processor.retract p removed) procs;
-  List.iter
-    (fun (pred, tuple) ->
-      if not (is_derived t pred) then
-        match Database.find t.edb pred with
-        | Some rel -> ignore (Relation.remove_all rel (Tuple.equal tuple))
-        | None -> ())
-    removed;
+  ignore
+    (Database.remove_facts t.edb
+       (List.filter (fun (pred, _) -> not (is_derived t pred)) removed));
   (* Base insertions enter at the processors hosting them; the drive
      re-derives — and re-sends — their consequences. *)
   List.iter

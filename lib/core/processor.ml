@@ -425,15 +425,13 @@ let retract p removed =
       removed
   in
   ignore (Seminaive.retract_facts p.engine keys);
+  let derived, base =
+    List.partition (fun (pred, _) -> is_derived p pred) removed
+  in
   List.iter
-    (fun ((pred, t) as key) ->
-      if is_derived p pred then
-        Array.iter (fun tbl -> Ktbl.remove tbl key) p.history
-      else
-        match Database.find p.fragment pred with
-        | Some rel -> ignore (Relation.remove_all rel (Tuple.equal t))
-        | None -> ())
-    removed
+    (fun key -> Array.iter (fun tbl -> Ktbl.remove tbl key) p.history)
+    derived;
+  ignore (Database.remove_facts p.fragment base)
 
 let insert p pred t =
   ignore (Database.add_fact p.fragment pred t);

@@ -74,8 +74,9 @@ val apply : t -> Update_batch.t -> outcome
     re-applying a batch is a no-op and an empty batch does near-zero
     work.
     @raise Closed on a closed session.
-    @raise Invalid_argument if the batch updates a derived
-    predicate. *)
+    @raise Invalid_argument, before anything changes, if the batch
+    updates a derived predicate or carries a tuple whose arity differs
+    from its predicate's. *)
 
 val query : t -> string -> Tuple.t list
 (** Current tuples of a predicate (derived predicates under their

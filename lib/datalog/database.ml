@@ -36,6 +36,29 @@ let add_fact db pred tuple =
   let rel = declare db pred (Tuple.arity tuple) in
   Relation.add rel tuple
 
+module Tset = Hashtbl.Make (Tuple)
+
+let remove_facts db pairs =
+  let by_pred = Hashtbl.create 8 in
+  List.iter
+    (fun (pred, tuple) ->
+      let set =
+        match Hashtbl.find_opt by_pred pred with
+        | Some set -> set
+        | None ->
+          let set = Tset.create 16 in
+          Hashtbl.add by_pred pred set;
+          set
+      in
+      Tset.replace set tuple ())
+    pairs;
+  Hashtbl.fold
+    (fun pred set removed ->
+      match find db pred with
+      | Some rel -> removed + Relation.remove_all rel (Tset.mem set)
+      | None -> removed)
+    by_pred 0
+
 let predicates db =
   Hashtbl.fold (fun p _ acc -> p :: acc) db [] |> List.sort String.compare
 

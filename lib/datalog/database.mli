@@ -27,6 +27,12 @@ val add_fact : t -> string -> Tuple.t -> bool
 (** Insert a tuple, declaring the relation on first use. Returns
     [true] iff new. *)
 
+val remove_facts : t -> (string * Tuple.t) list -> int
+(** Delete the listed facts and return how many were present. The
+    pairs are grouped by predicate, so each touched relation is
+    rebuilt once ({!Relation.remove_all}), however many of its tuples
+    go; unbound predicates and absent tuples are ignored. *)
+
 val predicates : t -> string list
 (** Sorted list of bound predicates. *)
 

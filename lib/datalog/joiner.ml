@@ -1,4 +1,11 @@
-type source = Old | Delta | Current
+type span = {
+  sp_rel : Relation.t;
+  sp_lo : int;
+  sp_hi : int;
+  sp_skip : (Tuple.t -> bool) option;
+}
+
+type source = Old | Delta | Current | Spans of span list
 
 (* Where a value comes from when instantiating an atom argument or the
    head. *)
@@ -311,28 +318,54 @@ let guards_ok env guards =
   done;
   !ok
 
-(* The probe function of one atom: its relation window under the
-   chosen source, with the index already resolved
-   ([Relation.matcher]), so the per-candidate inner loop never touches
-   a string-keyed database lookup or an index-table lookup — both are
-   invariant across the probes of a single run. *)
-let nil_probe _key _f = ()
+(* The probe of one atom: the windows its source names, each with its
+   index already resolved ([Relation.matcher]) and the candidate
+   callback [f] bound, so the per-candidate inner loop never touches a
+   string-keyed database lookup or an index-table lookup — both are
+   invariant across the probes of a single run — and a span without a
+   [sp_skip] filter adds no per-candidate work. *)
+let nil_probe _key = ()
 
-let staged_probe ca ~sources rels =
-  match rels.window_of ca.ca_pred with
-  | None -> nil_probe
-  | Some w ->
-    let lo, hi =
-      match sources.(ca.ca_index) with
-      | Old -> (0, w.w_old)
-      | Delta -> (w.w_old, w.w_cur)
-      | Current -> (0, w.w_cur)
+let rec probe_all probes key =
+  match probes with
+  | [] -> ()
+  | probe :: rest ->
+    probe key;
+    probe_all rest key
+
+let stage_span ca f sp =
+  if sp.sp_lo >= sp.sp_hi then None
+  else begin
+    let m = Relation.matcher sp.sp_rel ~positions:ca.ca_positions in
+    let f =
+      match sp.sp_skip with
+      | None -> f
+      | Some skip -> fun t -> if not (skip t) then f t
     in
-    if lo >= hi then nil_probe
-    else begin
-      let m = Relation.matcher w.w_rel ~positions:ca.ca_positions in
-      fun key f -> m key ~lo ~hi f
-    end
+    let lo = sp.sp_lo and hi = sp.sp_hi in
+    Some (fun key -> m key ~lo ~hi f)
+  end
+
+let staged_probe ca ~sources rels f =
+  let spans =
+    match sources.(ca.ca_index) with
+    | Spans spans -> spans
+    | (Old | Delta | Current) as source -> (
+      match rels.window_of ca.ca_pred with
+      | None -> []
+      | Some w ->
+        let sp_lo, sp_hi =
+          match source with
+          | Old -> (0, w.w_old)
+          | Delta -> (w.w_old, w.w_cur)
+          | Current | Spans _ -> (0, w.w_cur)
+        in
+        [ { sp_rel = w.w_rel; sp_lo; sp_hi; sp_skip = None } ])
+  in
+  match List.filter_map (stage_span ca f) spans with
+  | [] -> nil_probe
+  | [ probe ] -> probe
+  | probes -> fun key -> probe_all probes key
 
 let run plan ~sources ?fast_dedup rels ~emit =
   if Array.length sources <> plan.nbody then
@@ -386,7 +419,6 @@ let run plan ~sources ?fast_dedup rels ~emit =
     match atoms with
     | [] -> emit_head
     | ca :: rest ->
-      let probe = staged_probe ca ~sources rels in
       let continue_k = build rest in
       let key = ca.ca_keybuf in
       let slots = ca.ca_slots in
@@ -410,6 +442,7 @@ let run plan ~sources ?fast_dedup rels ~emit =
         done;
         if !ok && guards_ok env guards then continue_k ()
       in
+      let probe = staged_probe ca ~sources rels try_tuple in
       fun () ->
         (* Instantiate the index key in the atom's reusable buffer: the
            positions were fixed at compile time, so a probe costs only
@@ -420,7 +453,7 @@ let run plan ~sources ?fast_dedup rels ~emit =
             | Sconst c -> c
             | Svar v -> env.(v))
         done;
-        probe key try_tuple
+        probe key
   in
   let start = build plan.atoms in
   let rec pre_ok gs =

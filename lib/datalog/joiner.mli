@@ -4,16 +4,33 @@
     rest in textual or greedy order), the variable numbering, and the
     placement of hash guards. At run time each body atom is given a
     {!source} — the semi-naive engine uses this to evaluate the delta
-    variants of a rule — and the plan enumerates every satisfying
-    ground substitution exactly once, calling [emit] with the
-    instantiated head tuple. Every plan of one rule enumerates the
-    same substitutions under the same sources; the scan order changes
-    only the work ({!probes}) and the order of the emits. *)
+    variants of a rule, incremental maintenance ({!Stratified.Live})
+    to read unions of windows over the model and its scratch
+    relations — and the plan enumerates every satisfying ground
+    substitution exactly once, calling [emit] with the instantiated
+    head tuple. Every plan of one rule enumerates the same
+    substitutions under the same sources; the scan order changes only
+    the work ({!probes}) and the order of the emits. *)
+
+type span = {
+  sp_rel : Relation.t;
+  sp_lo : int;
+  sp_hi : int;  (** The insertion positions [\[sp_lo, sp_hi)]. *)
+  sp_skip : (Tuple.t -> bool) option;
+      (** Candidates in the window for which this holds are not read.
+          [None] costs nothing per candidate. *)
+}
+(** An explicit window over one relation. *)
 
 type source =
   | Old  (** The relation as of the previous iteration. *)
   | Delta  (** Tuples new in the current iteration. *)
   | Current  (** [Old ∪ Delta]. *)
+  | Spans of span list
+      (** The concatenation of the listed windows, each minus the
+          tuples its [sp_skip] rejects; the atom's predicate is not
+          looked up in {!relations}. The caller keeps the windows
+          disjoint, or a tuple in two of them is read twice. *)
 
 type plan
 

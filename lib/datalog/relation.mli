@@ -114,8 +114,9 @@ val remove_all : t -> (Tuple.t -> bool) -> int
     insertion order but their positions shift, and all materialized
     indexes are dropped (rebuilt lazily) — so, like {!compact}, this
     invalidates staged {!matcher}s and any window watermarks the caller
-    holds over [r]. The incremental-maintenance layer is the intended
-    caller; the semi-naive hot path never removes. *)
+    holds over [r]. Its one caller is {!Database.remove_facts}, which
+    every deletion goes through; the semi-naive hot path never
+    removes. *)
 
 val compact : t -> unit
 (** Release slack: shrink the element store to its current size and

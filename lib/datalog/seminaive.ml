@@ -228,7 +228,10 @@ let window_size engine pred (source : Joiner.source) =
     (match source with
      | Old -> m.m_old
      | Delta -> m.m_cur - m.m_old
-     | Current -> m.m_cur)
+     | Current -> m.m_cur
+     | Spans spans ->
+       List.fold_left (fun n (sp : Joiner.span) -> n + sp.sp_hi - sp.sp_lo) 0
+         spans)
 
 (* Run one variant of a rule with the plan whose first atom has the
    smallest window under [sources], ties going to textual order. Every
@@ -327,36 +330,15 @@ let run_to_fixpoint engine =
 let retract_facts engine pairs =
   if has_pending engine then
     invalid_arg "Seminaive.retract_facts: engine has pending work";
-  let module Tset = Hashtbl.Make (Tuple) in
-  let by_pred : (string, unit Tset.t) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (pred, tuple) ->
-      let set =
-        match Hashtbl.find_opt by_pred pred with
-        | Some s -> s
-        | None ->
-          let s = Tset.create 16 in
-          Hashtbl.add by_pred pred s;
-          s
-      in
-      Tset.replace set tuple ())
-    pairs;
-  let removed = ref 0 in
-  Hashtbl.iter
-    (fun pred set ->
-      match Database.find engine.full pred with
-      | None -> ()
-      | Some rel ->
-        removed := !removed + Relation.remove_all rel (Tset.mem set))
-    by_pred;
-  if !removed > 0 then
+  let removed = Database.remove_facts engine.full pairs in
+  if removed > 0 then
     Hashtbl.iter
       (fun _ m ->
         let n = Relation.cardinal m.m_rel in
         m.m_old <- n;
         m.m_cur <- n)
       engine.marks;
-  !removed
+  removed
 
 (* A checkpoint needs the store plus, per predicate, the frontier
    between processed state and the still-pending suffix: restoring

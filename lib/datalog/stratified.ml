@@ -1,18 +1,3 @@
-(* ------------------------------------------------------------------ *)
-(* Incremental maintenance (Stratified.Live) support machinery.
-
-   The batch-update algorithms cannot reuse {!Joiner}: maintaining a
-   model under deletions needs, for one body atom, the {e union} of
-   several windows over several physical relations — the post-patch
-   main store plus a scratch relation of just-removed tuples is the
-   only faithful representation of the pre-batch state once the
-   append-only store has been rebuilt. So the incremental layer runs
-   its own backtracking join over per-atom {e source lists}: each
-   source is a windowed, optionally filtered view of one relation, and
-   a body atom matches against the concatenation of its sources. Index
-   probes still go through {!Relation.matcher} on the positions bound
-   by the environment, so the inner loop stays bucketed. *)
-
 module Tset = Hashtbl.Make (Tuple)
 
 module Lkey = struct
@@ -23,100 +8,6 @@ module Lkey = struct
 end
 
 module Ltbl = Hashtbl.Make (Lkey)
-
-type src = {
-  sr_rel : Relation.t;
-  sr_lo : int;
-  sr_hi : int;  (* window [sr_lo, sr_hi) *)
-  sr_skip : (Tuple.t -> bool) option;  (* drop candidates, post-window *)
-}
-
-let src_all rel =
-  { sr_rel = rel; sr_lo = 0; sr_hi = Relation.cardinal rel; sr_skip = None }
-
-let unify_tuple (args : Term.t array) env t =
-  let n = Array.length args in
-  let rec go k env =
-    if k = n then Some env
-    else
-      match args.(k) with
-      | Term.Const c ->
-        if Const.equal c (Tuple.get t k) then go (k + 1) env else None
-      | Term.Var v -> (
-        let c = Tuple.get t k in
-        match List.assoc_opt v env with
-        | Some c' -> if Const.equal c c' then go (k + 1) env else None
-        | None -> go (k + 1) ((v, c) :: env))
-  in
-  go 0 env
-
-let instantiate_head (head : Atom.t) env =
-  Tuple.make
-    (Array.map
-       (function
-         | Term.Const c -> c
-         | Term.Var v -> (
-           match List.assoc_opt v env with
-           | Some c -> c
-           | None ->
-             invalid_arg "Stratified: unsafe rule head variable"))
-       head.Atom.args)
-
-(* Probe one source for candidates compatible with [atom] under [env]:
-   positions already bound (constants or bound variables) become an
-   index key, the rest scan. *)
-let probe_src s (atom : Atom.t) env f =
-  let args = atom.Atom.args in
-  let bound = ref [] in
-  Array.iteri
-    (fun k term ->
-      match term with
-      | Term.Const c -> bound := (k, c) :: !bound
-      | Term.Var v -> (
-        match List.assoc_opt v env with
-        | Some c -> bound := (k, c) :: !bound
-        | None -> ()))
-    args;
-  let each =
-    match s.sr_skip with
-    | None -> f
-    | Some skip -> fun t -> if not (skip t) then f t
-  in
-  match List.rev !bound with
-  | [] -> Relation.iter_range s.sr_rel ~lo:s.sr_lo ~hi:s.sr_hi each
-  | bl ->
-    let positions = Array.of_list (List.map fst bl) in
-    let key = Array.of_list (List.map snd bl) in
-    Relation.matcher s.sr_rel ~positions key ~lo:s.sr_lo ~hi:s.sr_hi each
-
-(* Enumerate the ground substitutions of [rule]'s body where each atom
-   draws from its own source list; [on_firing] sees the full
-   environment of each success. [env] pre-binds variables (used by
-   rederivation, which unifies the head with a concrete tuple). *)
-let eval_body ?(env = []) (rule : Rule.t) (sources : src list array)
-    ~on_firing =
-  let body = Array.of_list rule.body in
-  let n = Array.length body in
-  let rec go i env =
-    if i = n then on_firing env
-    else
-      let atom = body.(i) in
-      List.iter
-        (fun s ->
-          probe_src s atom env (fun t ->
-              match unify_tuple atom.Atom.args env t with
-              | Some env' -> go (i + 1) env'
-              | None -> ()))
-        sources.(i)
-  in
-  go 0 env
-
-exception Sat
-
-let satisfiable ~env rule sources =
-  match eval_body ~env rule sources ~on_firing:(fun _ -> raise Sat) with
-  | () -> false
-  | exception Sat -> true
 
 let evaluate ?pushdown ?reorder program edb =
   (match Program.check program with
@@ -178,9 +69,22 @@ let evaluate ?pushdown ?reorder program edb =
 (* Live incremental maintenance                                       *)
 
 module Live = struct
+  (* One rule of a stratum, compiled for every maintenance variant:
+     [rp_plans.(j)] scans body atom [j] first (a bodiless rule has the
+     single plan [rp_plans.(0)]), so each variant runs with its changed
+     window as the outer loop. [rp_rederive] is [h :- h, body], the
+     head copied in as body atom 0 and scanned first: reading one
+     overdeleted tuple there asks whether the rule still derives it. *)
+  type rule_plan = {
+    rp_head : string;
+    rp_preds : string array;  (* body predicates, by position *)
+    rp_plans : Joiner.plan array;
+    rp_rederive : Joiner.plan;
+  }
+
   type stratum = {
     st_preds : string list;  (* one SCC, sorted *)
-    st_rules : Rule.t list;
+    st_rules : rule_plan list;
     st_recursive : bool;  (* DRed; otherwise counting *)
   }
 
@@ -212,7 +116,23 @@ module Live = struct
   let no_change =
     { c_summary = Delta.empty_summary; c_added = []; c_removed = [] }
 
-  let build_strata program =
+  let compile_rule ?pushdown ?reorder (rule : Rule.t) =
+    let n = List.length rule.body in
+    {
+      rp_head = rule.head.Atom.pred;
+      rp_preds =
+        Array.of_list (List.map (fun (a : Atom.t) -> a.pred) rule.body);
+      rp_plans =
+        (if n = 0 then [| Joiner.compile ?pushdown ?reorder rule |]
+         else
+           Array.init n (fun first ->
+               Joiner.compile ?pushdown ?reorder ~first rule));
+      rp_rederive =
+        Joiner.compile ?pushdown ?reorder ~first:0
+          { rule with body = rule.head :: rule.body };
+    }
+
+  let build_strata ?pushdown ?reorder program =
     List.filter_map
       (fun component ->
         let rules =
@@ -233,7 +153,12 @@ module Live = struct
                 rules
             | _ -> true
           in
-          Some { st_preds = component; st_rules = rules; st_recursive = recursive })
+          Some
+            {
+              st_preds = component;
+              st_rules = List.map (compile_rule ?pushdown ?reorder) rules;
+              st_recursive = recursive;
+            })
       (Analysis.sccs program)
 
   let counts_of live pred =
@@ -250,6 +175,50 @@ module Live = struct
     c
 
   let rel_opt live pred = Database.find live.lv_db pred
+  let card live pred = Database.cardinal live.lv_db pred
+
+  (* Every source below names its windows explicitly, so the join never
+     looks a predicate up. *)
+  let no_windows = { Joiner.window_of = (fun _ -> None) }
+
+  (* [rel]'s insertion positions [lo, hi) as a join source: no span at
+     all when the window is empty. *)
+  let span ?skip rel ~lo ~hi =
+    if hi > lo then
+      [ { Joiner.sp_rel = rel; sp_lo = lo; sp_hi = hi; sp_skip = skip } ]
+    else []
+
+  let whole ?skip = function
+    | Some rel -> span ?skip rel ~lo:0 ~hi:(Relation.cardinal rel)
+    | None -> []
+
+  let model live pred = whole (rel_opt live pred)
+
+  let window live pred ~lo ~hi =
+    match rel_opt live pred with Some rel -> span rel ~lo ~hi | None -> []
+
+  (* The one maintenance join. For each body position [j] whose
+     [changed] window is non-empty, atom [j] reads that window, the
+     atoms before it read [before] and the atoms after it [after], and
+     the plan scanning atom [j] first enumerates the firings. With the
+     new state on one side of [j] and the old on the other, the
+     variants telescope: no firing is counted under two positions.
+     DRed reads the old state on both sides and may count a firing
+     twice, which its set semantics absorbs. *)
+  let fire_variants rp ~changed ~before ~after ~emit =
+    let n = Array.length rp.rp_preds in
+    for j = 0 to n - 1 do
+      match changed rp.rp_preds.(j) with
+      | [] -> ()
+      | window ->
+        let sources =
+          Array.init n (fun i ->
+              let p = rp.rp_preds.(i) in
+              Joiner.Spans
+                (if i < j then before p else if i = j then window else after p))
+        in
+        Joiner.run rp.rp_plans.(j) ~sources no_windows ~emit
+    done
 
   (* Count every current firing of the counting strata once, plus a +1
      baseline per externally supported tuple: the telescoped
@@ -260,18 +229,12 @@ module Live = struct
         if not st.st_recursive then begin
           let counts = counts_of live (List.hd st.st_preds) in
           List.iter
-            (fun (rule : Rule.t) ->
-              let sources =
-                Array.of_list
-                  (List.map
-                     (fun (a : Atom.t) ->
-                       match rel_opt live a.Atom.pred with
-                       | Some rel -> [ src_all rel ]
-                       | None -> [])
-                     rule.body)
-              in
-              eval_body rule sources ~on_firing:(fun env ->
-                  ignore (bump counts (instantiate_head rule.head env) 1)))
+            (fun rp ->
+              Joiner.run rp.rp_plans.(0)
+                ~sources:
+                  (Array.map (fun p -> Joiner.Spans (model live p)) rp.rp_preds)
+                no_windows
+                ~emit:(fun h -> ignore (bump counts h 1)))
             st.st_rules
         end)
       live.lv_strata;
@@ -295,7 +258,7 @@ module Live = struct
       {
         lv_program = program;
         lv_db = db;
-        lv_strata = build_strata program;
+        lv_strata = build_strata ?pushdown ?reorder program;
         lv_derived = derived;
         lv_counts = Hashtbl.create 8;
         lv_pfacts = Ltbl.create 16;
@@ -328,248 +291,182 @@ module Live = struct
   (* ---------------------------------------------------------------- *)
   (* Deletion phase                                                   *)
 
+  (* [rem] holds, per predicate, the tuples this batch has removed from
+     the model so far: the main store plus [rem] is the pre-deletion
+     state. [retire] removes model tuples and moves them there. *)
+  let removed rem pred = whole (Hashtbl.find_opt rem pred)
+
   (* Counting stratum: enumerate exactly the lost firings — position
      [j] reads the removed tuples, earlier atoms the post-deletion
      state, later atoms the pre-deletion state (main ∪ removed) — and
      decrement; a head whose count reaches zero dies. *)
-  let delete_counting live st ~rem ~rem_of ~note_removed ~firings =
+  let delete_counting live st ~rem ~retire ~firings =
     let head_pred = List.hd st.st_preds in
     let counts = counts_of live head_pred in
-    let rem_opt p =
-      match Hashtbl.find_opt rem p with
-      | Some r when not (Relation.is_empty r) -> Some r
-      | _ -> None
-    in
-    let dead = Tset.create 16 in
+    let dead = ref [] in
     List.iter
-      (fun (rule : Rule.t) ->
-        let body = Array.of_list rule.body in
-        let n = Array.length body in
-        for j = 0 to n - 1 do
-          match rem_opt body.(j).Atom.pred with
-          | None -> ()
-          | Some rem_j ->
-            let sources =
-              Array.init n (fun i ->
-                  let p = body.(i).Atom.pred in
-                  let main =
-                    match rel_opt live p with
-                    | Some r -> [ src_all r ]
-                    | None -> []
-                  in
-                  if i < j then main
-                  else if i = j then [ src_all rem_j ]
-                  else
-                    match rem_opt p with
-                    | Some r -> main @ [ src_all r ]
-                    | None -> main)
-            in
-            eval_body rule sources ~on_firing:(fun env ->
-                incr firings;
-                let h = instantiate_head rule.head env in
-                if bump counts h (-1) = 0 then Tset.replace dead h ())
-        done)
+      (fun rp ->
+        fire_variants rp ~changed:(removed rem) ~before:(model live)
+          ~after:(fun p -> model live p @ removed rem p)
+          ~emit:(fun h ->
+            incr firings;
+            if bump counts h (-1) = 0 then dead := (head_pred, h) :: !dead))
       st.st_rules;
-    if Tset.length dead > 0 then begin
-      match rel_opt live head_pred with
-      | None -> ()
-      | Some main ->
-        let rm = rem_of head_pred (Relation.arity main) in
-        ignore (Relation.remove_all main (Tset.mem dead));
-        Tset.iter
-          (fun t () ->
-            ignore (Relation.add rm t);
-            note_removed (head_pred, t))
-          dead
-    end
+    retire !dead
+
+  (* An overdeleted relation of a DRed stratum: [od_rel] grows by
+     propagation rounds, [od_lo, od_hi) is the window the current round
+     propagates, and [od_saved] the tuples rederivation has saved. *)
+  type overdeleted = {
+    od_rel : Relation.t;
+    mutable od_lo : int;
+    mutable od_hi : int;
+    od_saved : unit Tset.t;
+  }
 
   (* Recursive stratum: DRed. Overdelete every tuple with a firing
      over the old state that touches a removed or overdeleted tuple;
      rederive the overdeleted tuples still derivable from survivors;
      the difference is the net deletion. *)
-  let delete_dred live st ~rem ~rem_of ~note_removed ~firings ~overdeleted
-      ~rederived =
+  let delete_dred live st ~rem ~retire ~firings ~overdeleted ~rederived =
     let in_stratum p = List.mem p st.st_preds in
-    let rem_opt p =
-      match Hashtbl.find_opt rem p with
-      | Some r when not (Relation.is_empty r) -> Some r
-      | _ -> None
-    in
-    let od : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-    let od_lo : (string, int) Hashtbl.t = Hashtbl.create 4 in
-    let od_of pred arity =
-      match Hashtbl.find_opt od pred with
-      | Some r -> r
-      | None ->
-        let r = Relation.create ~arity () in
-        Hashtbl.add od pred r;
-        Hashtbl.replace od_lo pred 0;
-        r
-    in
+    let od : (string, overdeleted) Hashtbl.t = Hashtbl.create 4 in
     (* Old state: for lower predicates main ∪ removed (they are already
        patched); for stratum predicates main (untouched until the net
        deletion is installed below). *)
-    let old_sources p =
-      let main =
-        match rel_opt live p with Some r -> [ src_all r ] | None -> []
-      in
-      if in_stratum p then main
-      else
-        match rem_opt p with Some r -> main @ [ src_all r ] | None -> main
+    let old_state p =
+      if in_stratum p then model live p else model live p @ removed rem p
     in
-    let emit_od (rule : Rule.t) env =
+    let overdelete rp h =
       incr firings;
-      let hpred = rule.head.Atom.pred in
-      let h = instantiate_head rule.head env in
-      match rel_opt live hpred with
+      match rel_opt live rp.rp_head with
       | Some main when Relation.mem main h ->
-        ignore (Relation.add (od_of hpred (Tuple.arity h)) h)
+        let o =
+          match Hashtbl.find_opt od rp.rp_head with
+          | Some o -> o
+          | None ->
+            let o =
+              {
+                od_rel = Relation.create ~arity:(Tuple.arity h) ();
+                od_lo = 0;
+                od_hi = 0;
+                od_saved = Tset.create 16;
+              }
+            in
+            Hashtbl.add od rp.rp_head o;
+            o
+        in
+        ignore (Relation.add o.od_rel h)
       | _ -> ()
     in
     (* Seed: firings lost to lower-stratum removals. *)
     List.iter
-      (fun (rule : Rule.t) ->
-        let body = Array.of_list rule.body in
-        let n = Array.length body in
-        for j = 0 to n - 1 do
-          let pj = body.(j).Atom.pred in
-          if not (in_stratum pj) then
-            match rem_opt pj with
-            | None -> ()
-            | Some rem_j ->
-              let sources =
-                Array.init n (fun i ->
-                    if i = j then [ src_all rem_j ]
-                    else old_sources body.(i).Atom.pred)
-              in
-              eval_body rule sources ~on_firing:(emit_od rule)
-        done)
+      (fun rp ->
+        fire_variants rp
+          ~changed:(fun p -> if in_stratum p then [] else removed rem p)
+          ~before:old_state ~after:old_state ~emit:(overdelete rp))
       st.st_rules;
     (* Propagate: an overdeleted stratum tuple loses the firings it
-       supported. Set semantics — overcounting is harmless here. *)
-    let continue = ref true in
-    while !continue do
-      continue := false;
-      let windows =
-        Hashtbl.fold
-          (fun pred r acc ->
-            let lo = Hashtbl.find od_lo pred and hi = Relation.cardinal r in
-            if hi > lo then (pred, r, lo, hi) :: acc else acc)
-          od []
-      in
-      if windows <> [] then begin
-        continue := true;
-        List.iter
-          (fun (rule : Rule.t) ->
-            let body = Array.of_list rule.body in
-            let n = Array.length body in
-            for j = 0 to n - 1 do
-              let pj = body.(j).Atom.pred in
-              match
-                List.find_opt (fun (p, _, _, _) -> String.equal p pj) windows
-              with
-              | None -> ()
-              | Some (_, r, lo, hi) ->
-                let sources =
-                  Array.init n (fun i ->
-                      if i = j then
-                        [ { sr_rel = r; sr_lo = lo; sr_hi = hi; sr_skip = None } ]
-                      else old_sources body.(i).Atom.pred)
-                in
-                eval_body rule sources ~on_firing:(emit_od rule)
-            done)
-          st.st_rules;
-        List.iter (fun (pred, _, _, hi) -> Hashtbl.replace od_lo pred hi) windows
-      end
+       supported, each round from the tuples the last one overdeleted.
+       Set semantics — overcounting is harmless here. *)
+    let pending () =
+      Hashtbl.fold
+        (fun _ o more ->
+          o.od_hi <- Relation.cardinal o.od_rel;
+          more || o.od_hi > o.od_lo)
+        od false
+    in
+    let round p =
+      match Hashtbl.find_opt od p with
+      | Some o -> span o.od_rel ~lo:o.od_lo ~hi:o.od_hi
+      | None -> []
+    in
+    while pending () do
+      List.iter
+        (fun rp ->
+          fire_variants rp ~changed:round ~before:old_state ~after:old_state
+            ~emit:(overdelete rp))
+        st.st_rules;
+      Hashtbl.iter (fun _ o -> o.od_lo <- o.od_hi) od
     done;
-    Hashtbl.iter (fun _ r -> overdeleted := !overdeleted + Relation.cardinal r) od;
+    Hashtbl.iter
+      (fun _ o -> overdeleted := !overdeleted + Relation.cardinal o.od_rel)
+      od;
     (* Rederive: an overdeleted tuple survives if some rule derives it
        from survivors — stratum atoms read main minus the still-dead
        overdeletions, lower atoms the new state. Iterate to fixpoint:
        each save can justify more. *)
-    let red : (string, unit Tset.t) Hashtbl.t = Hashtbl.create 4 in
-    let red_of pred =
-      match Hashtbl.find_opt red pred with
-      | Some s -> s
-      | None ->
-        let s = Tset.create 16 in
-        Hashtbl.add red pred s;
-        s
+    let survivors p =
+      match Hashtbl.find_opt od p with
+      | Some o ->
+        let dead t = Relation.mem o.od_rel t && not (Tset.mem o.od_saved t) in
+        whole ~skip:dead (rel_opt live p)
+      | None -> model live p
     in
-    let survivor_sources (a : Atom.t) =
-      let p = a.Atom.pred in
-      match rel_opt live p with
-      | None -> []
-      | Some main ->
-        if in_stratum p then begin
-          match Hashtbl.find_opt od p with
-          | Some o ->
-            let redset = red_of p in
-            [ { sr_rel = main; sr_lo = 0; sr_hi = Relation.cardinal main;
-                sr_skip =
-                  Some (fun t -> Relation.mem o t && not (Tset.mem redset t)) } ]
-          | None -> [ src_all main ]
-        end
-        else [ src_all main ]
+    (* Stop at the first firing: one is enough to save the tuple. *)
+    let rederivable pred o k =
+      let exception Derived in
+      let sources rp =
+        Array.init
+          (Array.length rp.rp_preds + 1)
+          (fun i ->
+            Joiner.Spans
+              (if i = 0 then span o.od_rel ~lo:k ~hi:(k + 1)
+               else survivors rp.rp_preds.(i - 1)))
+      in
+      List.exists
+        (fun rp ->
+          String.equal rp.rp_head pred
+          &&
+          match
+            Joiner.run rp.rp_rederive ~sources:(sources rp) no_windows
+              ~emit:(fun _ -> raise Derived)
+          with
+          | () -> false
+          | exception Derived ->
+            incr firings;
+            true)
+        st.st_rules
     in
     let changed = ref true in
     while !changed do
       changed := false;
       Hashtbl.iter
         (fun pred o ->
-          let redset = red_of pred in
+          let k = ref 0 in
           Relation.iter
             (fun t ->
-              if not (Tset.mem redset t) then begin
-                let saved =
-                  Ltbl.mem live.lv_pfacts (pred, t)
-                  || List.exists
-                       (fun (rule : Rule.t) ->
-                         String.equal rule.head.Atom.pred pred
-                         &&
-                         match unify_tuple rule.head.Atom.args [] t with
-                         | None -> false
-                         | Some env ->
-                           let sources =
-                             Array.of_list
-                               (List.map survivor_sources rule.body)
-                           in
-                           let ok = satisfiable ~env rule sources in
-                           if ok then incr firings;
-                           ok)
-                       st.st_rules
-                in
-                if saved then begin
-                  Tset.replace redset t ();
-                  changed := true
-                end
-              end)
-            o)
+              if
+                (not (Tset.mem o.od_saved t))
+                && (Ltbl.mem live.lv_pfacts (pred, t) || rederivable pred o !k)
+              then begin
+                Tset.replace o.od_saved t ();
+                changed := true
+              end;
+              incr k)
+            o.od_rel)
         od
     done;
-    Hashtbl.iter (fun _ s -> rederived := !rederived + Tset.length s) red;
-    (* Install the net deletion. *)
     Hashtbl.iter
-      (fun pred o ->
-        let redset = red_of pred in
-        let deadp t = Relation.mem o t && not (Tset.mem redset t) in
-        let dead = Relation.fold (fun t acc -> if Tset.mem redset t then acc else t :: acc) o [] in
-        if dead <> [] then begin
-          match rel_opt live pred with
-          | None -> ()
-          | Some main ->
-            ignore (Relation.remove_all main deadp);
-            let rm = rem_of pred (Relation.arity o) in
-            List.iter
-              (fun t ->
-                ignore (Relation.add rm t);
-                note_removed (pred, t))
-              dead
-        end)
-      od
+      (fun _ o -> rederived := !rederived + Tset.length o.od_saved)
+      od;
+    (* Install the net deletion. *)
+    retire
+      (Hashtbl.fold
+         (fun pred o acc ->
+           Relation.fold
+             (fun t acc ->
+               if Tset.mem o.od_saved t then acc else (pred, t) :: acc)
+             o.od_rel acc)
+         od [])
 
   (* ---------------------------------------------------------------- *)
   (* Insertion phase                                                  *)
+
+  (* [add_lo] watermarks every relation before the batch's first
+     append: the added region of predicate [p] is [add_lo(p), cardinal). *)
+  let lo_of live ~add_lo p =
+    match Hashtbl.find_opt add_lo p with Some v -> v | None -> card live p
 
   (* Counting stratum: the gained firings — position [j] reads the
      added window, earlier atoms the full new state, later atoms the
@@ -577,150 +474,95 @@ module Live = struct
   let insert_counting live st ~add_lo ~note_added ~firings =
     let head_pred = List.hd st.st_preds in
     let counts = counts_of live head_pred in
-    let lo_of p =
-      match Hashtbl.find_opt add_lo p with
-      | Some v -> v
-      | None -> (
-        match rel_opt live p with Some r -> Relation.cardinal r | None -> 0)
-    in
-    let head_rel =
-      match rel_opt live head_pred with
-      | Some r -> r
-      | None ->
-        (* Head relations exist: the initial evaluation declared every
-           derived predicate. *)
-        assert false
-    in
+    (* Head relations exist: the initial evaluation declared every
+       derived predicate. *)
+    let head_rel = Database.get live.lv_db head_pred in
+    let lo_of = lo_of live ~add_lo in
     List.iter
-      (fun (rule : Rule.t) ->
-        let body = Array.of_list rule.body in
-        let n = Array.length body in
-        for j = 0 to n - 1 do
-          let pj = body.(j).Atom.pred in
-          let lo_j = lo_of pj in
-          let cur_j =
-            match rel_opt live pj with
-            | Some r -> Relation.cardinal r
-            | None -> 0
-          in
-          if cur_j > lo_j then begin
-            let rel_j =
-              match rel_opt live pj with Some r -> r | None -> assert false
-            in
-            let sources =
-              Array.init n (fun i ->
-                  let p = body.(i).Atom.pred in
-                  match rel_opt live p with
-                  | None -> []
-                  | Some r ->
-                    if i < j then
-                      [ { sr_rel = r; sr_lo = 0; sr_hi = Relation.cardinal r;
-                          sr_skip = None } ]
-                    else if i = j then
-                      [ { sr_rel = rel_j; sr_lo = lo_j; sr_hi = cur_j;
-                          sr_skip = None } ]
-                    else
-                      [ { sr_rel = r; sr_lo = 0; sr_hi = lo_of p;
-                          sr_skip = None } ])
-            in
-            eval_body rule sources ~on_firing:(fun env ->
-                incr firings;
-                let h = instantiate_head rule.head env in
-                if bump counts h 1 = 1 then
-                  if Relation.add head_rel h then note_added (head_pred, h))
-          end
-        done)
+      (fun rp ->
+        fire_variants rp
+          ~changed:(fun p -> window live p ~lo:(lo_of p) ~hi:(card live p))
+          ~before:(model live)
+          ~after:(fun p -> window live p ~lo:0 ~hi:(lo_of p))
+          ~emit:(fun h ->
+            incr firings;
+            if bump counts h 1 = 1 && Relation.add head_rel h then
+              note_added (head_pred, h)))
       st.st_rules
 
   (* Recursive stratum: plain semi-naive resumed from the added
      windows, driven over the live store with local watermarks (the
-     in-place analogue of [Seminaive.resume]). *)
+     in-place analogue of [Seminaive.resume]): a round's delta is
+     [lo, cur), earlier atoms read [0, lo), later atoms [0, cur). *)
   let insert_seminaive live st ~add_lo ~note_added ~firings =
     let scope =
       List.sort_uniq String.compare
         (List.concat_map
-           (fun (r : Rule.t) ->
-             r.head.Atom.pred
-             :: List.map (fun (a : Atom.t) -> a.Atom.pred) r.body)
+           (fun rp -> rp.rp_head :: Array.to_list rp.rp_preds)
            st.st_rules)
-    in
-    let card p =
-      match rel_opt live p with Some r -> Relation.cardinal r | None -> 0
     in
     let lo : (string, int) Hashtbl.t = Hashtbl.create 8 in
     let cur : (string, int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun p ->
-        let l =
-          match Hashtbl.find_opt add_lo p with
-          | Some v -> v
-          | None -> card p
-        in
-        Hashtbl.replace lo p l;
-        Hashtbl.replace cur p (card p))
+        Hashtbl.replace lo p (lo_of live ~add_lo p);
+        Hashtbl.replace cur p (card live p))
       scope;
-    let continue = ref true in
-    while !continue do
-      continue := false;
-      let delta p = Hashtbl.find cur p > Hashtbl.find lo p in
-      if List.exists delta scope then begin
-        continue := true;
-        List.iter
-          (fun (rule : Rule.t) ->
-            let body = Array.of_list rule.body in
-            let n = Array.length body in
-            let head_rel =
-              match rel_opt live rule.head.Atom.pred with
-              | Some r -> r
-              | None -> assert false
-            in
-            for j = 0 to n - 1 do
-              let pj = body.(j).Atom.pred in
-              if List.mem pj scope && delta pj then begin
-                let sources =
-                  Array.init n (fun i ->
-                      let p = body.(i).Atom.pred in
-                      match rel_opt live p with
-                      | None -> []
-                      | Some r ->
-                        let hi =
-                          if i < j then Hashtbl.find lo p
-                          else if i = j then Hashtbl.find cur p
-                          else Hashtbl.find cur p
-                        in
-                        let lo_w =
-                          if i = j then Hashtbl.find lo p else 0
-                        in
-                        [ { sr_rel = r; sr_lo = lo_w; sr_hi = hi;
-                            sr_skip = None } ])
-                in
-                eval_body rule sources ~on_firing:(fun env ->
-                    incr firings;
-                    let h = instantiate_head rule.head env in
-                    if Relation.add head_rel h then
-                      note_added (rule.head.Atom.pred, h))
-              end
-            done)
-          st.st_rules;
-        List.iter
-          (fun p ->
-            Hashtbl.replace lo p (Hashtbl.find cur p);
-            Hashtbl.replace cur p (card p))
-          scope
-      end
+    let delta p =
+      window live p ~lo:(Hashtbl.find lo p) ~hi:(Hashtbl.find cur p)
+    in
+    while List.exists (fun p -> delta p <> []) scope do
+      List.iter
+        (fun rp ->
+          let head_rel = Database.get live.lv_db rp.rp_head in
+          fire_variants rp ~changed:delta
+            ~before:(fun p -> window live p ~lo:0 ~hi:(Hashtbl.find lo p))
+            ~after:(fun p -> window live p ~lo:0 ~hi:(Hashtbl.find cur p))
+            ~emit:(fun h ->
+              incr firings;
+              if Relation.add head_rel h then note_added (rp.rp_head, h)))
+        st.st_rules;
+      List.iter
+        (fun p ->
+          Hashtbl.replace lo p (Hashtbl.find cur p);
+          Hashtbl.replace cur p (card live p))
+        scope
     done
 
   (* ---------------------------------------------------------------- *)
 
-  let apply live batch =
-    live.lv_batches <- live.lv_batches + 1;
+  (* Reject a batch before anything mutates: an update of a derived
+     predicate, or a tuple whose arity is not its predicate's (in the
+     model, in the program, or earlier in the same batch). *)
+  let check_batch live updates =
+    let arities = Hashtbl.create 16 in
+    List.iter
+      (fun (p, a) -> Hashtbl.replace arities p a)
+      (Program.arities live.lv_program);
     List.iter
       (fun (u : Delta.update) ->
-        if List.mem u.Delta.u_pred live.lv_derived then
+        let pred = u.Delta.u_pred and n = Tuple.arity u.Delta.u_tuple in
+        if List.mem pred live.lv_derived then
           invalid_arg
-            ("Stratified.Live.apply: " ^ u.Delta.u_pred
-           ^ " is derived; updates must target base predicates"))
-      (Delta.Batch.to_list batch);
+            ("Stratified.Live.apply: " ^ pred
+           ^ " is derived; updates must target base predicates");
+        let expected =
+          match Database.arity live.lv_db pred with
+          | Some a -> Some a
+          | None -> Hashtbl.find_opt arities pred
+        in
+        match expected with
+        | Some a when a <> n ->
+          invalid_arg
+            (Printf.sprintf "Stratified.Live.apply: %s has arity %d, not %d"
+               pred a n)
+        | Some _ -> ()
+        | None -> Hashtbl.replace arities pred n)
+      updates
+
+  let apply live batch =
+    check_batch live (Delta.Batch.to_list batch);
+    live.lv_batches <- live.lv_batches + 1;
     let present pred tuple =
       match rel_opt live pred with
       | Some rel -> Relation.mem rel tuple
@@ -731,7 +573,6 @@ module Live = struct
     else begin
       let removed_now = Ltbl.create 32 in
       let added_now = Ltbl.create 32 in
-      let note_removed key = Ltbl.replace removed_now key () in
       let note_added key =
         if Ltbl.mem removed_now key then Ltbl.remove removed_now key
         else Ltbl.replace added_now key ()
@@ -742,54 +583,36 @@ module Live = struct
       (* -------- deletions, bottom-up -------- *)
       if rems <> [] then begin
         let rem : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
-        let rem_of pred arity =
-          match Hashtbl.find_opt rem pred with
-          | Some r -> r
-          | None ->
-            let r = Relation.create ~arity () in
-            Hashtbl.add rem pred r;
-            r
+        let retire pairs =
+          ignore (Database.remove_facts live.lv_db pairs);
+          List.iter
+            (fun ((pred, t) as key) ->
+              let r =
+                match Hashtbl.find_opt rem pred with
+                | Some r -> r
+                | None ->
+                  let r = Relation.create ~arity:(Tuple.arity t) () in
+                  Hashtbl.add rem pred r;
+                  r
+              in
+              ignore (Relation.add r t);
+              Ltbl.replace removed_now key ())
+            pairs
         in
-        let by_pred : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 8 in
-        List.iter
-          (fun (pred, tuple) ->
-            match Hashtbl.find_opt by_pred pred with
-            | Some l -> l := tuple :: !l
-            | None -> Hashtbl.add by_pred pred (ref [ tuple ]))
-          rems;
-        Hashtbl.iter
-          (fun pred tuples ->
-            match rel_opt live pred with
-            | None -> ()
-            | Some rel ->
-              let set = Tset.create 16 in
-              List.iter (fun t -> Tset.replace set t ()) !tuples;
-              ignore (Relation.remove_all rel (Tset.mem set));
-              let rm = rem_of pred (Relation.arity rel) in
-              List.iter
-                (fun t ->
-                  ignore (Relation.add rm t);
-                  note_removed (pred, t))
-                !tuples)
-          by_pred;
+        retire rems;
         List.iter
           (fun st ->
             if st.st_recursive then
-              delete_dred live st ~rem ~rem_of ~note_removed ~firings
-                ~overdeleted ~rederived
-            else delete_counting live st ~rem ~rem_of ~note_removed ~firings)
+              delete_dred live st ~rem ~retire ~firings ~overdeleted
+                ~rederived
+            else delete_counting live st ~rem ~retire ~firings)
           live.lv_strata
       end;
       (* -------- insertions, bottom-up -------- *)
       if adds <> [] then begin
-        (* Watermark every relation before the first append: the added
-           region of predicate [p] is [add_lo(p), cardinal). *)
         let add_lo : (string, int) Hashtbl.t = Hashtbl.create 16 in
         List.iter
-          (fun pred ->
-            match rel_opt live pred with
-            | Some r -> Hashtbl.replace add_lo pred (Relation.cardinal r)
-            | None -> ())
+          (fun pred -> Hashtbl.replace add_lo pred (card live pred))
           (Database.predicates live.lv_db);
         List.iter
           (fun (pred, tuple) ->

@@ -26,10 +26,15 @@ val evaluate :
     enumeration), recursive strata by DRed — overdelete everything a
     removed tuple might have supported, rederive what survives from the
     remainder, install the difference — followed by a semi-naive
-    insertion pass resumed from the added windows only. Work is
-    proportional to the consequences of the batch, not the store; the
-    returned {!Live.change} is the exact net model difference, which is
-    what the session runtimes propagate to resident workers. *)
+    insertion pass resumed from the added windows only. Every firing
+    is enumerated by {!Joiner.run}, each pass with the plan that scans
+    its changed window first. Join work is proportional to the
+    consequences of the batch, not the store — but a deletion still
+    rebuilds every relation it touches ({!Database.remove_facts}), a
+    cost proportional to that relation's size until deletions stop
+    rebuilding the store. The returned {!Live.change} is the exact net
+    model difference, which is what the session runtimes propagate to
+    resident workers. *)
 module Live : sig
   type t
 
@@ -60,8 +65,9 @@ module Live : sig
       re-applying a batch is a no-op and an empty net effect does
       near-zero work. All deletions are processed bottom-up first, then
       all insertions.
-      @raise Invalid_argument if the batch updates a derived
-      predicate. *)
+      @raise Invalid_argument, before anything changes, if the batch
+      updates a derived predicate or carries a tuple whose arity
+      differs from its predicate's. *)
 
   val query : t -> string -> Tuple.t list
   (** Current tuples of a predicate, in {!Tuple.compare} order; [[]]

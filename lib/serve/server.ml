@@ -427,11 +427,10 @@ let evaluate_live cfg (q : Protocol.query) ds =
           [ Protocol.err ~code:"session" "live session lost; retry" ]))
 
 (* Fold one parsed update batch into the dataset: apply it to the
-   resident session (incremental maintenance) and mirror the base
-   change into the registry EDB by copy-and-swap, so from-scratch
-   queries and STATS see the same facts. Sequential application of the
-   raw updates equals the batch's net base effect (last operation per
-   tuple wins). Runs outside the server lock, under the dataset
+   resident session (incremental maintenance) and mirror the outcome's
+   net base change (its tuples of non-derived predicates) into the
+   registry EDB by copy-and-swap, so from-scratch queries and STATS
+   see the same facts. Runs outside the server lock, under the dataset
    lock. *)
 let evaluate_update cfg ~op (u : Protocol.update) updates ds =
   with_ds_lock ds (fun () ->
@@ -440,21 +439,14 @@ let evaluate_update cfg ~op (u : Protocol.update) updates ds =
       | Ok lv -> (
         match Session.apply lv.lv_session (Update_batch.of_list updates) with
         | outcome ->
+          let base =
+            List.filter (fun (pred, _) -> not (List.mem pred lv.lv_derived))
+          in
           let db = Database.copy ds.ds_edb in
+          ignore (Database.remove_facts db (base outcome.Session.oc_removed));
           List.iter
-            (fun (up : Delta.update) ->
-              match up.Delta.u_op with
-              | Delta.Insert -> (
-                try ignore (Database.add_fact db up.Delta.u_pred up.Delta.u_tuple)
-                with Invalid_argument _ -> ())
-              | Delta.Delete -> (
-                match Database.find db up.Delta.u_pred with
-                | None -> ()
-                | Some rel ->
-                  ignore
-                    (Relation.remove_all rel (fun x ->
-                         Tuple.compare x up.Delta.u_tuple = 0))))
-            updates;
+            (fun (pred, t) -> ignore (Database.add_fact db pred t))
+            (base outcome.Session.oc_added);
           ds.ds_edb <- db;
           [
             Printf.sprintf "OK %s prog=%s id=%s added=%d removed=%d" op
@@ -471,8 +463,9 @@ let evaluate_update cfg ~op (u : Protocol.update) updates ds =
           ds.ds_live <- None;
           [ Protocol.err ~code:"overload" (Overload.reason_kind reason) ]
         | exception Invalid_argument msg ->
-          (* Derived-predicate targets are rejected before any engine
-             mutation, but stay conservative: rebuild on demand. *)
+          (* Derived-predicate targets and wrong arities are rejected
+             before any engine mutation, but stay conservative: rebuild
+             on demand. *)
           ds.ds_live <- None;
           [ Protocol.err ~code:"update" msg ]))
 

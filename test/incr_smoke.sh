@@ -5,7 +5,8 @@
 # batch, and require the final live answer to be byte-identical to
 # (a) a from-scratch QUERY on the same server (whose EDB was patched
 # by the same updates) and (b) a second, update-free server loaded
-# directly with the final fact set.
+# directly with the final fact set. The stream runs on both session
+# runtimes: sim, and domain (the daemon's default).
 #
 # Usage: incr_smoke.sh DATALOGD
 set -eu
@@ -35,11 +36,6 @@ while [ "$i" -lt 6 ]; do
   echo "edge($i,$((i + 1)))." >> "$dir/start.dl"
   i=$((i + 1))
 done
-
-"$datalogd" --socket "$sock" --runtime sim -j 2 \
-  --load tc="$dir/tc.dl" --facts tc="$dir/start.dl" \
-  > "$dir/server.log" 2>&1 &
-server=$!
 
 fail () {
   echo "incr_smoke: $1" >&2
@@ -74,13 +70,23 @@ wait_ready () {
     sleep 0.1
   done
 }
-wait_ready "$sock" "$server" "$dir/server.log"
 
-# The scripted stream: grow a branch, cut the chain in the middle,
-# reconnect it elsewhere. Each batch mixes signed inserts/deletes;
-# every live query in between must answer from the maintained model
-# (scheme=live), never a re-evaluation.
-out=$(client "update stream" "$sock" <<'EOF'
+# One scripted stream against a fresh pair of daemons on RUNTIME.
+stream () {
+  runtime=$1
+  "$datalogd" --socket "$sock" --runtime "$runtime" -j 2 \
+    --load tc="$dir/tc.dl" --facts tc="$dir/start.dl" \
+    > "$dir/server.log" 2>&1 &
+  server=$!
+
+  wait_ready "$sock" "$server" "$dir/server.log"
+
+  # The scripted stream: grow a branch, cut the chain in the middle,
+  # reconnect it elsewhere, then retract several edges at once (one of
+  # them absent). Each batch mixes signed inserts/deletes;
+  # every live query in between must answer from the maintained model
+  # (scheme=live), never a re-evaluation.
+  out=$(client "update stream" "$sock" <<'EOF'
 UPDATE id=u1 prog=tc
 +edge(6,7). edge(7,8).
 .
@@ -93,60 +99,71 @@ QUERY id=l2 prog=tc live=true
 RETRACT id=u3 prog=tc
 edge(7,8).
 .
-QUERY id=l3 prog=tc live=true rows=true
+QUERY id=l3 prog=tc live=true
+RETRACT id=u4 prog=tc
+edge(1,2). edge(5,6).
+edge(9,9).
+.
+QUERY id=l4 prog=tc live=true rows=true
 EOF
-) || exit 1
+  ) || exit 1
 
-echo "$out" | grep -q 'OK update prog=tc id=u1' \
-  || fail "u1 not acknowledged: $out"
-echo "$out" | grep -q 'OK retract prog=tc id=u3' \
-  || fail "u3 not acknowledged: $out"
-echo "$out" | grep -q 'RESULT id=l3 status=ok .* scheme=live' \
-  || fail "final live query did not answer from the live model: $out"
+  echo "$out" | grep -q 'OK update prog=tc id=u1' \
+    || fail "u1 not acknowledged: $out"
+  echo "$out" | grep -q 'OK retract prog=tc id=u3' \
+    || fail "u3 not acknowledged: $out"
+  echo "$out" | grep -q 'OK retract prog=tc id=u4 added=0 removed=9' \
+    || fail "u4 did not retract two edges and their seven paths: $out"
+  echo "$out" | grep -q 'RESULT id=l4 status=ok .* scheme=live' \
+    || fail "final live query did not answer from the live model: $out"
 
-# Replaying a mid-stream batch id must be byte-identical and must not
-# apply the batch a second time (the final model below stays exact).
-replay=$(printf 'UPDATE id=u2 prog=tc\n-edge(3,4).\n+edge(3,8).\n.\n' \
-           | client replay "$sock") \
-  || exit 1
-echo "$out" | grep -qF "$(echo "$replay" | grep 'OK update prog=tc id=u2')" \
-  || fail "replay of u2 was not byte-identical: $replay"
+  # Replaying a mid-stream batch id must be byte-identical and must not
+  # apply the batch a second time (the final model below stays exact).
+  replay=$(printf 'UPDATE id=u2 prog=tc\n-edge(3,4).\n+edge(3,8).\n.\n' \
+             | client replay "$sock") \
+    || exit 1
+  echo "$out" | grep -qF "$(echo "$replay" | grep 'OK update prog=tc id=u2')" \
+    || fail "replay of u2 was not byte-identical: $replay"
 
-live_rows=$(echo "$out" | sed -n '/RESULT id=l3/,/END id=l3/p' | grep '^ROW ')
+  live_rows=$(echo "$out" | sed -n '/RESULT id=l4/,/END id=l4/p' | grep '^ROW ')
 
-# (a) From-scratch recomputation on the same server: the EDB was
-# patched batch-by-batch, so a plain QUERY must see the same rows.
-scratch=$(printf 'QUERY id=s1 prog=tc rows=true\n' \
-            | client "from-scratch query" "$sock") \
-  || exit 1
-scratch_rows=$(echo "$scratch" | grep '^ROW ')
-[ "$live_rows" = "$scratch_rows" ] \
-  || fail "live rows differ from same-server recomputation:
+  # (a) From-scratch recomputation on the same server: the EDB was
+  # patched batch-by-batch, so a plain QUERY must see the same rows.
+  scratch=$(printf 'QUERY id=s1 prog=tc rows=true\n' \
+              | client "from-scratch query" "$sock") \
+    || exit 1
+  scratch_rows=$(echo "$scratch" | grep '^ROW ')
+  [ "$live_rows" = "$scratch_rows" ] \
+    || fail "live rows differ from same-server recomputation:
 live:    $live_rows
 scratch: $scratch_rows"
 
-# (b) An independent server loaded with the final fact set directly.
-cat > "$dir/final.dl" <<'EOF'
-edge(1,2). edge(2,3). edge(4,5). edge(5,6). edge(6,7). edge(3,8).
+  # (b) An independent server loaded with the final fact set directly.
+  cat > "$dir/final.dl" <<'EOF'
+edge(2,3). edge(4,5). edge(6,7). edge(3,8).
 EOF
-"$datalogd" --socket "$sock2" --runtime sim -j 2 \
-  --load tc="$dir/tc.dl" --facts tc="$dir/final.dl" \
-  > "$dir/server2.log" 2>&1 &
-server2=$!
-wait_ready "$sock2" "$server2" "$dir/server2.log"
-fresh=$(printf 'QUERY id=f1 prog=tc rows=true\n' \
-          | client "fresh-server query" "$sock2") \
-  || exit 1
-fresh_rows=$(echo "$fresh" | grep '^ROW ')
-[ "$live_rows" = "$fresh_rows" ] \
-  || fail "live rows differ from a fresh batch recomputation:
+  "$datalogd" --socket "$sock2" --runtime "$runtime" -j 2 \
+    --load tc="$dir/tc.dl" --facts tc="$dir/final.dl" \
+    > "$dir/server2.log" 2>&1 &
+  server2=$!
+  wait_ready "$sock2" "$server2" "$dir/server2.log"
+  fresh=$(printf 'QUERY id=f1 prog=tc rows=true\n' \
+            | client "fresh-server query" "$sock2") \
+    || exit 1
+  fresh_rows=$(echo "$fresh" | grep '^ROW ')
+  [ "$live_rows" = "$fresh_rows" ] \
+    || fail "live rows differ from a fresh batch recomputation:
 live:  $live_rows
 fresh: $fresh_rows"
 
-kill -TERM "$server" && wait "$server" || fail "server drain failed"
-server=
-kill -TERM "$server2" && wait "$server2" || fail "second server drain failed"
-server2=
+  kill -TERM "$server" && wait "$server" || fail "server drain failed"
+  server=
+  kill -TERM "$server2" && wait "$server2" || fail "second server drain failed"
+  server2=
 
-n=$(echo "$live_rows" | wc -l | tr -d ' ')
-echo "incr_smoke: ok (3 batches + replay, $n final rows, live = scratch = fresh)"
+  n=$(echo "$live_rows" | wc -l | tr -d ' ')
+  echo "incr_smoke: $runtime ok (4 batches + replay, $n final rows, live = scratch = fresh)"
+}
+
+stream sim
+stream domain

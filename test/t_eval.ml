@@ -96,6 +96,7 @@ let plan_case_arb =
     | Joiner.Old -> "Old"
     | Joiner.Delta -> "Delta"
     | Joiner.Current -> "Current"
+    | Joiner.Spans _ -> "Spans"
   in
   QCheck.make plan_case_gen ~print:(fun pc ->
       String.concat "\n"
@@ -139,6 +140,60 @@ let prop_every_first_same_emits =
               List.equal Tuple.equal textual (plan_emits ~reorder ~first pc))
             [ false; true ])
         (List.init (List.length pc.pc_rule.Rule.body) Fun.id))
+
+(* The same case read through [Spans]: each atom's window split in two
+   at its midpoint, with a copy of the whole relation between the
+   halves that [sp_skip] rejects tuple by tuple. *)
+let spans_emits ?first pc =
+  let span ?skip rel lo hi =
+    { Joiner.sp_rel = rel; sp_lo = lo; sp_hi = hi; sp_skip = skip }
+  in
+  let rels =
+    List.map
+      (fun (pred, tuples, w_old, w_cur) ->
+        let arity = List.assoc pred (Array.to_list plan_preds) in
+        (pred, (Relation.of_list ~arity tuples, w_old, w_cur)))
+      pc.pc_rels
+  in
+  let sources =
+    Array.mapi
+      (fun i source ->
+        let rel, w_old, w_cur =
+          List.assoc (List.nth pc.pc_rule.Rule.body i).Atom.pred rels
+        in
+        let lo, hi =
+          match source with
+          | Joiner.Old -> (0, w_old)
+          | Joiner.Delta -> (w_old, w_cur)
+          | Joiner.Current -> (0, w_cur)
+          | Joiner.Spans _ -> invalid_arg "spans_emits"
+        in
+        let mid = (lo + hi) / 2 in
+        Joiner.Spans
+          [
+            span rel lo mid;
+            span (Relation.copy rel) 0 (Relation.cardinal rel)
+              ~skip:(fun _ -> true);
+            span rel mid hi;
+          ])
+      pc.pc_sources
+  in
+  let plan = Joiner.compile ?first pc.pc_rule in
+  let acc = ref [] in
+  Joiner.run plan ~sources empty_rels ~emit:(fun t -> acc := t :: !acc);
+  List.sort Tuple.compare !acc
+
+let prop_spans_same_emits =
+  QCheck.Test.make ~count:300
+    ~name:"split, filtered spans emit what their windows do, any first atom"
+    plan_case_arb
+    (fun pc ->
+      let windows = plan_emits pc in
+      List.for_all
+        (fun first ->
+          List.equal Tuple.equal windows (spans_emits ?first pc))
+        (None
+        :: List.init (List.length pc.pc_rule.Rule.body) Option.some))
 
 let joiner_tests =
   [
@@ -325,6 +380,7 @@ let joiner_tests =
              Joiner.run plan ~sources:[||] empty_rels ~emit:(fun _ -> ());
              false
            with Invalid_argument _ -> true));
+    QCheck_alcotest.to_alcotest prop_spans_same_emits;
   ]
 
 (* Naive and semi-naive evaluation. *)

@@ -311,6 +311,149 @@ let live_tests =
             ( "hotspot-50x220",
               Workload.Graphgen.hotspot rng ~nodes:50 ~edges:220 ~hubs:2 );
           ]);
+    case "a seeded mixed stream keeps its exact per-batch counters" (fun () ->
+        (* [inserted; deleted; overdeleted; rederived; firings] of every
+           batch. Any change to the substitutions the maintenance join
+           enumerates, or to the reads it enumerates them under, moves
+           one of these numbers. *)
+        let summaries program ~unary =
+          let rng = Workload.Rng.create ~seed:2026 in
+          let random_fact () =
+            if unary && Workload.Rng.int rng 3 = 0 then
+              ("f", t1 (Workload.Rng.int rng 9))
+            else ("e", t2 (Workload.Rng.int rng 9) (Workload.Rng.int rng 9))
+          in
+          let edb = Database.create () in
+          for _ = 1 to 18 do
+            let pred, t = random_fact () in
+            ignore (Database.add_fact edb pred t)
+          done;
+          let live = Stratified.Live.create program ~edb in
+          List.init 12 (fun _ ->
+              let ops =
+                List.init (1 + Workload.Rng.int rng 5) (fun _ ->
+                    let pred, t = random_fact () in
+                    ((if Workload.Rng.int rng 5 < 2 then `I else `D), pred, t))
+              in
+              let s =
+                (Stratified.Live.apply live (batch ops)).Stratified.Live.c_summary
+              in
+              Delta.
+                [ s.s_inserted; s.s_deleted; s.s_overdeleted; s.s_rederived;
+                  s.s_firings ])
+        in
+        List.iter
+          (fun (name, program, unary, expected) ->
+            Alcotest.(check (list (list int))) name expected
+              (summaries program ~unary))
+          [
+            ( "tc", tc_program, false,
+              [
+                [6; 0; 0; 0; 16];
+                [0; 2; 24; 23; 78];
+                [1; 0; 0; 0; 8];
+                [10; 0; 0; 0; 41];
+                [7; 8; 56; 49; 196];
+                [0; 0; 0; 0; 0];
+                [0; 7; 54; 48; 169];
+                [0; 0; 0; 0; 0];
+                [2; 0; 0; 0; 8];
+                [2; 0; 0; 0; 14];
+                [1; 1; 1; 1; 9];
+                [1; 0; 0; 0; 7];
+              ] );
+            ( "stratified", stratified_program, false,
+              [
+                [13; 0; 0; 0; 72];
+                [0; 3; 24; 23; 89];
+                [1; 0; 0; 0; 8];
+                [19; 0; 0; 0; 172];
+                [14; 17; 56; 49; 373];
+                [0; 0; 0; 0; 0];
+                [0; 14; 54; 48; 254];
+                [0; 0; 0; 0; 0];
+                [2; 0; 0; 0; 8];
+                [2; 0; 0; 0; 14];
+                [1; 1; 1; 1; 9];
+                [1; 0; 0; 0; 7];
+              ] );
+            ( "nonrec", nonrec_program, true,
+              [
+                [0; 0; 0; 0; 0];
+                [5; 0; 0; 0; 4];
+                [0; 1; 0; 0; 0];
+                [0; 5; 0; 0; 4];
+                [0; 0; 0; 0; 0];
+                [5; 0; 0; 0; 2];
+                [0; 0; 0; 0; 0];
+                [0; 5; 0; 0; 4];
+                [4; 0; 0; 0; 3];
+                [0; 0; 0; 0; 0];
+                [3; 1; 0; 0; 2];
+                [0; 5; 0; 0; 2];
+              ] );
+          ]);
+    case "a wrong-arity update rejects its whole batch before anything lands"
+      (fun () ->
+        (* The deletion ahead of the bad insert must not reach the
+           model, or the session and its oracle part ways for good. *)
+        let bad =
+          [
+            Delta.Batch.delete "par" (t2 1 2);
+            Delta.Batch.insert "par" (Tuple.of_ints [ 7; 8; 9 ]);
+          ]
+        in
+        let edb () = edb_of_edges [ (1, 2); (2, 3) ] in
+        let rejects f =
+          match f () with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        let live = Stratified.Live.create Workload.Progs.ancestor ~edb:(edb ()) in
+        let before = Stratified.Live.database live in
+        Alcotest.(check bool) "Live raises" true
+          (rejects (fun () ->
+               Stratified.Live.apply live (Delta.Batch.of_list bad)));
+        Alcotest.(check int) "Live batches" 0 (Stratified.Live.batches live);
+        Alcotest.check database_t "Live model" before
+          (Stratified.Live.database live);
+        Alcotest.(check int) "Live anc" 3
+          (List.length (Stratified.Live.query live "anc"));
+        ignore (Stratified.Live.apply live (batch [ (`D, "par", t2 1 2) ]));
+        Alcotest.(check (list tuple_t)) "Live anc after the good batch"
+          [ t2 2 3 ]
+          (Stratified.Live.query live "anc");
+        let rw =
+          Result.get_ok
+            (Pardatalog.Strategy.general ~seed:0 ~nprocs:2
+               Workload.Progs.ancestor)
+        in
+        List.iter
+          (fun (name, open_session) ->
+            let s : Pardatalog.Session.t = open_session ~edb:(edb ()) in
+            let before = Pardatalog.Session.model s in
+            Alcotest.(check bool) (name ^ " raises") true
+              (rejects (fun () ->
+                   Pardatalog.Session.apply s (Pardatalog.Update_batch.of_list bad)));
+            Alcotest.check database_t (name ^ " model") before
+              (Pardatalog.Session.model s);
+            Alcotest.(check int) (name ^ " anc") 3
+              (List.length (Pardatalog.Session.query s "anc"));
+            ignore
+              (Pardatalog.Session.apply s
+                 (Pardatalog.Update_batch.of_list
+                    [ Delta.Batch.delete "par" (t2 1 2) ]));
+            Alcotest.(check (list tuple_t)) (name ^ " anc after the good batch")
+              [ t2 2 3 ]
+              (Pardatalog.Session.query s "anc");
+            let r = Pardatalog.Session.close s in
+            Alcotest.(check int) (name ^ " batches") 1
+              r.Pardatalog.Session.stats.Pardatalog.Stats.incr
+                .Pardatalog.Stats.batches_applied)
+          [
+            ("sim", Pardatalog.Sim_runtime.open_session rw);
+            ("domains", Pardatalog.Domain_runtime.open_session rw);
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -270,6 +270,39 @@ let prop_matcher_is_filtered_range =
           then expected := t :: !expected);
       List.equal Tuple.equal !probed !expected)
 
+(* One batched deletion: each touched relation is rebuilt once, the
+   survivors keep their order, and pairs of unbound predicates, absent
+   tuples and repeats do not count. *)
+let test_remove_facts () =
+  let db = edb_of_edges [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
+  ignore (Database.add_fact db "f" (Tuple.of_ints [ 7 ]));
+  ignore (Database.add_fact db "f" (Tuple.of_ints [ 8 ]));
+  let removed =
+    Database.remove_facts db
+      [
+        ("par", Tuple.of_ints [ 3; 4 ]);
+        ("f", Tuple.of_ints [ 7 ]);
+        ("par", Tuple.of_ints [ 1; 2 ]);
+        ("par", Tuple.of_ints [ 1; 2 ]);
+        ("par", Tuple.of_ints [ 9; 9 ]);
+        ("nope", Tuple.of_ints [ 1 ]);
+      ]
+  in
+  Alcotest.(check int) "present pairs removed" 3 removed;
+  Alcotest.(check (list tuple_t)) "par survivors, in insertion order"
+    [ Tuple.of_ints [ 2; 3 ]; Tuple.of_ints [ 4; 5 ] ]
+    (Relation.to_list (Database.get db "par"));
+  Alcotest.(check (list tuple_t)) "f survivors" [ Tuple.of_ints [ 8 ] ]
+    (Relation.to_list (Database.get db "f"));
+  Alcotest.(check (list tuple_t)) "indexes rebuilt on the next probe"
+    [ Tuple.of_ints [ 4; 5 ] ]
+    (Relation.lookup (Database.get db "par") ~positions:[| 0 |]
+       ~key:[| Const.int 4 |]);
+  Alcotest.(check bool) "the unbound predicate stays unbound" false
+    (Database.mem db "nope");
+  Alcotest.(check int) "an empty list removes nothing" 0
+    (Database.remove_facts db [])
+
 (* ------------------------------------------------------------------ *)
 
 let storage =
@@ -287,6 +320,8 @@ let storage =
     case "steady-state rounds stay within the allocation budget"
       test_chain_allocation_budget;
     to_alcotest prop_matcher_is_filtered_range;
+    case "remove_facts deletes a batch of facts across predicates"
+      test_remove_facts;
   ]
 
 let suites = [ ("storage", storage) ]
