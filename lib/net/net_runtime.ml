@@ -17,12 +17,6 @@ let log_src = Logs.Src.create "pardatalog.net" ~doc:"Multi-process runtime"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let debug = (try Sys.getenv "DATALOGP_NET_DEBUG" <> "" with Not_found -> false)
-
-let dbg fmt =
-  if debug then Printf.eprintf (fmt ^^ "\n%!")
-  else Printf.ifprintf stderr fmt
-
 (* ------------------------------------------------------------------ *)
 (* Addresses                                                          *)
 
@@ -151,42 +145,25 @@ let worker_body ~addr ~worker ~inc =
      heartbeating, or the failure detector mistakes a busy worker
      under backpressure for a dead one and the supervisor's SIGKILL
      turns congestion into a restart storm. *)
-  let outq : string Queue.t = Queue.create () in
-  let out_off = ref 0 in
-  let write frame = Queue.push (Wire.encode frame) outq in
+  let outq = Wire.outq () in
+  let write frame = Wire.push outq frame in
   let flush_out () =
-    try
-      while not (Queue.is_empty outq) do
-        let s = Queue.peek outq in
-        let n =
-          Unix.write_substring sock s !out_off (String.length s - !out_off)
-        in
-        out_off := !out_off + n;
-        if !out_off = String.length s then begin
-          ignore (Queue.pop outq);
-          out_off := 0
-        end
-      done
-    with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      -> ()
-    | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-      raise (Worker_exit 3)
+    match Wire.flush outq sock with
+    | `Wrote _ -> ()
+    | `Gone -> raise (Worker_exit 3)
   in
-  (* Drain everything before an exit or a self-SIGKILL, so Done, Bye
-     and Crashing frames reach the coordinator. *)
+  (* Drain everything before an exit or a self-SIGKILL, so Bye and
+     Crashing frames reach the coordinator. *)
   let flush_blocking () =
-    while not (Queue.is_empty outq) do
+    while Wire.pending outq do
       (match Unix.select [] [ sock ] [] 1.0 with
        | _, _ :: _, _ -> flush_out ()
        | _ -> ()
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     done
   in
-  (try ignore (Wire.write_frame sock (Wire.Hello { worker; inc; attempts = !attempts }))
-   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-     -> raise (Worker_exit 3));
-  dbg "w%d: hello sent (inc %d)" worker inc;
+  write (Wire.Hello { worker; inc; attempts = !attempts });
+  flush_blocking ();
   let reader = Wire.reader () in
   (* The coordinator speaks Config first; frames decoded in the same
      read are queued for the main loop. *)
@@ -199,7 +176,6 @@ let worker_body ~addr ~worker ~inc =
     | `Frames (_, _) -> raise (Worker_exit 2)
   in
   let cf, early = await_config () in
-  dbg "w%d: config received (%d early frames)" worker (List.length early);
   Unix.set_nonblock sock;
   let plan = cf.cf_fault in
   let faulty = (not (Fault.is_none plan)) || cf.cf_partition > 0.0 in
@@ -507,11 +483,9 @@ let worker_body ~addr ~worker ~inc =
       let w = proc_of dst in
       List.iter (fun (pred, t) -> Processor.insert w.p pred t) (Wire.to_batch batch)
     | Collect { gen } ->
-      (* Session-mode end of drive: report every processor's answers
-         and keep running. Global quiescence is already established
-         (the coordinator collects only after a passed probe), so the
-         engines are at the global fixpoint as-is. *)
-      dbg "w%d: collect gen=%d" worker gen;
+      (* End of drive: report every processor's answers and keep
+         running. After a passed probe the engines are at the global
+         fixpoint as-is; on an overload they are partial. *)
       List.iter
         (fun w ->
           write
@@ -524,8 +498,6 @@ let worker_body ~addr ~worker ~inc =
                }))
         procs
     | Probe { epoch } ->
-      dbg "w%d: probe %d -> idle=%b fr=%d" worker epoch (all_idle ())
-        !frames_received;
       write
         (Wire.Status
            {
@@ -535,25 +507,7 @@ let worker_body ~addr ~worker ~inc =
              idle = all_idle ();
              frames_received = !frames_received;
            })
-    | Stop { finish } ->
-      dbg "w%d: stop finish=%b" worker finish;
-      (* At a normal stop global quiescence is already established, so
-         running each engine to its local fixpoint without routing only
-         re-derives tuples whose routed copies were delivered long
-         ago. An overload stop reports the partial state as-is. *)
-      if finish then
-        List.iter (fun w -> Seminaive.run_to_fixpoint w.p.engine) procs;
-      List.iter
-        (fun w ->
-          write
-            (Wire.Done
-               {
-                 pid = w.p.pid;
-                 inc;
-                 snap = snap_of ~store:true w;
-                 answers = answers_of w;
-               }))
-        procs;
+    | Stop ->
       write
         (Wire.Bye
            {
@@ -568,7 +522,7 @@ let worker_body ~addr ~worker ~inc =
       flush_blocking ();
       raise (Worker_exit 0)
     | Hello _ | Config _ | Status _ | Heartbeat _ | Checkpoint _
-    | Crashing _ | Breach _ | Done _ | Bye _ | Model _ ->
+    | Crashing _ | Breach _ | Bye _ | Model _ ->
       ()
   in
   let hb_s = float_of_int (max 1 cf.cf_hb_ms) /. 1000. in
@@ -598,7 +552,6 @@ let worker_body ~addr ~worker ~inc =
         procs
   in
   List.iter handle early;
-  dbg "w%d: setup done, %d own pids" worker (List.length procs);
   maybe_heartbeat ();
   while true do
     let busy =
@@ -606,7 +559,7 @@ let worker_body ~addr ~worker ~inc =
       && List.exists (fun w -> Seminaive.has_pending w.p.engine) procs
     in
     let timeout = if busy then 0.0 else 0.005 in
-    let wds = if Queue.is_empty outq then [] else [ sock ] in
+    let wds = if Wire.pending outq then [ sock ] else [] in
     (match Unix.select [ sock ] wds [] timeout with
      | rds, wrs, _ ->
        if wrs <> [] then flush_out ();
@@ -637,15 +590,13 @@ let worker_main ~addr ~worker ~inc =
 
 type spawn = Fork | Exec of string
 
-type outq = { oq : string Queue.t; mutable oq_off : int }
-
 type slot = {
   s_id : int;
   mutable s_os_pid : int;  (* 0 = no live process *)
   mutable s_inc : int;  (* incarnation expected on the next Hello *)
   mutable s_fd : Unix.file_descr option;
   mutable s_reader : Wire.reader;
-  s_out : outq;
+  s_out : Wire.outq;
   mutable s_hold : Wire.frame list;  (* reversed; redelivered on reconfig *)
   mutable s_configured : bool;
   mutable s_delivered : int;  (* frames enqueued since Config *)
@@ -654,7 +605,6 @@ type slot = {
   mutable s_restart_at : float option;
   mutable s_restarts : int;
   mutable s_status : (int * bool * int) option;  (* epoch, idle, received *)
-  mutable s_stop_sent : bool;
   mutable s_last_snaps : Wire.psnap list;
 }
 
@@ -756,7 +706,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
           s_inc = 0;
           s_fd = None;
           s_reader = Wire.reader ();
-          s_out = { oq = Queue.create (); oq_off = 0 };
+          s_out = Wire.outq ();
           s_hold = [];
           s_configured = false;
           s_delivered = 0;
@@ -765,7 +715,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
           s_restart_at = None;
           s_restarts = 0;
           s_status = None;
-          s_stop_sent = false;
           s_last_snaps = [];
         })
   in
@@ -811,30 +760,24 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   let crashes_done : (int, int list) Hashtbl.t = Hashtbl.create 8 in
   (* Per pid: the work of dead incarnations. *)
   let lost : (int, Wire.psnap) Hashtbl.t = Hashtbl.create 8 in
-  let dones : (int, Wire.psnap * Wire.wrel list) Hashtbl.t = Hashtbl.create 8 in
   let byes : (int, Stats.faults * int * int) Hashtbl.t = Hashtbl.create 8 in
   let delayq : (float * int * Wire.frame) list ref = ref [] in
   let stopping = ref false in
-  let stop_finish = ref true in
   let overload : Overload.reason option ref = ref None in
   let probe_epoch = ref 0 in
   let probe_open = ref false in
   let probe_armed = ref false in
   let probe_next_at = ref 0.0 in
   (* Session state. A drive is one run to global quiescence: the
-     initial evaluation and each non-empty update batch. In session
-     mode a passed termination probe triggers a [Collect] instead of
-     the Stop poison pill: workers report per-processor models and
-     stay resident for the next batch. [Stop] is reserved for [close]
-     and overload. *)
-  let models : (int, Wire.wrel list) Hashtbl.t = Hashtbl.create 8 in
-  (* The reported answers as stores, in pid order. *)
-  let by_pid find f =
-    List.filter_map (fun pid -> Option.map f (find pid)) (List.init n Fun.id)
+     initial evaluation and each non-empty update batch. Every drive
+     ends with one [Collect]: workers report per-processor models and
+     counter snapshots and stay resident for the next batch. [close]
+     pools the models of the last collection and sends only [Stop]. *)
+  let models : (int, Wire.psnap * Wire.wrel list) Hashtbl.t =
+    Hashtbl.create 8
   in
   let collect_gen = ref 0 in
   let collecting = ref false in
-  let closing = ref false in
   let dead = ref false in
   let drive_start = ref t0 in
   let restart_backoff = Backoff.make ~base_ms:5 ~cap_ms:400 () in
@@ -844,7 +787,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     probe_open := false
   in
   let enqueue_raw s frame =
-    Queue.add (Wire.encode frame) s.s_out.oq
+    Wire.push s.s_out frame
   in
   let enqueue s frame =
     enqueue_raw s frame;
@@ -904,19 +847,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     s.s_miss_reported <- 0;
     if s.s_inc > 0 then incr worker_restarts
   in
-  let begin_stop ~finish =
-    if not !stopping then begin
-      stopping := true;
-      stop_finish := finish;
-      Array.iter
-        (fun s ->
-          if s.s_configured && s.s_fd <> None && not s.s_stop_sent then begin
-            enqueue s (Wire.Stop { finish });
-            s.s_stop_sent <- true
-          end)
-        slots
-    end
-  in
   let begin_collect () =
     incr collect_gen;
     collecting := true;
@@ -927,21 +857,33 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
           enqueue s (Wire.Collect { gen = !collect_gen }))
       slots
   in
+  (* The end of the session: every live worker answers [Stop] with its
+     [Bye] and exits. *)
+  let begin_stop () =
+    stopping := true;
+    Array.iter
+      (fun s -> if s.s_configured && s.s_fd <> None then enqueue s Wire.Stop)
+      slots
+  in
+  (* An overload ends the drive early: collect the partial models, then
+     stop. A worker handles the pair in order, so its [Model]s precede
+     its [Bye]. *)
+  let overload_stop reason =
+    if !overload = None then overload := Some reason;
+    if not !stopping then begin
+      begin_collect ();
+      begin_stop ()
+    end
+  in
   let all_collected () =
-    let ok = ref true in
-    for pid = 0 to n - 1 do
-      if not (Hashtbl.mem models pid) then ok := false
-    done;
-    !ok
+    List.for_all (Hashtbl.mem models) (List.init n Fun.id)
   in
   let configure s fd reader =
     s.s_fd <- Some fd;
     s.s_reader <- reader;
-    Queue.clear s.s_out.oq;
-    s.s_out.oq_off <- 0;
+    Wire.clear s.s_out;
     s.s_delivered <- 0;
     s.s_status <- None;
-    s.s_stop_sent <- false;
     let pids = own_pids s.s_id in
     let restores =
       List.filter_map (fun pid -> Hashtbl.find_opt dumps pid) pids
@@ -988,28 +930,24 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     List.iter (fun f -> enqueue s f) (List.rev s.s_hold);
     s.s_hold <- [];
     if !stopping then begin
-      enqueue s (Wire.Stop { finish = !stop_finish });
-      s.s_stop_sent <- true
-    end;
-    (* A worker rebuilt mid-collection re-derives its state from the
-       (already patched) history: cancel the collection and let the
-       probe cycle re-establish quiescence before collecting again.
-       Stale [Model] frames are discarded by their generation. *)
-    if !collecting then collecting := false;
+      if !collecting then enqueue s (Wire.Collect { gen = !collect_gen });
+      enqueue s Wire.Stop
+    end
+    else
+      (* A worker rebuilt mid-collection re-derives its state from the
+         (already patched) history: cancel the collection and let the
+         probe cycle re-establish quiescence before collecting again.
+         Stale [Model] frames are discarded by their generation. *)
+      collecting := false;
     disarm ()
   in
-  let all_done () =
-    let ok = ref true in
-    for pid = 0 to n - 1 do
-      if not (Hashtbl.mem dones pid) then ok := false
-    done;
-    !ok
-  in
   let handle_death s =
-    (* Called when both the socket and the process are gone. *)
-    if not (List.for_all (fun pid -> Hashtbl.mem dones pid) (own_pids s.s_id))
-    then begin
-      let pids = own_pids s.s_id in
+    (* Called when both the socket and the process are gone. A worker
+       that dies during the stop once its final models are in is not
+       needed again: only its [Bye] (fault counters) is lost, and its
+       models already hold that incarnation's cumulative counters. *)
+    let pids = own_pids s.s_id in
+    if not (!stopping && List.for_all (Hashtbl.mem models) pids) then begin
       fc.Fault.n_crashes <- fc.Fault.n_crashes + List.length pids;
       List.iter
         (fun (snap : Wire.psnap) ->
@@ -1093,8 +1031,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       (* Acks originate at the coordinator; workers no longer send
          any, so there is nothing to relay. *)
     | Status { worker = w; inc; epoch; idle; frames_received } ->
-      dbg "c: status w%d epoch=%d idle=%b fr=%d delivered=%d" w epoch idle
-        frames_received s.s_delivered;
       if w = s.s_id && inc = s.s_inc && epoch = !probe_epoch then
         s.s_status <- Some (epoch, idle, frames_received)
     | Heartbeat { worker = _; inc; snaps } ->
@@ -1123,68 +1059,46 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       s.s_last_snaps <- snaps
     | Breach { reason } ->
       disarm ();
-      if !overload = None then overload := Some reason;
-      begin_stop ~finish:false
-    | Done { pid; inc = _; snap; answers } ->
-      dbg "c: done pid=%d" pid;
-      Hashtbl.replace dones pid (snap, answers)
+      overload_stop reason
     | Bye { worker = w; inc = _; faults; credit_stalls; peak_in_flight } ->
       Hashtbl.replace byes w (faults, credit_stalls, peak_in_flight)
-    | Model { gen; pid; snap = _; answers } ->
-      dbg "c: model pid=%d gen=%d" pid gen;
+    | Model { gen; pid; snap; answers } ->
       if !collecting && gen = !collect_gen then
-        Hashtbl.replace models pid answers
-    | Hello _ | Config _ | Inject _ | Probe _ | Stop _ | Patch _ | Update _
+        Hashtbl.replace models pid (snap, answers)
+    | Hello _ | Config _ | Inject _ | Probe _ | Stop | Patch _ | Update _
     | Collect _ ->
       ()
   in
+  (* Attach a greeted connection to its slot; a stale or foreign one
+     is closed. *)
   let attach_hello fd reader ~worker:w ~inc ~attempts =
-    if w < 0 || w >= nworkers then (try Unix.close fd with _ -> ())
-    else
+    if w < 0 || w >= nworkers || inc <> slots.(w).s_inc then begin
+      (try Unix.close fd with _ -> ());
+      None
+    end
+    else begin
       let s = slots.(w) in
-      if inc <> s.s_inc then (try Unix.close fd with _ -> ())
-      else begin
-        (match s.s_fd with
-         | Some old -> (try Unix.close old with _ -> ())
-         | None -> ());
-        reconnects := !reconnects + attempts + (if inc > 0 then 1 else 0);
-        s.s_last_heard <- now ();
-        s.s_miss_reported <- 0;
-        configure s fd reader;
-        dbg "c: worker %d attached inc=%d" w inc
-      end
+      (match s.s_fd with
+       | Some old -> (try Unix.close old with _ -> ())
+       | None -> ());
+      reconnects := !reconnects + attempts + (if inc > 0 then 1 else 0);
+      s.s_last_heard <- now ();
+      s.s_miss_reported <- 0;
+      configure s fd reader;
+      Some s
+    end
   in
   let flush_slot s =
     match s.s_fd with
     | None -> ()
-    | Some fd ->
-      let continue = ref true in
-      while !continue && not (Queue.is_empty s.s_out.oq) do
-        let str = Queue.peek s.s_out.oq in
-        let len = String.length str in
-        match
-          Unix.write_substring fd str s.s_out.oq_off (len - s.s_out.oq_off)
-        with
-        | n ->
-          bytes_sent := !bytes_sent + n;
-          s.s_out.oq_off <- s.s_out.oq_off + n;
-          if s.s_out.oq_off = len then begin
-            ignore (Queue.pop s.s_out.oq);
-            s.s_out.oq_off <- 0
-          end
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          -> continue := false
-        | exception
-            Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
-          ->
-          continue := false;
-          handle_eof s
-      done
+    | Some fd -> (
+      match Wire.flush s.s_out fd with
+      | `Wrote n -> bytes_sent := !bytes_sent + n
+      | `Gone -> handle_eof s)
   in
   let new_probe () =
     incr probe_epoch;
     probe_open := true;
-    dbg "c: probe %d" !probe_epoch;
     Array.iter (fun s -> enqueue s (Wire.Probe { epoch = !probe_epoch })) slots
   in
   let coordinator_quiet () =
@@ -1193,7 +1107,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
          (fun s ->
            s.s_fd <> None && s.s_configured && s.s_restart_at = None
            && s.s_hold = []
-           && Queue.is_empty s.s_out.oq)
+           && not (Wire.pending s.s_out))
          slots
   in
   let check_termination () =
@@ -1218,11 +1132,8 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
               slots
           in
           probe_open := false;
-          dbg "c: probe %d complete pass=%b" !probe_epoch pass;
           if pass then begin
-            if !probe_armed then begin
-              if !closing then begin_stop ~finish:true else begin_collect ()
-            end
+            if !probe_armed then begin_collect ()
             else begin
               probe_armed := true;
               new_probe ()
@@ -1283,12 +1194,8 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       (* Per drive, not per session: an idle session must not blow the
          watchdog while the client thinks. *)
       let elapsed = now () -. !drive_start in
-      if elapsed > sec then begin
-        if !overload = None then
-          overload :=
-            Some (Overload.Deadline { seconds = sec; elapsed; round = 0 });
-        begin_stop ~finish:false
-      end
+      if elapsed > sec then
+        overload_stop (Overload.Deadline { seconds = sec; elapsed; round = 0 })
     | _ -> ()
   in
   let cleanup () =
@@ -1315,10 +1222,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       | Atcp _ -> ()
     end
   in
-  (* One run to global quiescence. In session mode ([closing] false)
-     the drive ends when a [Collect] has gathered every processor's
-     model; on [close] or overload it ends when every processor's
-     [Done] has arrived (the historical exit). *)
+  (* One drive: it ends when a [Collect] has gathered every processor's
+     model. A stop (on [close] or overload) also waits for the workers'
+     [Bye]s, with a short grace: they carry only fault counters. Any
+     failure tears the fleet down. *)
   let drive_loop () =
     let t = now () in
     drive_start := t;
@@ -1329,7 +1236,9 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     probe_armed := false;
     probe_open := false;
     probe_next_at := 0.0;
+  let bye_deadline = ref infinity in
   let finished = ref false in
+  try
   while not !finished do
     check_deadline ();
     do_restarts ();
@@ -1354,17 +1263,13 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     let rds =
       listen_fd
       :: (List.map fst !anon
-         @ Array.to_list
-             (Array.of_seq
-                (Seq.filter_map
-                   (fun s -> s.s_fd)
-                   (Array.to_seq slots))))
+         @ List.filter_map (fun s -> s.s_fd) (Array.to_list slots))
     in
     let wds =
       List.filter_map
         (fun s ->
           match s.s_fd with
-          | Some fd when not (Queue.is_empty s.s_out.oq) -> Some fd
+          | Some fd when Wire.pending s.s_out -> Some fd
           | _ -> None)
         (Array.to_list slots)
     in
@@ -1389,16 +1294,15 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       (fun (fd, reader) ->
         if List.mem fd r then
           match Wire.feed reader fd with
-          | `Eof -> (try Unix.close fd with _ -> ())
+          | `Eof | (exception Failure _) -> (try Unix.close fd with _ -> ())
           | `Again -> still_anon := (fd, reader) :: !still_anon
           | `Frames (fs, nbytes) -> (
             bytes_received := !bytes_received + nbytes;
             match fs with
             | Wire.Hello { worker; inc; attempts } :: rest ->
-              attach_hello fd reader ~worker ~inc ~attempts;
-              let s = slots.(worker mod nworkers) in
-              if s.s_fd = Some fd then
-                List.iter (handle_worker_frame s) rest
+              Option.iter
+                (fun s -> List.iter (handle_worker_frame s) rest)
+                (attach_hello fd reader ~worker ~inc ~attempts)
             | [] -> still_anon := (fd, reader) :: !still_anon
             | _ :: _ -> (try Unix.close fd with _ -> ()))
         else still_anon := (fd, reader) :: !still_anon)
@@ -1426,53 +1330,42 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     (* Also try to flush fresh output eagerly (sockets are usually
        writable; EAGAIN just defers to the next select round). *)
     Array.iter
-      (fun s -> if not (Queue.is_empty s.s_out.oq) then flush_slot s)
+      (fun s -> if Wire.pending s.s_out then flush_slot s)
       slots;
     check_termination ();
     if !stopping then begin
-      (* Workers that (re)connect during the stop still get their Stop
-         in [configure]; here we only watch for completion. *)
-      if all_done () then finished := true
+      (* Workers that (re)connect during the stop still get their
+         [Collect] and [Stop] in [configure]. *)
+      if all_collected () then begin
+        let t = now () in
+        if !bye_deadline = infinity then bye_deadline := t +. 0.5;
+        if
+          t >= !bye_deadline
+          || Array.for_all
+               (fun s -> s.s_fd = None || Hashtbl.mem byes s.s_id)
+               slots
+        then finished := true
+      end
     end
     else if !collecting && all_collected () then begin
       collecting := false;
       finished := true
     end
   done
-  in
-  (* Give live workers a short grace period to deliver their Bye
-     (fault counters); they exit right after. *)
-  let grace_byes () =
-  let grace_end = now () +. 0.5 in
-  let live () =
-    Array.exists
-      (fun s -> s.s_fd <> None && not (Hashtbl.mem byes s.s_id))
-      slots
-  in
-  while live () && now () < grace_end do
-    let rds =
-      List.filter_map (fun s -> s.s_fd) (Array.to_list slots)
-    in
-    match Unix.select rds [] [] 0.05 with
-    | [], _, _ -> ()
-    | r, _, _ ->
-      Array.iter
-        (fun s ->
-          match s.s_fd with
-          | Some fd when List.mem fd r -> (
-            match Wire.feed s.s_reader fd with
-            | `Eof -> close_conn s
-            | `Again -> ()
-            | `Frames (fs, nbytes) ->
-              bytes_received := !bytes_received + nbytes;
-              List.iter (handle_worker_frame s) fs
-            | exception Failure _ -> close_conn s)
-          | _ -> ())
-        slots
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+  with e ->
+    cleanup ();
+    raise e
   in
   (* ---------------- assembly ---------------- *)
+  (* The per-processor models of the last completed [Collect], as
+     stores in pid order: the between-drives answer and, at the stop,
+     the final one. *)
+  let collected () =
+    List.filter_map
+      (fun pid ->
+        Option.map (fun (_, a) -> store_of a) (Hashtbl.find_opt models pid))
+      (List.init n Fun.id)
+  in
   let assemble_final () =
   fc.Fault.n_drops <- fc.Fault.n_drops + Shim.drops shim;
   fc.Fault.n_dups_injected <- fc.Fault.n_dups_injected + Shim.dups shim;
@@ -1506,12 +1399,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       bytes_received = !bytes_received;
     }
   in
-  let answers, pooled =
-    Pool.pool pool (by_pid (Hashtbl.find_opt dones) (fun (_, a) -> store_of a))
-  in
+  let answers, pooled = Pool.pool pool (collected ()) in
   let snaps =
     Array.init n (fun pid ->
-        let snap = fst (Hashtbl.find dones pid) in
+        let snap = fst (Hashtbl.find models pid) in
         match Hashtbl.find_opt lost pid with
         | Some l -> with_lost snap l
         | None -> snap)
@@ -1521,10 +1412,9 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       ~per_proc:(Array.map (fun (s : Wire.psnap) -> s.ps_row) snaps)
       ~channel_tuples:(Array.map (fun (s : Wire.psnap) -> s.ps_sent_row) snaps) )
   in
-  (* Stop path: drain the Byes, assemble, tear the fleet down. Raises
-     when the stop was an overload. *)
+  (* After a stop: assemble, tear the fleet down. Raises when the stop
+     was an overload. *)
   let finish () =
-    grace_byes ();
     let answers, stats = assemble_final () in
     cleanup ();
     match !overload with
@@ -1532,20 +1422,16 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     | None -> { Session.answers; stats }
   in
   (* ---------------- initial drive ---------------- *)
-  (try
-     Array.iter spawn_worker slots;
-     drive_loop ()
+  (try Array.iter spawn_worker slots
    with e ->
      cleanup ();
      raise e);
+  drive_loop ();
   if !stopping then ignore (finish ());
   (* ---------------- session handle ---------------- *)
   let check_alive () =
     if !dead then raise (Session.Closed "net")
   in
-  (* The per-processor models of the last completed [Collect]: the
-     between-drives answer. *)
-  let collected () = by_pid (Hashtbl.find_opt models) store_of in
   let drive_batch (oc : Session.outcome) =
     let removed = oc.oc_removed and added = oc.oc_added in
     if removed <> [] || added <> [] then begin
@@ -1618,10 +1504,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
             enqueue_to_pid pid
               (Wire.Update { dst = pid; batch = Wire.of_batch (List.rev batch) }))
         updates;
-      (try drive_loop ()
-       with e ->
-         cleanup ();
-         raise e);
+      drive_loop ();
       if !stopping then ignore (finish ())
     end
   in
@@ -1637,13 +1520,12 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     check_alive ();
     fst (Pool.pool pool (collected ()))
   in
+  (* The last collection is current (every drive ends with one), so
+     closing only stops the fleet. *)
   let close () =
     check_alive ();
-    closing := true;
-    (try drive_loop ()
-     with e ->
-       cleanup ();
-       raise e);
+    begin_stop ();
+    drive_loop ();
     finish ()
   in
   Session.v ~runtime:"net" ~apply ~query ~model ~close

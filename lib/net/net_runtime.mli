@@ -25,7 +25,12 @@
     its [Config], the worker reports how many it has processed, and a
     probe epoch passes only when every worker is idle with matching
     counts, twice in a row with no traffic, no delayed frames and no
-    pending restart in between.
+    pending restart in between. Every drive then ends with one
+    [Collect]: each worker reports its processors' answers and
+    counters and stays resident. Closing is [Stop] plus [Bye] — no
+    further probe or collection — and pools the last collected
+    models; an overload collects the partial models and stops in one
+    exchange.
 
     Not supported: the adaptive degradation dial and the
     coordinator-stateful schemes ([example2], [adaptive]) — their
@@ -39,7 +44,8 @@
 val worker_main : addr:string -> worker:int -> inc:int -> int
 (** Worker-process entry point ([datalogp worker]): dial [addr]
     (["unix:PATH"] or ["tcp:PORT"] on loopback) with backoff, send
-    [Hello], receive [Config], evaluate own processors until [Stop].
+    [Hello], receive [Config], evaluate own processors, answer each
+    [Collect] with their models, and exit on [Stop].
     Returns the process exit code: 0 after a normal [Bye], 2 on a
     protocol or setup error, 3 when the coordinator vanished. *)
 
@@ -110,10 +116,11 @@ val open_session :
     deadline is per drive). An empty net batch does no work and wakes
     no worker. A worker that dies at any point is rebuilt from the
     patched EDB and the patched histories, so crash recovery remains
-    exact across batches. {!Pardatalog.Session.close} performs the
-    normal Stop round and returns the final answers and cumulative
-    statistics. After an overload the handle is dead: every later call
-    raises {!Pardatalog.Session.Closed}.
+    exact across batches. {!Pardatalog.Session.close} stops the
+    workers and pools the models collected at the end of the last
+    drive into the final answers and cumulative statistics. After an
+    overload the handle is dead: every later call raises
+    {!Pardatalog.Session.Closed}.
     @raise Pardatalog.Overload.Overload / Invalid_argument / Failure
     as {!run}, from [open_session] or any later [apply]. *)
 

@@ -115,8 +115,7 @@ type frame =
     }
   | Crashing of { pid : int; round : int; snaps : psnap list }
   | Breach of { reason : Pardatalog.Overload.reason }
-  | Stop of { finish : bool }
-  | Done of { pid : int; inc : int; snap : psnap; answers : wrel list }
+  | Stop
   | Bye of {
       worker : int;
       inc : int;
@@ -193,13 +192,34 @@ let feed r fd =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Frames ([], 0)
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof
 
-let write_frame fd frame =
-  let s = encode frame in
-  let len = String.length s in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write_substring fd s !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  len
+type outq = { q : string Queue.t; mutable off : int }
+
+let outq () = { q = Queue.create (); off = 0 }
+let push oq frame = Queue.add (encode frame) oq.q
+let pending oq = not (Queue.is_empty oq.q)
+
+let clear oq =
+  Queue.clear oq.q;
+  oq.off <- 0
+
+let flush oq fd =
+  let rec go n =
+    if Queue.is_empty oq.q then `Wrote n
+    else
+      let s = Queue.peek oq.q in
+      match Unix.write_substring fd s oq.off (String.length s - oq.off) with
+      | k ->
+        oq.off <- oq.off + k;
+        if oq.off = String.length s then begin
+          ignore (Queue.pop oq.q);
+          oq.off <- 0
+        end;
+        go (n + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        `Wrote n
+      | exception
+          Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
+        `Gone
+  in
+  go 0

@@ -91,12 +91,12 @@ type config = {
 (** {1 Frames} *)
 
 (** Cumulative per-processor counters, snapshotted into heartbeats,
-    pre-crash notices and final reports so the coordinator can fold
+    pre-crash notices and collected models so the coordinator can fold
     the work of dead incarnations into the pooled statistics. *)
 type psnap = {
   ps_row : Pardatalog.Stats.per_proc;
       (** {!Pardatalog.Processor.row}; the store is measured only in
-          final reports. *)
+          {!Model} replies. *)
   ps_sent_row : int array;  (** Tuples sent per destination. *)
 }
 
@@ -140,13 +140,17 @@ type frame =
           [cf_edb] already contains them is harmless. *)
   | Collect of { gen : int }
       (** End-of-drive answer collection: the worker replies with one
-          {!Model} per owned processor and keeps running — the
-          session-mode counterpart of [Stop]. Sent only after a passed
-          termination probe, so every engine is quiescent. *)
+          {!Model} per owned processor and keeps running. Every drive
+          (the initial evaluation, each session batch, an overload
+          stop) ends with exactly one collection; after a passed
+          termination probe every engine is quiescent, after an
+          overload the models are partial. *)
   | Model of { gen : int; pid : int; snap : psnap; answers : wrel list }
-      (** Reply to {!Collect}; [gen] echoes the collect generation so
-          the coordinator can discard answers from a collection that a
-          worker restart cancelled. *)
+      (** Reply to {!Collect}: processor [pid]'s answers and counters
+          (store measured). [gen] echoes the collect generation so the
+          coordinator can discard answers from a collection that a
+          worker restart cancelled. The coordinator pools the last
+          collected models and snapshots at [close]. *)
   | Probe of { epoch : int }
   | Status of {
       worker : int;
@@ -175,11 +179,11 @@ type frame =
           self-SIGKILL: records the crash round and the counters that
           die with the process. *)
   | Breach of { reason : Pardatalog.Overload.reason }
-  | Stop of { finish : bool }
-      (** [finish] = run each engine to local fixpoint before
-          reporting (normal termination); [false] = report partial
-          state immediately (overload/deadline). *)
-  | Done of { pid : int; inc : int; snap : psnap; answers : wrel list }
+  | Stop
+      (** End of the session: the worker answers with {!Bye} and
+          exits. It reports no answers; those travelled in the last
+          {!Model}s (on an overload the coordinator sends [Collect]
+          right before [Stop]). *)
   | Bye of {
       worker : int;
       inc : int;
@@ -209,6 +213,22 @@ val feed :
     caller should [select] first. @raise Failure on an oversized or
     torn frame. *)
 
-val write_frame : Unix.file_descr -> frame -> int
-(** Blocking write of one frame; returns bytes written.
-    @raise Unix.Unix_error (e.g. [EPIPE]) when the peer is gone. *)
+(** {1 Writing} *)
+
+type outq
+(** A nonblocking output queue: encoded frames waiting for a socket
+    that may not take them all at once. Both ends queue their output
+    so a full socket buffer never blocks them away from reading. *)
+
+val outq : unit -> outq
+val push : outq -> frame -> unit
+val pending : outq -> bool
+(** Some frame, or part of one, is still unwritten. *)
+
+val clear : outq -> unit
+
+val flush : outq -> Unix.file_descr -> [ `Wrote of int | `Gone ]
+(** Write queued frames, in order, until the queue is empty or [fd]
+    would block; [`Wrote n] counts the bytes written by this call.
+    [`Gone] when the peer has closed the connection ([EPIPE],
+    [ECONNRESET], [EBADF]). *)

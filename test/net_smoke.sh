@@ -3,7 +3,8 @@
 # socket, SIGKILL one mid-run, and require the exact sequential answer
 # with zero leaked processes. A second, fully deterministic variant
 # drives the scheduled-crash path (self-SIGKILL + checkpoint restore)
-# and checks the transport counters attribute the recovery.
+# and checks the transport counters attribute the recovery. A third
+# run breaches a store budget and must stop the fleet with exit code 4.
 #
 # Usage: net_smoke.sh DATALOGP
 set -eu
@@ -77,9 +78,18 @@ grep -q '"restores":[1-9]' "$dir/crash.out" \
 grep -q '"reconnects":[1-9]' "$dir/crash.out" \
   || fail "scheduled crash: no reconnect recorded"
 
+# --- store-budget overload stop ------------------------------------
+code=0
+"$datalogp" par "$dir/anc.dl" --edb "$dir/chain.dl" \
+    --runtime net --procs 4 -n 4 --max-store 500 \
+    > "$dir/overload.out" 2> "$dir/overload.err" || code=$?
+[ "$code" -eq 4 ] || fail "store-budget run exited $code, expected 4"
+grep -q '^overload: ' "$dir/overload.out" \
+  || fail "store-budget run printed no overload line"
+
 # --- zero leaked processes -----------------------------------------
 sleep 0.2 2>/dev/null || sleep 1
 leaked=$(pgrep -f "worker --addr" 2>/dev/null | wc -l)
 [ "$leaked" -eq 0 ] || fail "$leaked worker process(es) leaked"
 
-echo "net_smoke: ok (external SIGKILL + scheduled crash both exact, no leaks)"
+echo "net_smoke: ok (external SIGKILL + scheduled crash both exact, overload stop, no leaks)"

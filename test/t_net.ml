@@ -235,6 +235,130 @@ let unit_wide_ints_every_runtime () =
        (anc_rw ~seed ~nprocs) ~edb)
       .Sim_runtime.answers
 
+(* ------------------------------------------------------------------ *)
+(* A budget breach or a blown deadline stops the fleet with partial    *)
+(* statistics for every processor and leaves no worker behind.        *)
+(* ------------------------------------------------------------------ *)
+
+(* The children of this process, live or unreaped, from /proc. A stat
+   line reads "pid (comm) state ppid ...", and comm may hold spaces. *)
+let children () =
+  let me = Unix.getpid () in
+  List.filter_map
+    (fun d ->
+      match int_of_string_opt d with
+      | None -> None
+      | Some pid -> (
+        match
+          In_channel.with_open_text
+            (Printf.sprintf "/proc/%d/stat" pid)
+            In_channel.input_all
+        with
+        | exception Sys_error _ -> None
+        | stat -> (
+          let rest =
+            let i = String.rindex stat ')' in
+            String.sub stat (i + 2) (String.length stat - i - 2)
+          in
+          match String.split_on_char ' ' rest with
+          | _state :: ppid :: _ when int_of_string ppid = me -> Some pid
+          | _ -> None)))
+    (Array.to_list (Sys.readdir "/proc"))
+
+let unit_overload_stop () =
+  let edges = G.chain 40 in
+  let seed = 2 and nprocs = 3 in
+  let check name limits kind =
+    let config = Run_config.(default |> with_limits limits) in
+    match net_run ~config ~procs:2 ~seed ~nprocs edges with
+    | _ -> Alcotest.failf "%s: the run finished within its budget" name
+    | exception Overload.Overload { reason; stats } ->
+      Alcotest.(check string) (name ^ ": reason") kind
+        (Overload.reason_kind reason);
+      Alcotest.(check (list int)) (name ^ ": a row per processor")
+        (List.init nprocs Fun.id)
+        (Array.to_list (Array.map (fun p -> p.Stats.pid) stats.Stats.per_proc));
+      Alcotest.(check (list int)) (name ^ ": no worker left behind") []
+        (children ())
+  in
+  check "store budget"
+    { Overload.no_limits with max_store_rows = Some 30 }
+    "store_budget";
+  check "deadline" { Overload.no_limits with deadline = Some 0.001 } "deadline"
+
+(* ------------------------------------------------------------------ *)
+(* Bytes from a stray local process that never sends a Hello close    *)
+(* that connection only; the session keeps serving.                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A session listens on [datalogp-net-<pid>-<k>.sock] in the temp
+   directory and unlinks it when it ends, so while one session is open
+   this process has exactly one such socket. *)
+let session_socket () =
+  let dir = Filename.get_temp_dir_name () in
+  let prefix = Printf.sprintf "datalogp-net-%d-" (Unix.getpid ()) in
+  match
+    List.filter (String.starts_with ~prefix) (Array.to_list (Sys.readdir dir))
+  with
+  | [ name ] -> Filename.concat dir name
+  | l -> Alcotest.failf "expected one session socket, found %d" (List.length l)
+
+let unit_stray_bytes () =
+  let edges = G.chain 10 in
+  let seed = 1 and nprocs = 2 in
+  let s =
+    Net.Net_runtime.open_session ~config:Run_config.default ~program:anc_text
+      ~spec:anc_spec ~seed ~procs:2 ~spawn:Net.Net_runtime.Fork
+      (anc_rw ~seed ~nprocs)
+      ~edb:(Workload.Edb.of_edges edges)
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX (session_socket ()));
+      (* A length prefix of -1: no frame can follow it. *)
+      ignore (Unix.write_substring fd "\xff\xff\xff\xff" 0 4);
+      ignore
+        (Session.apply s
+           (Update_batch.of_list
+              [ Delta.Batch.insert "par" (Tuple.of_ints [ 9; 10 ]) ]));
+      let r = Session.close s in
+      Alcotest.check Helpers.relation_t "the session's answer after the insert"
+        (seq_answers (edges @ [ (9, 10) ]))
+        (Database.get r.Session.answers "anc"))
+
+(* ------------------------------------------------------------------ *)
+(* A worker killed while the session is idle: its models are already  *)
+(* collected, so closing pools them without restarting it.             *)
+(* ------------------------------------------------------------------ *)
+
+let unit_idle_death_close () =
+  let edges = G.chain 12 in
+  let seed = 4 and nprocs = 3 in
+  let rw = anc_rw ~seed ~nprocs in
+  let s =
+    Net.Net_runtime.open_session ~config:Run_config.default ~program:anc_text
+      ~spec:anc_spec ~seed ~procs:2 ~spawn:Net.Net_runtime.Fork rw
+      ~edb:(Workload.Edb.of_edges edges)
+  in
+  (match children () with
+   | victim :: _ ->
+     Unix.kill victim Sys.sigkill;
+     ignore (Unix.waitpid [] victim)
+   | [] -> Alcotest.fail "no worker process");
+  let r = Session.close s in
+  let sim = Sim_runtime.run rw ~edb:(Workload.Edb.of_edges edges) in
+  let firings (st : Stats.t) =
+    Array.fold_left (fun n p -> n + p.Stats.firings) 0 st.Stats.per_proc
+  in
+  Alcotest.check Helpers.relation_t "the collected answer" (seq_answers edges)
+    (Database.get r.Session.answers "anc");
+  Alcotest.(check int) "no work redone" (firings sim.Sim_runtime.stats)
+    (firings r.Session.stats);
+  Alcotest.(check int) "no restart" 0
+    r.Session.stats.Stats.transport.Stats.worker_restarts
+
 let suites =
   [
     ( "net",
@@ -247,5 +371,11 @@ let suites =
           Alcotest.test_case "worker count clamps" `Quick unit_worker_clamp;
           Alcotest.test_case "wide integers: seq, sim and net = naive" `Quick
             unit_wide_ints_every_runtime;
+          Alcotest.test_case "overload stop: partial rows, no leaked worker"
+            `Quick unit_overload_stop;
+          Alcotest.test_case "stray bytes before a Hello: session survives"
+            `Quick unit_stray_bytes;
+          Alcotest.test_case "worker killed while idle: close pools its models"
+            `Quick unit_idle_death_close;
         ] );
   ]
