@@ -129,29 +129,39 @@ let apply t procs ~drive batch =
   drive outcome;
   outcome
 
-(* Union each store's @out relation of [preds] into [db] under the
-   original name: the first contribution is copied wholesale, later
-   ones are merged tuple by tuple. Returns the tuples contributed. *)
-let union_out db stores preds =
+(* Pool each store's relation of [preds] into [db] under the original
+   name: the first contribution is copied wholesale, later ones are
+   merged. A self-routed predicate's guard puts each tuple at exactly
+   one processor, so its stores are disjoint and concatenate without a
+   duplicate check; the others, and a predicate [db] already holds
+   (derived facts in the EDB), are unioned tuple by tuple. Returns the
+   tuples contributed. *)
+let union_out (rw : Rewrite.t) db stores preds =
   List.fold_left
-    (fun n store ->
+    (fun n pred ->
+      let stored = Rewrite.stored_pred rw pred in
+      let disjoint =
+        List.mem pred rw.self_routed && Option.is_none (Database.find db pred)
+      in
       List.fold_left
-        (fun n pred ->
-          match Database.find store (Rewrite.out_pred pred) with
+        (fun n store ->
+          match Database.find store stored with
           | None -> n
           | Some rel ->
             (match Database.find db pred with
              | None -> Database.add_relation db pred (Relation.copy rel)
-             | Some target -> ignore (Relation.add_all target rel));
+             | Some target ->
+               if disjoint then ignore (Relation.add_all_new target rel)
+               else ignore (Relation.add_all target rel));
             n + Relation.cardinal rel)
-        n preds)
-    0 stores
+        n stores)
+    0 preds
 
-(* Pooling: the @out relations of every store, under the original
-   names, unioned over the current combined EDB. *)
+(* Pooling: every store's relations of the derived predicates, under
+   the original names, over the current combined EDB. *)
 let pool t stores =
   let answers = Database.copy t.edb in
-  let pooled = union_out answers stores t.rw.derived in
+  let pooled = union_out t.rw answers stores t.rw.derived in
   (answers, pooled)
 
 let query t stores pred =
@@ -159,7 +169,7 @@ let query t stores pred =
     if not (is_derived t pred) then t.edb
     else begin
       let db = Database.create () in
-      ignore (union_out db stores [ pred ]);
+      ignore (union_out t.rw db stores [ pred ]);
       db
     end
   in

@@ -1,12 +1,16 @@
 (** The coordinator side every runtime shares: the combined EDB, base
     fragments, start-up validation, incremental maintenance, final
-    pooling of the [@out] relations and statistics assembly.
+    pooling of the derived relations and statistics assembly.
 
     A runtime opens a pool, creates its {!Processor}s over the pool's
     fragments, drives them over its own transport, and answers
     {!Session} calls from the pool: {!apply} patches the EDB and the
     processors before the runtime's next drive, {!pool} and {!query}
-    union the processors' stores. *)
+    pool the processors' stores: each derived predicate is read under
+    its {!Rewrite.stored_pred} name, and a self-routed predicate's
+    relations, disjoint across processors by their guards, are
+    concatenated without a duplicate check, where the others are
+    unioned. *)
 
 open Datalog
 
@@ -48,15 +52,16 @@ val apply :
     them), then call [drive] with the outcome before returning it. *)
 
 val pool : t -> Database.t list -> Database.t * int
-(** The answers — each store's [@out] relations under their original
-    names, over the combined EDB — and the number of tuples pooled. *)
+(** The answers — each store's derived relations
+    ({!Rewrite.stored_pred}) under their original names, over the
+    combined EDB — and the number of tuples pooled. *)
 
 val query : t -> Database.t list -> string -> Tuple.t list
 (** One predicate of {!pool}, sorted. *)
 
 val stores : Processor.t array -> Database.t list
 (** The processors' engine stores, read in place ({!Seminaive.store}):
-    nothing is copied until {!pool} or {!query} copies the [@out]
+    nothing is copied until {!pool} or {!query} copies the derived
     relations it answers with. Read them only while the processors are
     not running. *)
 

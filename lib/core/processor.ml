@@ -32,6 +32,7 @@ type route = {
 
 type t = {
   pid : int;
+  rewrite : Rewrite.t;
   program : Program.t;
   pushdown : bool;
   fragment : Database.t;
@@ -67,28 +68,34 @@ let no_work =
 let create ?(fc = Fault.counters ()) ~pushdown ~capacity ~reliable
     ~retry_after (rw : Rewrite.t) ~fragment pid =
   let n = rw.nprocs in
+  (* A self-routed predicate never leaves its engine: no route. *)
   let routes =
     Array.of_list
-      (List.map
+      (List.filter_map
          (fun pred ->
-           {
-             r_pred = pred;
-             r_out = Rewrite.out_pred pred;
-             r_in = Rewrite.in_pred pred;
-             r_dests =
-               Array.of_list
-                 (List.filter_map
-                    (fun (s : Rewrite.send_spec) ->
-                      if String.equal s.ss_pred pred then Some (s.ss_route pid)
-                      else None)
-                    rw.sends);
-             r_inlet = None;
-           })
+           if List.mem pred rw.self_routed then None
+           else
+             Some
+               {
+                 r_pred = pred;
+                 r_out = Rewrite.out_pred pred;
+                 r_in = Rewrite.in_pred pred;
+                 r_dests =
+                   Array.of_list
+                     (List.filter_map
+                        (fun (s : Rewrite.send_spec) ->
+                          if String.equal s.ss_pred pred then
+                            Some (s.ss_route pid)
+                          else None)
+                        rw.sends);
+                 r_inlet = None;
+               })
          rw.derived)
   in
   let program = rw.programs.(pid) in
   {
     pid;
+    rewrite = rw;
     program;
     pushdown;
     fragment;
@@ -412,15 +419,17 @@ let receive ?on_new p pred tuple =
 (* ------------------------------------------------------------------ *)
 (* Session patches                                                     *)
 
-let is_derived p pred =
-  Array.exists (fun r -> String.equal r.r_pred pred) p.routes
+let is_derived p pred = List.mem pred p.rewrite.Rewrite.derived
 
+(* A derived tuple leaves the engine under its stored name and, when it
+   is routed, its [@in] copy; a self-routed one has no [@in] relation
+   and [retract_facts] skips the name. *)
 let retract p removed =
   let keys =
     List.concat_map
       (fun (pred, t) ->
         if is_derived p pred then
-          [ (Rewrite.out_pred pred, t); (Rewrite.in_pred pred, t) ]
+          [ (Rewrite.stored_pred p.rewrite pred, t); (Rewrite.in_pred pred, t) ]
         else [ (pred, t) ])
       removed
   in

@@ -29,18 +29,20 @@ type batch = {
 }
 
 type route
-(** One derived predicate's names, send specs and self-delivery inlet,
-    resolved at {!create}. *)
+(** One routed derived predicate's names, send specs and self-delivery
+    inlet, resolved at {!create}. A {!Rewrite.t.self_routed} predicate
+    has none: its tuples stay in the engine that derived them. *)
 
 type t = private {
   pid : int;
+  rewrite : Rewrite.t;  (** The rewrite [program] belongs to. *)
   program : Program.t;
   pushdown : bool;
   fragment : Database.t;
       (** Resident base facts; session patches keep it current and
           {!rebuild} starts over it. *)
   mutable engine : Seminaive.t;
-  routes : route array;  (** One per derived predicate. *)
+  routes : route array;  (** One per routed derived predicate. *)
   capacity : int option;
   reliable : bool;
   retry_after : int -> float;
@@ -120,7 +122,8 @@ val route :
   (string * Tuple.t) list array
 (** Per destination, in production order, the derived products
     (under [@out] or original names) that the send specs route there,
-    under their original names. A tuple travels each channel once: a
+    under their original names. Products of a self-routed predicate
+    have no route and go nowhere. A tuple travels each channel once: a
     tuple that several specs send to one destination is sent once,
     and, when the processor is [reliable], one already in that
     channel's history is not sent again. [dedup:false] sends every
@@ -190,7 +193,8 @@ val receive :
 
 val retract : t -> (string * Tuple.t) list -> unit
 (** Install net deletions (original names) into a quiescent processor:
-    engine, base fragment and channel history. *)
+    engine, base fragment and channel history. The rewrite, not the
+    route table, tells derived tuples from base ones. *)
 
 val insert : t -> string -> Tuple.t -> unit
 (** A net base insertion resident here: fragment plus pending work. *)

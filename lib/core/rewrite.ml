@@ -21,6 +21,7 @@ type t = {
   space : Pid.space;
   derived : string list;
   programs : Program.t array;
+  self_routed : string list;
   sends : send_spec list;
   resident : Pid.t -> string -> Tuple.t -> bool;
   fragmented : (string * bool) list;
@@ -28,6 +29,9 @@ type t = {
 
 let out_pred p = p ^ "@out"
 let in_pred p = p ^ "@in"
+
+let stored_in self p = if List.mem p self then p else out_pred p
+let stored_pred t p = stored_in t.self_routed p
 
 let original_pred p =
   match String.index_opt p '@' with
@@ -79,15 +83,59 @@ let validate_policy program rule policy =
             (Format.asprintf "%a" Atom.pp atom))
       derived_atoms
 
-(* The rewritten rule for processor [i]: head writes [@out], derived
-   body atoms read [@in], and Uniform policies add the guard
-   [h(v(r)) = i]. *)
-let rewrite_rule derived policy pid (rule : Rule.t) =
-  let head = Atom.rename_pred (out_pred rule.head.pred) rule.head in
+(* Theorem 3's condition, per derived predicate: every rule producing
+   [p] is guarded by one function [h] over the head positions [P], and
+   every body atom of [p] is covered by its rule's guard at [P] under
+   the same [h]. A tuple [t] derived at [i] then has [h(t[P]) = i], and
+   every firing that reads [t] passes its guard at [i] only: [p] is
+   routed back to its producer, always. *)
+let self_routed program policies =
+  let rules = Program.rules program in
+  let pairs = List.combine rules policies in
+  let guard_at (atom : Atom.t) = function
+    | Uniform d ->
+      Option.map
+        (fun positions -> (d.Discriminant.fn, positions))
+        (Discriminant.covered_positions d.Discriminant.vars atom)
+    | Local _ -> None
+  in
+  let same (fn, positions) = function
+    | Some (fn', positions') -> fn == fn' && positions = positions'
+    | None -> false
+  in
+  List.filter
+    (fun pred ->
+      let heads =
+        List.filter_map
+          (fun ((r : Rule.t), policy) ->
+            if String.equal r.head.pred pred then Some (guard_at r.head policy)
+            else None)
+          pairs
+      in
+      match heads with
+      | Some g :: _ ->
+        List.for_all (same g) heads
+        && List.for_all
+             (fun ((r : Rule.t), policy) ->
+               List.for_all
+                 (fun (a : Atom.t) ->
+                   (not (String.equal a.pred pred)) || same g (guard_at a policy))
+                 r.body)
+             pairs
+      | _ -> false)
+    (Program.derived_predicates program)
+
+(* The rewritten rule for processor [i]: head writes [@out], body
+   atoms of [routed] (not self-routed) derived predicates read [@in] —
+   a self-routed predicate keeps its name on both sides — and Uniform
+   policies add the guard [h(v(r)) = i], which filters a self-routed
+   head in place. *)
+let rewrite_rule ~routed ~self policy pid (rule : Rule.t) =
+  let head = Atom.rename_pred (stored_in self rule.head.pred) rule.head in
   let body =
     List.map
       (fun (a : Atom.t) ->
-        if List.mem a.pred derived then Atom.rename_pred (in_pred a.pred) a
+        if List.mem a.pred routed then Atom.rename_pred (in_pred a.pred) a
         else a)
       rule.body
   in
@@ -103,10 +151,9 @@ let rewrite_rule derived policy pid (rule : Rule.t) =
   in
   Rule.make ?loc:rule.loc ~guards head body
 
-let send_specs_of_rule program nprocs idx policy (rule : Rule.t) =
-  let derived = Program.derived_predicates program in
+let send_specs_of_rule ~routed nprocs idx policy (rule : Rule.t) =
   let derived_atoms =
-    List.filter (fun (a : Atom.t) -> List.mem a.pred derived) rule.body
+    List.filter (fun (a : Atom.t) -> List.mem a.pred routed) rule.body
   in
   let vars = policy_vars policy in
   let label fn_name =
@@ -248,16 +295,20 @@ let make ?space program ~policies =
     fail "label space size %d does not match processor count %d"
       (Pid.size space) nprocs;
   let derived = Program.derived_predicates program in
+  let self = self_routed program policies in
+  let routed = List.filter (fun p -> not (List.mem p self)) derived in
   let programs =
     Array.init nprocs (fun pid ->
         Program.make
-          (List.map2 (fun r p -> rewrite_rule derived p pid r) rules policies))
+          (List.map2
+             (fun r p -> rewrite_rule ~routed ~self p pid r)
+             rules policies))
   in
   let sends =
     List.concat
       (List.mapi
          (fun idx (rule, policy) ->
-           send_specs_of_rule program nprocs idx policy rule)
+           send_specs_of_rule ~routed nprocs idx policy rule)
          (List.combine rules policies))
   in
   let resident, fragmented = residency program policies in
@@ -267,6 +318,7 @@ let make ?space program ~policies =
     space;
     derived;
     programs;
+    self_routed = self;
     sends;
     resident;
     fragmented;

@@ -9,7 +9,15 @@
     functions; receiving and final pooling are performed by the
     runtimes. Base relations are fragmented between processors when
     every occurrence of the relation is covered by its rule's
-    discriminating sequence, as prescribed at the end of Section 3. *)
+    discriminating sequence, as prescribed at the end of Section 3.
+
+    A derived predicate whose every tuple would be routed back to the
+    processor that derived it — Theorem 3's communication-free choice,
+    e.g. [v(r) = ⟨Y⟩] for ancestor — is {e self-routed}: it keeps its
+    original name in heads and bodies, its guard filters heads in
+    place, and it has neither an [@in]/[@out] pair nor a send spec.
+    Each processor then runs plain semi-naive evaluation of its
+    guarded program for it, and stores each of its tuples once. *)
 
 type policy =
   | Uniform of Discriminant.t
@@ -45,6 +53,14 @@ type t = {
   space : Pid.space;
   derived : string list;  (** Original derived predicates, sorted. *)
   programs : Datalog.Program.t array;  (** The program of each processor. *)
+  self_routed : string list;
+      (** The derived predicates every processor stores under their
+          original names, in {!derived} order: each producing rule is
+          {!Uniform}, guarded by one function [h] over the same head
+          positions [P], and every body atom of the predicate is
+          covered by its rule's {!Uniform} sequence at [P] under that
+          same [h] (physically the same {!Hash_fn.t}). Their tuples are
+          disjoint across processors. *)
   sends : send_spec list;
   resident : Pid.t -> string -> Datalog.Tuple.t -> bool;
       (** Whether a base tuple is resident at a processor. *)
@@ -61,6 +77,11 @@ val in_pred : string -> string
 
 val original_pred : string -> string
 (** Strip an [@in]/[@out] suffix, if any. *)
+
+val stored_pred : t -> string -> string
+(** The name under which a processor stores the tuples it derives for
+    a derived predicate: the predicate itself when it is
+    {!self_routed}, its {!out_pred} otherwise. *)
 
 val make :
   ?space:Pid.space -> Datalog.Program.t -> policies:policy list -> t

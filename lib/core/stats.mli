@@ -20,7 +20,10 @@ type per_proc = {
   tuples_accepted : int;  (** Received tuples that were new after dedup. *)
   base_resident : int;  (** EDB tuples resident at this processor. *)
   active_rounds : int;  (** Rounds in which the processor fired or received. *)
-  store_rows : int;  (** Tuple-store rows at the end of the run. *)
+  store_rows : int;
+      (** Tuple-store rows at the end of the run: base fragment plus
+          derived relations — a routed tuple under both [@out] and
+          [@in], a self-routed one once. *)
   store_bytes : int;
       (** Word-size estimate of the store footprint
           ({!Overload.db_bytes}). *)

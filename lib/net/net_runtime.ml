@@ -77,8 +77,15 @@ let build_rewrite spec ~seed ~nprocs program =
   | Ok rw -> rw
   | Error e -> invalid_arg ("Net_runtime: scheme rebuild failed: " ^ e)
 
-let is_out_pred pred = Rewrite.out_pred (Rewrite.original_pred pred) = pred
-let is_derived_pred pred = Rewrite.original_pred pred <> pred
+(* Engine names of derived tuples: a routed predicate's [@out] and
+   [@in] relations, a self-routed predicate's own; the stored ones are
+   what a processor derives. *)
+let is_derived_pred (rw : Rewrite.t) name =
+  List.mem (Rewrite.original_pred name) rw.derived
+
+let is_stored_pred rw name =
+  is_derived_pred rw name
+  && String.equal (Rewrite.stored_pred rw (Rewrite.original_pred name)) name
 
 let rec waitpid_retry flags pid =
   try Unix.waitpid flags pid
@@ -354,7 +361,7 @@ let worker_body ~addr ~worker ~inc =
     if ckpt_on then
       List.iter
         (fun ((name, _) as nt) ->
-          if is_derived_pred name then w.ckpt_acc <- nt :: w.ckpt_acc)
+          if is_derived_pred rw name then w.ckpt_acc <- nt :: w.ckpt_acc)
         produced
   in
   let accept_batch w batch =
@@ -366,7 +373,7 @@ let worker_body ~addr ~worker ~inc =
   (* Restore from checkpoint dumps: a fresh engine over the base
      fragment, every dumped derived tuple injected (so its
      consequences re-derive), and — because [step] never returns
-     injected tuples — the dumped @out tuples re-routed explicitly
+     injected tuples — the dumped stored tuples re-routed explicitly
      with [replay] marking (receivers dedup by content). *)
   let restores =
     List.filter (fun (r : Wire.restore) -> List.mem_assoc r.rs_pid
@@ -405,7 +412,7 @@ let worker_body ~addr ~worker ~inc =
   List.iter
     (fun (r : Wire.restore) ->
       let outs =
-        List.filter (fun (pred, _) -> is_out_pred pred)
+        List.filter (fun (pred, _) -> is_stored_pred rw pred)
           (Wire.to_batch r.rs_tuples)
       in
       route ~replay:true (proc_of r.rs_pid) outs)
@@ -415,7 +422,7 @@ let worker_body ~addr ~worker ~inc =
     let db = Seminaive.store w.p.engine in
     List.filter_map
       (fun pred ->
-        match Database.find db (Rewrite.out_pred pred) with
+        match Database.find db (Rewrite.stored_pred rw pred) with
         | None -> None
         | Some rel ->
           Some
@@ -461,7 +468,7 @@ let worker_body ~addr ~worker ~inc =
       List.iter
         (fun (pred, t) ->
           if List.mem pred rw.derived then begin
-            Ktbl.replace gone (Rewrite.out_pred pred, t) ();
+            Ktbl.replace gone (Rewrite.stored_pred rw pred, t) ();
             Ktbl.replace gone (Rewrite.in_pred pred, t) ()
           end)
         dels;
@@ -633,12 +640,14 @@ let with_lost (s : Wire.psnap) (lost : Wire.psnap) : Wire.psnap =
   }
 
 (* A processor's reported answers as a store in engine naming
-   ([@out] relations), the shape {!Pool.pool} unions. *)
-let store_of wrels =
+   ({!Rewrite.stored_pred} relations), the shape {!Pool.pool} pools. *)
+let store_of rw wrels =
   let db = Database.create () in
   List.iter
     (fun (wr : Wire.wrel) ->
-      ignore (Wire.add_wrel db { wr with wr_pred = Rewrite.out_pred wr.wr_pred }))
+      ignore
+        (Wire.add_wrel db
+           { wr with wr_pred = Rewrite.stored_pred rw wr.wr_pred }))
     wrels;
   db
 
@@ -1363,7 +1372,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   let collected () =
     List.filter_map
       (fun pid ->
-        Option.map (fun (_, a) -> store_of a) (Hashtbl.find_opt models pid))
+        Option.map (fun (_, a) -> store_of rw a) (Hashtbl.find_opt models pid))
       (List.init n Fun.id)
   in
   let assemble_final () =

@@ -61,8 +61,10 @@ type restore = {
   rs_pid : int;
   rs_round : int;  (** Local rounds executed when the dump was taken. *)
   rs_tuples : wbatch;
-      (** Derived ([@in]/[@out]) tuples: the coordinator's
-          accumulation of every delta checkpoint received so far. *)
+      (** Derived tuples under their engine names ([@in]/[@out], or
+          the original name of a self-routed predicate): the
+          coordinator's accumulation of every delta checkpoint
+          received so far. *)
 }
 
 type config = {
@@ -127,7 +129,8 @@ type frame =
       (** Session update (coordinator to worker, between drives): net
           deletions under their original predicate names. The worker
           retracts each from every owned engine (derived tuples under
-          both [@out] and [@in]) and purges its channel-dedup and
+          both [@out] and [@in], or a self-routed predicate's own
+          name) and purges its channel-dedup and
           checkpoint-cover tables so a later re-derivation travels the
           channels again. Only sent to live configured workers: a
           worker rebuilt afterwards starts from the patched

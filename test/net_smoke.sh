@@ -5,6 +5,9 @@
 # drives the scheduled-crash path (self-SIGKILL + checkpoint restore)
 # and checks the transport counters attribute the recovery. A third
 # run breaches a store budget and must stop the fleet with exit code 4.
+# Two last runs use the no-communication scheme, whose derived tuples
+# stay under their original name at the processor that derived them:
+# plain, and with a scheduled crash whose checkpoint must carry them.
 #
 # Usage: net_smoke.sh DATALOGP
 set -eu
@@ -87,9 +90,28 @@ code=0
 grep -q '^overload: ' "$dir/overload.out" \
   || fail "store-budget run printed no overload line"
 
+# --- no-communication scheme, plain and restored from a checkpoint --
+"$datalogp" par "$dir/anc.dl" --edb "$dir/chain.dl" \
+    --runtime net --procs 4 -n 4 --scheme nocomm --json \
+    > "$dir/nocomm.out" 2> "$dir/nocomm.err" \
+  || fail "nocomm run exited nonzero"
+grep '^  anc' "$dir/nocomm.out" > "$dir/nocomm.ans" || true
+cmp -s "$dir/nocomm.ans" "$dir/seq.ans" \
+  || fail "nocomm answers differ from the sequential ones"
+
+"$datalogp" par "$dir/anc.dl" --edb "$dir/chain.dl" \
+    --runtime net --procs 4 -n 4 --scheme nocomm --crash 1@2 --checkpoint 2 \
+    --json > "$dir/nocomm-crash.out" 2> "$dir/nocomm-crash.err" \
+  || fail "nocomm scheduled-crash run exited nonzero"
+grep '^  anc' "$dir/nocomm-crash.out" > "$dir/nocomm-crash.ans" || true
+cmp -s "$dir/nocomm-crash.ans" "$dir/seq.ans" \
+  || fail "nocomm answers differ after scheduled crash"
+grep -q '"restores":[1-9]' "$dir/nocomm-crash.out" \
+  || fail "nocomm scheduled crash: no checkpoint restore recorded"
+
 # --- zero leaked processes -----------------------------------------
 sleep 0.2 2>/dev/null || sleep 1
 leaked=$(pgrep -f "worker --addr" 2>/dev/null | wc -l)
 [ "$leaked" -eq 0 ] || fail "$leaked worker process(es) leaked"
 
-echo "net_smoke: ok (external SIGKILL + scheduled crash both exact, overload stop, no leaks)"
+echo "net_smoke: ok (external SIGKILL + scheduled crash both exact, overload stop, nocomm plain + restored exact, no leaks)"

@@ -633,6 +633,68 @@ let prop_domain_session =
           Pardatalog.Domain_runtime.open_session (anc_rw ~seed ~nprocs:3) ~edb)
         seed (min steps 5))
 
+(* Sessions under a no-communication plan, whose derived tuples stay
+   at the processor that derived them, under their original name: a
+   sim and a domain session take the same random batches as a
+   [Stratified.Live] oracle and must match it after every batch. *)
+let nocomm_rw ~seed ~nprocs =
+  match
+    Pardatalog.Strategy.no_communication ~seed ~nprocs Workload.Progs.ancestor
+  with
+  | Ok rw -> rw
+  | Error e -> failwith e
+
+let prop_nocomm_sessions =
+  QCheck.Test.make ~count:15
+    ~name:"nocomm sim and domain sessions = live oracle after every batch"
+    session_arb
+    (fun (seed, steps) ->
+      let rng = Workload.Rng.create ~seed in
+      let universe = 7 in
+      let random_edge () =
+        (Workload.Rng.int rng universe, Workload.Rng.int rng universe)
+      in
+      let edb = edb_of_edges (List.init 8 (fun _ -> random_edge ())) in
+      let oracle = Stratified.Live.create Workload.Progs.ancestor ~edb in
+      let sessions =
+        [
+          Pardatalog.Sim_runtime.open_session (nocomm_rw ~seed ~nprocs:3) ~edb;
+          Pardatalog.Domain_runtime.open_session (nocomm_rw ~seed ~nprocs:3)
+            ~edb;
+        ]
+      in
+      let agree () =
+        let expected =
+          match Database.find (Stratified.Live.database oracle) "anc" with
+          | Some rel -> Relation.sorted_elements rel
+          | None -> []
+        in
+        List.for_all
+          (fun s ->
+            List.equal Tuple.equal expected (Pardatalog.Session.query s "anc"))
+          sessions
+      in
+      let ok = ref (agree ()) in
+      for _ = 1 to min steps 5 do
+        let ops =
+          List.init
+            (1 + Workload.Rng.int rng 3)
+            (fun _ ->
+              let a, b = random_edge () in
+              if Workload.Rng.int rng 2 = 0 then Delta.Batch.insert "par" (t2 a b)
+              else Delta.Batch.delete "par" (t2 a b))
+        in
+        ignore (Stratified.Live.apply oracle (Delta.Batch.of_list ops));
+        List.iter
+          (fun s ->
+            ignore
+              (Pardatalog.Session.apply s (Pardatalog.Update_batch.of_list ops)))
+          sessions;
+        if not (agree ()) then ok := false
+      done;
+      List.iter (fun s -> ignore (Pardatalog.Session.close s)) sessions;
+      !ok)
+
 (* --- net runtime: real forked workers, registered before domains --- *)
 
 let anc_text = "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), par(Z,Y).\n"
@@ -672,6 +734,6 @@ let suites =
       List.map QCheck_alcotest.to_alcotest
         [
           prop_live_equals_scratch; prop_sim_session; prop_sim_session_faults;
-          prop_domain_session;
+          prop_domain_session; prop_nocomm_sessions;
         ] );
   ]

@@ -359,6 +359,39 @@ let unit_idle_death_close () =
   Alcotest.(check int) "no restart" 0
     r.Session.stats.Stats.transport.Stats.worker_restarts
 
+(* ------------------------------------------------------------------ *)
+(* A no-communication plan over real sockets: every derived tuple     *)
+(* stays with the processor that derived it, and the collected models *)
+(* still pool the sequential answer with the simulator's firings.     *)
+(* ------------------------------------------------------------------ *)
+
+let unit_nocomm_pools_sequential () =
+  let program = Parser.program_exn anc_text in
+  let seed = 2 and nprocs = 3 in
+  let rw () =
+    match Strategy.no_communication ~seed ~nprocs program with
+    | Ok rw -> rw
+    | Error e -> failwith e
+  in
+  List.iter
+    (fun work ->
+      let edges = edges_of work in
+      let edb = Workload.Edb.of_edges edges in
+      let net =
+        Net.Net_runtime.run ~config:Run_config.default ~program:anc_text
+          ~spec:Net.Wire.Spec_nocomm ~seed ~procs:2
+          ~spawn:Net.Net_runtime.Fork (rw ()) ~edb
+      in
+      let sim = Sim_runtime.run (rw ()) ~edb in
+      let name = print_work work in
+      Alcotest.check Helpers.relation_t (name ^ ": the sequential answer")
+        (seq_answers edges)
+        (Database.get net.Session.answers "anc");
+      Alcotest.(check int) (name ^ ": the simulator's firings")
+        (Stats.total_firings sim.Session.stats)
+        (Stats.total_firings net.Session.stats))
+    [ Chain 30; Hotspot 7 ]
+
 let suites =
   [
     ( "net",
@@ -377,5 +410,7 @@ let suites =
             `Quick unit_stray_bytes;
           Alcotest.test_case "worker killed while idle: close pools its models"
             `Quick unit_idle_death_close;
+          Alcotest.test_case "nocomm plan: pools the sequential model" `Quick
+            unit_nocomm_pools_sequential;
         ] );
   ]

@@ -321,9 +321,120 @@ let workload_tests =
           sizes);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Self-routed predicates: Theorem 3's communication-free choices keep *)
+(* one relation per processor, every other scheme keeps @in/@out, and  *)
+(* the in-place runs keep Theorems 2 and 6 exact.                      *)
+(* ------------------------------------------------------------------ *)
+
+let self_routed_tests =
+  [
+    case "the self-routed set of each ancestor scheme" (fun () ->
+        let nprocs = 4 in
+        let planned =
+          match
+            (Check.Planner.suggest ~nprocs ~seed:0 ancestor).Check.Planner.plan
+          with
+          | None -> Error "no plan for ancestor"
+          | Some plan ->
+            Result.map_error
+              (Format.asprintf "%a" Plan.pp_reject)
+              (Plan.to_rewrite plan ancestor)
+        in
+        (* q's two functions are distinct values, even where they
+           compute the same map: the condition asks for one [h]. *)
+        List.iter
+          (fun (name, rw, expected) ->
+            match rw with
+            | Error e -> Alcotest.failf "%s: %s" name e
+            | Ok rw ->
+              Alcotest.(check (list string)) name expected rw.Rewrite.self_routed;
+              Alcotest.(check bool)
+                (name ^ ": self-routed predicates have no send spec")
+                true
+                (List.for_all
+                   (fun (s : Rewrite.send_spec) ->
+                     not (List.mem s.ss_pred rw.Rewrite.self_routed))
+                   rw.Rewrite.sends))
+          [
+            ("no_communication", Strategy.no_communication ~nprocs ancestor, [ "anc" ]);
+            ("example1", Strategy.example1 ~nprocs ancestor, [ "anc" ]);
+            ("planner", planned, [ "anc" ]);
+            ("general", Strategy.general ~nprocs ancestor, []);
+            ("q", Strategy.hash_q ~nprocs ~ve:[ "Y" ] ~vr:[ "Y" ] ancestor, []);
+            ( "example2",
+              Strategy.example2 ~nprocs ~partition:(fun _ -> 0) ancestor,
+              [] );
+            ("example3", Strategy.example3 ~nprocs ancestor, []);
+            ("wolfson", Strategy.wolfson_redundant ~nprocs ancestor, []);
+            ("tradeoff", Strategy.tradeoff ~nprocs ~alpha:0.5 ancestor, []);
+          ]);
+    case "derived facts in the EDB: nocomm pools the sequential model"
+      (fun () ->
+        (* Every processor's fragment holds the EDB's anc facts, so
+           their stores overlap there and pooling unions them. *)
+        let edb = edb_of_edges (Workload.Graphgen.chain 8) in
+        List.iter
+          (fun (a, b) ->
+            ignore (Database.add_fact edb "anc" (Tuple.of_ints [ a; b ])))
+          [ (100, 0); (3, 1) ];
+        let model, _ = Seminaive.evaluate ancestor edb in
+        let rw = Result.get_ok (Strategy.no_communication ~nprocs:3 ancestor) in
+        List.iter
+          (fun (name, (r : Session.result)) ->
+            Alcotest.check relation_t name (Database.get model "anc")
+              (Database.get r.answers "anc"))
+          [
+            ("sim", Sim_runtime.run rw ~edb);
+            ("domains", Domain_runtime.run rw ~edb);
+          ]);
+  ]
+
+let random_graph_arb =
+  QCheck.make
+    ~print:(fun (seed, nodes, edges, nprocs) ->
+      Printf.sprintf "seed=%d nodes=%d edges=%d nprocs=%d" seed nodes edges
+        nprocs)
+    QCheck.Gen.(
+      let* seed = int_range 0 9999 in
+      let* nodes = int_range 2 24 in
+      let* edges = int_range 1 60 in
+      let* nprocs = int_range 1 4 in
+      return (seed, nodes, edges, nprocs))
+
+(* Under no_communication every processor evaluates its guarded program
+   in place: the pooled answers are the sequential model, concatenation
+   pools each tuple once, and the firings are the sequential ones. *)
+let prop_nocomm_in_place =
+  QCheck.Test.make ~count:60
+    ~name:"nocomm in place: sim and domains pool the model once, exactly"
+    random_graph_arb
+    (fun (seed, nodes, edges, nprocs) ->
+      let graph =
+        Workload.Graphgen.random_digraph (Workload.Rng.create ~seed) ~nodes
+          ~edges
+      in
+      let edb = edb_of_edges graph in
+      let model, seq = Seminaive.evaluate ancestor edb in
+      let expected = Database.get model "anc" in
+      let rw = Result.get_ok (Strategy.no_communication ~seed ~nprocs ancestor) in
+      List.for_all
+        (fun (r : Session.result) ->
+          Relation.equal expected (Database.get r.answers "anc")
+          && r.stats.Stats.pooled_tuples = Relation.cardinal expected
+          && Stats.total_firings r.stats = seq.Seminaive.firings)
+        [
+          Sim_runtime.run rw ~edb;
+          Domain_runtime.run
+            ~config:Run_config.(default |> with_domains (Some 2))
+            rw ~edb;
+        ])
+
 let suites =
   [
     ("strategy", strategy_tests);
     ("stats", stats_tests);
     ("workload", workload_tests);
+    ( "self-routed",
+      self_routed_tests @ [ QCheck_alcotest.to_alcotest prop_nocomm_in_place ] );
   ]
