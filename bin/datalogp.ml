@@ -341,19 +341,6 @@ let par_cmd =
             "With --runtime domain: serve the N processors with D \
              domains (default: one per processor).")
   in
-  let detector_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("safra", Run_config.Safra);
-               ("dijkstra-scholten", Run_config.Dijkstra_scholten) ])
-          Run_config.Safra
-      & info [ "detector" ] ~docv:"ALG"
-          ~doc:
-            "Termination detection for --runtime domain: $(b,safra) \
-             (default) or $(b,dijkstra-scholten).")
-  in
   let verify_arg =
     Arg.(
       value & flag
@@ -462,7 +449,7 @@ let par_cmd =
             ~doc:
               "Checkpoint every K rounds, so crash recovery resumes from \
                the snapshot instead of re-deriving from the base \
-               fragment.")
+               fragment. Runtimes sim and net only.")
     in
     let build fault_seed drop dup reorder delay max_delay crash checkpoint =
       let crashes =
@@ -576,8 +563,8 @@ let par_cmd =
       $ max_outbox_arg $ max_rounds_arg $ adaptive_arg $ high_water_arg)
   in
   let action program edb_file scheme nprocs seed ve vr alpha plan_file auto
-      runtime procs net_transport net_partition net_hb domains detector
-      verify fault overload trace_file metrics_file json quiet verbose =
+      runtime procs net_transport net_partition net_hb domains verify fault
+      overload trace_file metrics_file json quiet verbose =
     if verbose then begin
       Logs.set_reporter (Logs.format_reporter ());
       Logs.Src.set_level Sim_runtime.log_src (Some Logs.Debug)
@@ -588,6 +575,14 @@ let par_cmd =
       Format.eprintf
         "--adaptive is coordinator-stateful; not supported with --runtime \
          net@.";
+      exit 2
+    end;
+    (* Domain crash recovery rebuilds from the base fragment and keeps
+       no snapshots, so a checkpoint interval there would do nothing. *)
+    if runtime = `Domain && fault.Fault.checkpoint_every <> None then begin
+      Format.eprintf
+        "--checkpoint is not supported with --runtime domain (crash \
+         recovery there rebuilds from the base fragment)@.";
       exit 2
     end;
     (* The net runtime re-parses the program in every worker, so it
@@ -677,9 +672,8 @@ let par_cmd =
       let config =
         Run_config.(
           default |> with_fault fault |> with_capacity capacity
-          |> with_limits limits |> with_dial dial |> with_detector detector
-          |> with_domains domains |> with_trace trace
-          |> with_metrics metrics
+          |> with_limits limits |> with_dial dial |> with_domains domains
+          |> with_trace trace |> with_metrics metrics
           |> with_max_rounds
                (Option.value max_rounds ~default:default.max_rounds)
           |> with_plan plan)
@@ -776,7 +770,7 @@ let par_cmd =
       const action $ program_arg $ edb_arg $ scheme_arg $ nprocs_arg
       $ seed_arg $ ve_arg $ vr_arg $ alpha_arg $ plan_arg $ auto_arg
       $ runtime_arg $ procs_arg $ net_transport_arg $ net_partition_arg
-      $ net_hb_arg $ domains_arg $ detector_arg $ verify_arg $ fault_term
+      $ net_hb_arg $ domains_arg $ verify_arg $ fault_term
       $ overload_term $ trace_arg $ metrics_arg $ json_arg $ quiet_arg
       $ verbose_arg)
 

@@ -1,20 +1,15 @@
 open Datalog
 
-type detector = Run_config.detector =
-  | Safra
-  | Dijkstra_scholten
-
 (* Messages are addressed to processors; mailboxes belong to domains,
    which demultiplex. [Data] carries a per-channel sequence number so
    the reliable-delivery layer can suppress duplicates; [Tack] is its
    transport-level acknowledgement and [Replay] its recovery broadcast.
-   Control messages (tokens, detector acks, transport acks, replay
-   requests, stop) ride the mailboxes directly and are never subjected
-   to the fault plan — only payload [Data] is. *)
+   Control messages (tokens, transport acks, replay requests, stop)
+   ride the mailboxes directly and are never subjected to the fault
+   plan — only payload [Data] is. *)
 type msg =
   | Data of { src : int; dst : int; seq : int; batch : (string * Tuple.t) list }
   | Token of { dst : int; token : Safra.token }
-  | Ack of { dst : int }
   | Tack of { sender : int; receiver : int; seq : int }
   | Replay of { requester : int }
   | Stop
@@ -24,7 +19,6 @@ type msg =
 type ctl = {
   p : Processor.t;
   safra : Safra.t;
-  ds : Dscholten.t;
   mutable held_token : Safra.token option;
   mutable probe_outstanding : bool;  (* pid 0 only *)
   mutable local_rounds : int;  (* semi-naive iterations this epoch *)
@@ -49,7 +43,7 @@ let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
    cycles (the join provides the happens-before edge). [bootstrap]
    marks the first epoch; later epochs adopt the engines as-is — their
    pending injections are drained by the ordinary step loop. *)
-let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
+let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     n mailboxes ~domain_of procs my_domain =
   let faulty = not (Fault.is_none plan) in
   let credited = List.exists (fun (p : Processor.t) -> p.capacity <> None) procs in
@@ -100,7 +94,6 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
         {
           p;
           safra = Safra.create ();
-          ds = Dscholten.create ~pid:p.pid ~nprocs:n;
           held_token = None;
           probe_outstanding = false;
           local_rounds = 0;
@@ -139,16 +132,13 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
       end
     end
   in
-  (* New batches on the channels. The detectors count at
-     sequence-number granularity: one send per new batch here, one
-     receive per first-seen sequence number at the receiver —
-     retransmissions and duplicates are invisible to them, which keeps
-     the token balance (Safra) and the deficits (Dijkstra-Scholten)
+  (* New batches on the channels. Safra counts at sequence-number
+     granularity: one send per new batch here, one receive per
+     first-seen sequence number at the receiver — retransmissions and
+     duplicates are invisible to it, which keeps the token balance
      sound over lossy channels. *)
   let emit c b =
-    (match detector with
-     | Safra -> Safra.record_send c.safra
-     | Dijkstra_scholten -> Dscholten.record_send c.ds);
+    Safra.record_send c.safra;
     transmit c.p b
   in
   let route c produced =
@@ -189,7 +179,7 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     done;
     stopped := true
   in
-  (* Crash recovery: the engine is volatile and is lost; detector and
+  (* Crash recovery: the engine is volatile and is lost; Safra and
      delivery-layer state is stable. The processor rebuilds from its
      base fragment, then broadcasts a replay request — every processor
      (itself included) re-sends its channel history to the rebuilt
@@ -229,16 +219,10 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
           if faulty || credited then
             send_to_pid src (Tack { sender = src; receiver = dst; seq });
           if (not faulty) || Processor.fresh c.p (src, 0, seq) then begin
-            (match detector with
-             | Safra -> Safra.record_receive c.safra
-             | Dijkstra_scholten ->
-               (match Dscholten.on_data c.ds ~src with
-                | `Ack_now target -> send_to_pid target (Ack { dst = target })
-                | `Engaged -> ()));
+            Safra.record_receive c.safra;
             List.iter (fun (pred, tuple) -> Processor.receive c.p pred tuple) batch
           end)
     | Token { dst; token } -> (ctl_of dst).held_token <- Some token
-    | Ack { dst } -> Dscholten.on_ack (ctl_of dst).ds
     | Tack { sender; receiver; seq } ->
       let c = ctl_of sender in
       (* Freed credit: try to move deferred work. *)
@@ -256,41 +240,28 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
      should not block yet). *)
   let passive_action c =
     let pid = c.p.pid in
-    match detector with
-    | Safra ->
-      (match c.held_token with
-       | Some token when pid <> 0 ->
-         c.held_token <- None;
-         send_to_pid (pid - 1)
-           (Token { dst = pid - 1; token = Safra.forward c.safra token });
-         true
-       | Some token ->
-         c.held_token <- None;
-         (match Safra.evaluate c.safra token with
-          | `Terminated ->
-            announce_termination ();
-            true
-          | `Try_again ->
-            send_to_pid (n - 1)
-              (Token { dst = n - 1; token = Safra.initial_token });
-            true)
-       | None ->
-         if pid = 0 && not c.probe_outstanding then begin
-           c.probe_outstanding <- true;
-           send_to_pid (n - 1)
-             (Token { dst = n - 1; token = Safra.initial_token });
-           true
-         end
-         else false)
-    | Dijkstra_scholten ->
-      (match Dscholten.on_passive c.ds with
-       | `Ack_parent parent ->
-         send_to_pid parent (Ack { dst = parent });
-         true
+    match c.held_token with
+    | Some token when pid <> 0 ->
+      c.held_token <- None;
+      send_to_pid (pid - 1)
+        (Token { dst = pid - 1; token = Safra.forward c.safra token });
+      true
+    | Some token ->
+      c.held_token <- None;
+      (match Safra.evaluate c.safra token with
        | `Terminated ->
          announce_termination ();
          true
-       | `Wait -> false)
+       | `Try_again ->
+         send_to_pid (n - 1) (Token { dst = n - 1; token = Safra.initial_token });
+         true)
+    | None ->
+      if pid = 0 && not c.probe_outstanding then begin
+        c.probe_outstanding <- true;
+        send_to_pid (n - 1) (Token { dst = n - 1; token = Safra.initial_token });
+        true
+      end
+      else false
   in
   (* Watchdog: on a breach, record the reason and broadcast Stop — the
      poison pill propagates cancellation; every worker then returns its
@@ -372,8 +343,8 @@ let worker detector plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
            processor with credit-deferred output is NOT passive: its
            un-Tacked batches guarantee an incoming Tack, whose credit
            flushes the remainder — skipping the detector action here is
-           what keeps Safra/Dijkstra-Scholten sound under deferral
-           (nothing terminates while tuples wait for credit). *)
+           what keeps Safra sound under deferral (nothing terminates
+           while tuples wait for credit). *)
         let acted =
           List.fold_left
             (fun acc c ->
@@ -449,7 +420,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           in
           Domain.spawn (fun () ->
               try
-                worker config.Run_config.detector config.Run_config.fault
+                worker config.Run_config.fault
                   ~limits:config.Run_config.limits ~dial:config.Run_config.dial
                   ~obs ~t0 ~bootstrap:(!epochs = 0) n mailboxes ~domain_of own
                   d

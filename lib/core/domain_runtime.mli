@@ -3,7 +3,8 @@
     Each of the rewrite's [nprocs] processors runs its own semi-naive
     engine; tuples travel through {!Mailbox} channels (the reliable
     channels of the paper's abstract architecture); global quiescence is
-    detected by a distributed termination algorithm; the [@out]
+    detected by Safra's token-ring algorithm (EWD 998, reference [5]'s
+    quiescence condition); the [@out]
     relations are pooled at the end. The answers are identical to
     {!Sim_runtime}'s (and, by Theorems 1, 4 and 5, to the sequential
     evaluation); the schedule — and therefore per-round behaviour — is
@@ -20,14 +21,14 @@
     With a non-trivial {!Fault.plan}, payload batches travel over the
     reliable-delivery layer: per-channel sequence numbers,
     receiver-side duplicate suppression, transport acknowledgements
-    and time-based bounded retransmission. The termination detectors
-    count at sequence-number granularity — one send per new batch, one
+    and time-based bounded retransmission. The termination detector
+    counts at sequence-number granularity — one send per new batch, one
     receive per first-seen sequence number — so retransmissions and
-    duplicates are invisible to them and detection stays sound over
+    duplicates are invisible to it and detection stays sound over
     lossy channels. A crash fires when the processor's local iteration
     count reaches [cr_round]: the engine (volatile) is lost and
     rebuilt from the base fragment, and every processor replays its
-    channel history to the rebuilt engine; delivery-layer and detector
+    channel history to the rebuilt engine; delivery-layer and Safra
     state are stable. Recovery is immediate ([cr_down] does not apply)
     and delivery is already asynchronous, so the plan's delay and
     reorder faults are tallied but change nothing observable. Control
@@ -39,7 +40,7 @@
     ack doubles as the credit grant, so it is sent even on fault-free
     runs. Over-budget tuples wait in the sender's per-channel pending
     queue — a deferral, never a loss. A processor with deferred output
-    refuses to act passive, which keeps both termination detectors
+    refuses to act passive, which keeps termination detection
     sound: an un-Tacked batch is always outstanding while anything is
     deferred, so the flushing credit is guaranteed to arrive and
     detection resumes after it. Control messages (tokens, acks, stop)
@@ -59,13 +60,6 @@
     the per-processor alpha on every routing decision. Each dial entry
     is written only by the domain that owns the processor. *)
 
-type detector = Run_config.detector =
-  | Safra  (** Token-ring detection (default) — reference [5]'s
-               quiescence condition via EWD 998. *)
-  | Dijkstra_scholten
-      (** Engagement-tree detection for diffusing computations —
-          reference [7]. *)
-
 val run :
   ?config:Run_config.t ->
   Rewrite.t ->
@@ -73,14 +67,12 @@ val run :
   Sim_runtime.result
 (** Execute under a {!Run_config.t} (default {!Run_config.default}).
     The fields this runtime reads are [pushdown], [replicate_base],
-    [detector], [domains], [fault], [capacity], [limits], [dial],
-    [obs], [plan] and [track_changes]; [resend_all], [max_rounds],
-    [network] and [batch_rounds] belong to the simulator and are
-    ignored. In the returned
+    [domains], [fault], [capacity], [limits], [dial], [obs] and
+    [plan]; [resend_all], [max_rounds] and [network] belong to the
+    simulator and are ignored. In the returned
     stats, [rounds] is the maximum number of semi-naive iterations any
     processor executed, and [active_rounds] is each processor's own
-    iteration count. Both detectors produce identical answers; they
-    differ only in control traffic. [fault] (default {!Fault.none})
+    iteration count. [fault] (default {!Fault.none})
     injects message and processor faults; the pooled answers are
     unchanged for every plan. [capacity] bounds per-channel in-flight
     tuples ([Stats.peak_in_flight] reports the observed maximum);

@@ -5,44 +5,29 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type 'a t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
-  not_full : Condition.t;
   queue : 'a Queue.t;
-  capacity : int option;
   mutable closed : bool;
   mutable dropped : int;
 }
 
-let create ?capacity () =
-  (match capacity with
-   | Some c when c < 1 -> invalid_arg "Mailbox.create: capacity must be >= 1"
-   | _ -> ());
+let create () =
   {
     mutex = Mutex.create ();
     nonempty = Condition.create ();
-    not_full = Condition.create ();
     queue = Queue.create ();
-    capacity;
     closed = false;
     dropped = 0;
   }
 
-let full mb =
-  match mb.capacity with
-  | None -> false
-  | Some c -> Queue.length mb.queue >= c
-
-(* Called with the mutex held; the log call happens after unlock. *)
-let note_drop mb =
-  mb.dropped <- mb.dropped + 1;
-  mb.dropped
-
+(* Called after unlock, with the drop count read under the mutex. *)
 let log_drop n =
   Log.debug (fun m -> m "push on closed mailbox dropped (%d so far)" n)
 
 let push mb x =
   Mutex.lock mb.mutex;
   if mb.closed then begin
-    let n = note_drop mb in
+    mb.dropped <- mb.dropped + 1;
+    let n = mb.dropped in
     Mutex.unlock mb.mutex;
     log_drop n
   end
@@ -68,46 +53,10 @@ let push_all mb xs =
     end
   end
 
-let try_push mb x =
-  Mutex.lock mb.mutex;
-  if mb.closed then begin
-    Mutex.unlock mb.mutex;
-    `Closed
-  end
-  else if full mb then begin
-    Mutex.unlock mb.mutex;
-    `Full
-  end
-  else begin
-    Queue.add x mb.queue;
-    Condition.signal mb.nonempty;
-    Mutex.unlock mb.mutex;
-    `Ok
-  end
-
-let push_blocking mb x =
-  Mutex.lock mb.mutex;
-  while full mb && not mb.closed do
-    Condition.wait mb.not_full mb.mutex
-  done;
-  if mb.closed then begin
-    let n = note_drop mb in
-    Mutex.unlock mb.mutex;
-    log_drop n;
-    false
-  end
-  else begin
-    Queue.add x mb.queue;
-    Condition.signal mb.nonempty;
-    Mutex.unlock mb.mutex;
-    true
-  end
-
 let close mb =
   Mutex.lock mb.mutex;
   mb.closed <- true;
   Condition.broadcast mb.nonempty;
-  Condition.broadcast mb.not_full;
   Mutex.unlock mb.mutex
 
 let is_closed mb =
@@ -121,7 +70,6 @@ let drain_locked mb =
   while not (Queue.is_empty mb.queue) do
     acc := Queue.pop mb.queue :: !acc
   done;
-  if !acc <> [] && mb.capacity <> None then Condition.broadcast mb.not_full;
   List.rev !acc
 
 let drain mb =
@@ -167,14 +115,6 @@ let is_empty mb =
   let e = Queue.is_empty mb.queue in
   Mutex.unlock mb.mutex;
   e
-
-let length mb =
-  Mutex.lock mb.mutex;
-  let n = Queue.length mb.queue in
-  Mutex.unlock mb.mutex;
-  n
-
-let capacity mb = mb.capacity
 
 let dropped mb =
   Mutex.lock mb.mutex;

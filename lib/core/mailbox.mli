@@ -5,66 +5,42 @@
     mutex/condition-variable queue per receiving domain provides exactly
     that on shared memory.
 
-    A mailbox may be bounded ({!create} [~capacity]): {!push_blocking}
-    then waits while the queue is at capacity, and {!try_push} reports
-    [`Full] — the primitive under the runtimes' credit-based
-    backpressure. The plain {!push} is deliberately exempt from the
-    bound so that control traffic (acks, tokens, poison pills) can
-    never deadlock behind data.
+    A mailbox is unbounded: credit-based backpressure bounds the data
+    in flight per channel at the sender ({!Processor}), so control
+    traffic (acks, tokens, poison pills) can never deadlock behind
+    data.
 
     A mailbox can be {!close}d — the poison pill. A closed mailbox
     counts and drops further pushes (visible via {!dropped} and a
-    [Logs.Debug] message on the [pardatalog.mailbox] source), and
-    blocked producers and consumers wake immediately, so a crashed or
-    finished peer can never leave a domain stuck in [Condition.wait]. *)
+    [Logs.Debug] message on the [pardatalog.mailbox] source), and a
+    blocked consumer wakes immediately, so a crashed or finished peer
+    can never leave a domain stuck in [Condition.wait]. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [create ()] is unbounded. [create ~capacity ()] bounds the queue
-    for the capacity-respecting entry points.
-    @raise Invalid_argument if [capacity < 1]. *)
+val create : unit -> 'a t
 
 val push : 'a t -> 'a -> unit
-(** Enqueue and wake the consumer, ignoring any capacity. Safe from any
-    domain. Dropped (and counted) when the mailbox is closed. *)
+(** Enqueue and wake the consumer. Safe from any domain. Dropped (and
+    counted) when the mailbox is closed. *)
 
 val push_all : 'a t -> 'a list -> unit
 (** [push_all mb xs] enqueues every element of [xs] in order under one
     lock acquisition and wakes the consumer once — the bulk variant of
     {!push} behind the runtimes' per-phase send coalescing (one
     delivery per (phase, destination) instead of one per message).
-    Like {!push} it ignores any capacity; on a closed mailbox the whole
-    list is dropped and counted. [push_all mb []] is a no-op that takes
-    no lock. *)
-
-val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
-(** Enqueue only if the mailbox is open and below capacity; never
-    blocks. *)
-
-val push_blocking : 'a t -> 'a -> bool
-(** Enqueue, waiting while the mailbox is at capacity. Returns [false]
-    (counting a drop) if the mailbox is or becomes closed — a producer
-    blocked on a full mailbox is woken by {!close}.
-
-    Why the close race cannot hang a producer: the closed flag is only
-    read and written under the mailbox mutex, the wait loop re-tests
-    [closed || not full] around every [Condition.wait], and {!close}
-    broadcasts {e both} condition variables while still holding the
-    mutex — so a producer either sees the flag before sleeping or is
-    woken by the broadcast; there is no window to sleep through. Pinned
-    by the "close during blocked pushes never hangs" stress test. *)
+    On a closed mailbox the whole list is dropped and counted.
+    [push_all mb []] is a no-op that takes no lock. *)
 
 val close : 'a t -> unit
-(** Close the mailbox: wakes every blocked consumer and producer and
-    makes further pushes counted no-ops. Idempotent; safe from any
-    domain. *)
+(** Close the mailbox: wakes a blocked consumer and makes further
+    pushes counted no-ops. Idempotent; safe from any domain. *)
 
 val is_closed : 'a t -> bool
 
 val drain : 'a t -> 'a list
 (** Dequeue everything currently present, in arrival order, without
-    blocking (possibly [[]]). Frees capacity for blocked producers. *)
+    blocking (possibly [[]]). *)
 
 val drain_blocking : 'a t -> 'a list
 (** Like {!drain} but blocks until at least one element is present —
@@ -77,11 +53,6 @@ val drain_timeout : 'a t -> seconds:float -> 'a list
     retransmit unacknowledged messages or check a deadline. *)
 
 val is_empty : 'a t -> bool
-
-val length : 'a t -> int
-(** Current queue occupancy. *)
-
-val capacity : 'a t -> int option
 
 val dropped : 'a t -> int
 (** Pushes discarded because the mailbox was closed. *)

@@ -77,7 +77,7 @@ let oracle t =
   | None ->
     let l =
       Stratified.Live.create ~pushdown:t.config.Run_config.pushdown
-        ~track:t.config.Run_config.track_changes t.rw.original ~edb:t.edb
+        t.rw.original ~edb:t.edb
     in
     t.live <- Some l;
     l

@@ -1,5 +1,3 @@
-type detector = Safra | Dijkstra_scholten
-
 type t = {
   resend_all : bool;
   pushdown : bool;
@@ -10,12 +8,9 @@ type t = {
   capacity : int option;
   limits : Overload.limits;
   dial : Overload.dial option;
-  detector : detector;
   domains : int option;
   obs : Obs.sinks;
   plan : Plan.t option;
-  batch_rounds : int option;
-  track_changes : bool;
 }
 
 let default =
@@ -29,12 +24,9 @@ let default =
     capacity = None;
     limits = Overload.no_limits;
     dial = None;
-    detector = Safra;
     domains = None;
     obs = Obs.disabled;
     plan = None;
-    batch_rounds = None;
-    track_changes = true;
   }
 
 let with_resend_all resend_all t = { t with resend_all }
@@ -50,12 +42,9 @@ let with_deadline deadline t = { t with limits = { t.limits with Overload.deadli
 let with_max_store_rows max_store_rows t =
   { t with limits = { t.limits with Overload.max_store_rows } }
 let with_dial dial t = { t with dial }
-let with_detector detector t = { t with detector }
 let with_domains domains t = { t with domains }
 let with_obs obs t = { t with obs }
 let with_trace trace t = { t with obs = { t.obs with Obs.trace } }
 let with_metrics metrics t = { t with obs = { t.obs with Obs.metrics } }
 let with_plan plan t = { t with plan }
-let with_batch_rounds batch_rounds t = { t with batch_rounds }
-let with_track_changes track_changes t = { t with track_changes }
 let of_plan (p : Plan.t) = { default with plan = Some p }

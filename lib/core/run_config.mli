@@ -1,8 +1,7 @@
 (** One configuration record for both runtimes.
 
     [Run_config.t] subsumes the simulator's ablation/fault/overload
-    options and the multicore executor's optional arguments (detector,
-    domain count), and carries the observability sinks ({!Obs.sinks}).
+    options and the multicore executor's domain count, and carries the observability sinks ({!Obs.sinks}).
     Build a configuration from {!default} with the [with_*] builders:
 
     {[
@@ -11,10 +10,6 @@
 
     Fields only one runtime understands are documented as such; the
     other runtime ignores them. *)
-
-type detector = Safra | Dijkstra_scholten
-(** Termination detector used by the multicore runtime (Section 3's
-    termination test on asynchronous channels). *)
 
 type t = {
   resend_all : bool;  (** Ablation A1 (simulator only). *)
@@ -28,7 +23,6 @@ type t = {
   capacity : int option;  (** Per-channel credit bound. *)
   limits : Overload.limits;  (** Resource watchdog budgets. *)
   dial : Overload.dial option;  (** Adaptive-degradation dial. *)
-  detector : detector;  (** Multicore runtime only. *)
   domains : int option;  (** Domain count (multicore runtime only). *)
   obs : Obs.sinks;  (** Tracing / metrics sinks, disabled by default. *)
   plan : Plan.t option;
@@ -36,22 +30,10 @@ type t = {
           {!Plan.validate_exn} against the rewrite's original program
           and processor count, and refuse to run under a stale or
           unverifiable plan ({!Plan.Rejected}). *)
-  batch_rounds : int option;
-      (** Session option: per-{!Runtime.apply} round budget for the
-          simulator's incremental drive. [max_rounds] stays the
-          cumulative budget over the whole session; this bounds each
-          batch on its own. [None] (default) applies no per-batch
-          bound. *)
-  track_changes : bool;
-      (** Session option: record the per-predicate net change log
-          ({!Datalog.Delta.Log}) as batches are applied. On by
-          default; switch off for long-lived sessions that only
-          query the current model and never drain the log. *)
 }
 
 val default : t
-(** Fault-free, unbounded, ablations off, [Safra] detector, disabled
-    observability — the exact behaviour of the historical defaults of
+(** Fault-free, unbounded, ablations off, disabled observability — the exact behaviour of the historical defaults of
     both runtimes. *)
 
 val with_resend_all : bool -> t -> t
@@ -72,18 +54,11 @@ val with_max_store_rows : int option -> t -> t
 (** Set only the per-processor store budget of [limits]. *)
 
 val with_dial : Overload.dial option -> t -> t
-val with_detector : detector -> t -> t
 val with_domains : int option -> t -> t
 val with_obs : Obs.sinks -> t -> t
 val with_trace : Obs.Trace.t -> t -> t
 val with_metrics : Obs.Metrics.t -> t -> t
 val with_plan : Plan.t option -> t -> t
-
-val with_batch_rounds : int option -> t -> t
-(** Per-batch round budget for session [apply] (simulator only). *)
-
-val with_track_changes : bool -> t -> t
-(** Whether sessions keep the net change log (default [true]). *)
 
 val of_plan : Plan.t -> t
 (** {!default} carrying the given certificate; compose further with the

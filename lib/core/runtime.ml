@@ -32,7 +32,3 @@ let all : (module S) list = [ (module Sim); (module Domains) ]
 
 let find name =
   List.find_opt (fun (module R : S) -> String.equal R.name name) all
-
-let apply = Session.apply
-let query = Session.query
-let close = Session.close

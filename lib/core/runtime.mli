@@ -46,13 +46,3 @@ val all : (module S) list
 
 val find : string -> (module S) option
 (** Look an implementation up by {!S.name}. *)
-
-val apply : Session.t -> Update_batch.t -> Session.outcome
-(** {!Session.apply}, re-exported so runtime clients need only this
-    module. *)
-
-val query : Session.t -> string -> Datalog.Tuple.t list
-(** {!Session.query}. *)
-
-val close : Session.t -> Session.result
-(** {!Session.close}. *)

@@ -11,9 +11,6 @@ type outcome = {
   oc_summary : Delta.summary;
 }
 
-let no_outcome =
-  { oc_added = []; oc_removed = []; oc_summary = Delta.empty_summary }
-
 exception Closed of string
 
 type t = {
@@ -36,7 +33,6 @@ let v ~runtime ~apply ~query ~model ~close =
   }
 
 let runtime s = s.runtime
-let is_closed s = s.closed
 let check s = if s.closed then raise (Closed s.runtime)
 
 let apply s batch =

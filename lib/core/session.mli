@@ -41,9 +41,6 @@ type outcome = {
     update that re-asserts a present fact (or retracts an absent one)
     contributes nothing. *)
 
-val no_outcome : outcome
-(** The empty effect. *)
-
 exception Closed of string
 (** Raised (with the runtime name) by every operation on a closed
     session. *)
@@ -65,8 +62,6 @@ val v :
 val runtime : t -> string
 (** Name of the runtime serving this session ("sim", "domains",
     "net"). *)
-
-val is_closed : t -> bool
 
 val apply : t -> Update_batch.t -> outcome
 (** Fold one update batch into the live model and drive the resident

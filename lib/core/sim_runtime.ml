@@ -336,17 +336,12 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     raise (Overload.Overload { reason; stats = build_stats ~pooled:0 })
   in
   (* The drive loop: repeat rounds until global quiescence. A session
-     re-enters it on every applied batch; [budget] bounds one drive
-     ([Run_config.batch_rounds]) while [max_rounds] stays the
+     re-enters it on every applied batch; [max_rounds] is the
      cumulative budget across the whole session. *)
-  let drive ~budget () =
-  let start_round = !rounds in
+  let drive () =
   let continue = ref true in
   while !continue do
-    let over_budget =
-      match budget with Some b -> !rounds - start_round >= b | None -> false
-    in
-    if !rounds >= options.max_rounds || over_budget then
+    if !rounds >= options.max_rounds then
       raise
         (Round_budget_exceeded { round = !rounds; stats = build_stats ~pooled:0 });
     (match options.limits.Overload.deadline with
@@ -497,7 +492,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
                  procs)
   done
   in
-  drive ~budget:None ();
+  drive ();
   let apply =
     Pool.apply pool procs ~drive:(fun oc ->
         let removed = oc.Session.oc_removed in
@@ -527,7 +522,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
               sims
           end
         end;
-        drive ~budget:options.batch_rounds ())
+        drive ())
   in
   let query pred = Pool.query pool (Pool.stores procs) pred in
   let model () = fst (Pool.pool pool (Pool.stores procs)) in

@@ -72,7 +72,6 @@ val open_session :
     would resurrect from), net base insertions are injected at the
     processors hosting them, and the round loop re-runs to quiescence —
     under the same fault plan, credit bounds and watchdog as the
-    initial drive. [config.batch_rounds] bounds each drive separately;
-    [config.max_rounds] remains the cumulative budget.
+    initial drive. [config.max_rounds] is the cumulative budget.
     @raise Round_budget_exceeded / Overload.Overload / Failure as
     {!run}, from [open_session] or any later [apply]. *)

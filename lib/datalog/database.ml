@@ -90,13 +90,6 @@ let merge_into ~dst ~src =
       acc + Relation.add_all target rel)
     src 0
 
-let merge_disjoint_into ~dst ~src =
-  Hashtbl.fold
-    (fun pred rel acc ->
-      let target = declare dst pred (Relation.arity rel) in
-      acc + Relation.add_all_new target rel)
-    src 0
-
 let equal a b =
   let preds = List.sort_uniq String.compare (predicates a @ predicates b) in
   List.for_all

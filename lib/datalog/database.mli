@@ -52,11 +52,6 @@ val merge_into : dst:t -> src:t -> int
 (** Union every relation of [src] into [dst]; returns the number of new
     tuples. *)
 
-val merge_disjoint_into : dst:t -> src:t -> int
-(** {!merge_into} without per-tuple membership probes
-    ({!Relation.add_all_new}). {b Unsafe}: every tuple of [src] must be
-    absent from [dst] — the semi-naive engine's delta/full invariant. *)
-
 val equal : t -> t -> bool
 (** Same predicates, each with equal relations. Predicates bound to
     empty relations on one side and unbound on the other are considered

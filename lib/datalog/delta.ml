@@ -56,61 +56,6 @@ module Batch = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Per-predicate change logs                                          *)
-
-module Log = struct
-  type entry = { e_op : op; e_tuple : Tuple.t }
-
-  (* One append-only Vec of signed entries per predicate, with a
-     consumer watermark — the same shape as the semi-naive marks over
-     Relation stores: [0, l_mark) is history already drained, the
-     suffix is the pending change set of the current batch. *)
-  type pred_log = {
-    l_entries : entry Vec.t;
-    mutable l_mark : int;
-  }
-
-  type t = (string, pred_log) Hashtbl.t
-
-  let dummy = { e_op = Insert; e_tuple = Tuple.of_list [] }
-
-  let create () : t = Hashtbl.create 16
-
-  let log_of (t : t) pred =
-    match Hashtbl.find_opt t pred with
-    | Some l -> l
-    | None ->
-      let l = { l_entries = Vec.create ~capacity:8 ~dummy (); l_mark = 0 } in
-      Hashtbl.add t pred l;
-      l
-
-  let record t pred op tuple =
-    let l = log_of t pred in
-    Vec.push l.l_entries { e_op = op; e_tuple = tuple }
-
-  let pending_count (t : t) =
-    Hashtbl.fold
-      (fun _ l acc -> acc + (Vec.length l.l_entries - l.l_mark))
-      t 0
-
-  (* Drain the pending suffix of every predicate's log, advancing the
-     watermark; each entry is visited once across all drains. *)
-  let drain (t : t) f =
-    Hashtbl.iter
-      (fun pred l ->
-        let n = Vec.length l.l_entries in
-        for i = l.l_mark to n - 1 do
-          let e = Vec.unsafe_get l.l_entries i in
-          f pred e.e_op e.e_tuple
-        done;
-        l.l_mark <- n)
-      t
-
-  let total (t : t) =
-    Hashtbl.fold (fun _ l acc -> acc + Vec.length l.l_entries) t 0
-end
-
-(* ------------------------------------------------------------------ *)
 (* Per-batch accounting                                               *)
 
 type summary = {

@@ -1,14 +1,11 @@
-(** Signed update batches and per-predicate change logs — the currency
-    of incremental maintenance.
+(** Signed update batches — the currency of incremental maintenance.
 
     A {!Batch.t} is an ordered stream of base-fact insertions and
     deletions. {!Batch.normalize} collapses it to its net effect
     against the current store (last operation per tuple wins, no-ops
     dropped), which is what the maintenance algorithms consume: the
     two phases of {!Stratified.Live.apply} see disjoint effective add
-    and remove sets. {!Log} is the bookkeeping side: append-only,
-    watermarked per-predicate change logs riding the same {!Vec}
-    machinery as the relation stores. *)
+    and remove sets. *)
 
 type op = Insert | Delete
 
@@ -46,27 +43,6 @@ module Batch : sig
       wins; insertions of present tuples and deletions of absent ones
       are dropped, so the two lists are disjoint and re-applying a
       batch normalizes to nothing. Order of first occurrence is kept. *)
-end
-
-(** Append-only signed change logs, one per predicate, with a consumer
-    watermark ([\[0, mark)] drained, suffix pending) — the change-set
-    analogue of the semi-naive windows over relation stores. *)
-module Log : sig
-  type t
-
-  val create : unit -> t
-  val record : t -> string -> op -> Tuple.t -> unit
-
-  val pending_count : t -> int
-  (** Entries recorded but not yet drained. *)
-
-  val drain : t -> (string -> op -> Tuple.t -> unit) -> unit
-  (** Visit the pending suffix of every predicate's log and advance the
-      watermarks; each recorded entry is visited exactly once across
-      all drains. *)
-
-  val total : t -> int
-  (** All entries ever recorded (history + pending). *)
 end
 
 (** Per-batch maintenance accounting, surfaced through

@@ -101,8 +101,6 @@ module Live = struct
        strata bake them in as a +1 baseline; DRed rederivation treats
        them as self-justifying. *)
     lv_pfacts : unit Ltbl.t;
-    lv_log : Delta.Log.t;  (* net model changes, per predicate *)
-    lv_track : bool;  (* record into lv_log? *)
     mutable lv_batches : int;
     mutable lv_totals : Delta.summary;
   }
@@ -248,7 +246,7 @@ module Live = struct
         if List.mem pred counting then ignore (bump (counts_of live pred) tuple 1))
       live.lv_pfacts
 
-  let create ?pushdown ?reorder ?(track = true) program ~edb =
+  let create ?pushdown ?reorder program ~edb =
     (match Program.check program with
      | Ok () -> ()
      | Error msg -> invalid_arg ("Stratified.Live.create: " ^ msg));
@@ -262,8 +260,6 @@ module Live = struct
         lv_derived = derived;
         lv_counts = Hashtbl.create 8;
         lv_pfacts = Ltbl.create 16;
-        lv_log = Delta.Log.create ();
-        lv_track = track;
         lv_batches = 0;
         lv_totals = Delta.empty_summary;
       }
@@ -637,14 +633,6 @@ module Live = struct
       in
       let added = collect added_now in
       let removed = collect removed_now in
-      if live.lv_track then begin
-        List.iter
-          (fun (pred, t) -> Delta.Log.record live.lv_log pred Delta.Insert t)
-          added;
-        List.iter
-          (fun (pred, t) -> Delta.Log.record live.lv_log pred Delta.Delete t)
-          removed
-      end;
       let summary =
         {
           Delta.s_inserted = List.length added;
@@ -666,5 +654,4 @@ module Live = struct
   let database live = Database.copy live.lv_db
   let batches live = live.lv_batches
   let totals live = live.lv_totals
-  let log live = live.lv_log
 end

@@ -49,14 +49,11 @@ module Live : sig
   }
 
   val create :
-    ?pushdown:bool -> ?reorder:bool -> ?track:bool -> Program.t ->
-    edb:Database.t -> t
+    ?pushdown:bool -> ?reorder:bool -> Program.t -> edb:Database.t -> t
   (** Evaluate the program over [edb] and set up maintenance state.
       Tuples the [edb] seeds under derived predicates are treated like
       program facts: externally supported, never deleted by
-      maintenance. [track] (default [true]) records every net change
-      into {!log}; pass [false] for long-lived sessions that never
-      drain it.
+      maintenance.
       @raise Invalid_argument if the program fails {!Program.check}. *)
 
   val apply : t -> Delta.Batch.t -> change
@@ -81,8 +78,4 @@ module Live : sig
 
   val totals : t -> Delta.summary
   (** Cumulative maintenance accounting across all batches. *)
-
-  val log : t -> Delta.Log.t
-  (** The net change log: one {!Delta.Log} entry per model tuple added
-      or removed by {!apply}, in batch order. *)
 end

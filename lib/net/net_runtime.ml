@@ -679,9 +679,13 @@ let listen_setup transport =
     in
     (fd, Atcp port)
 
+(* Per-worker restart budget: a worker restarted more often than this
+   fails the run instead of looping. *)
+let restart_budget = 8
+
 let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     ?(transport = `Unix) ?(partition = 0.0) ?(hb_ms = 25)
-    ?(hb_miss_limit = 40) ?(max_restarts = 8) ?(spawn = Fork)
+    ?(hb_miss_limit = 40) ?(spawn = Fork)
     (rw : Rewrite.t) ~edb =
   if config.Run_config.dial <> None then
     invalid_arg "Net_runtime: the adaptive dial is not supported";
@@ -968,10 +972,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
         s.s_last_snaps;
       s.s_last_snaps <- [];
       s.s_restarts <- s.s_restarts + 1;
-      if s.s_restarts > max_restarts then
+      if s.s_restarts > restart_budget then
         failwith
           (Printf.sprintf "Net_runtime: worker %d exceeded %d restarts"
-             s.s_id max_restarts);
+             s.s_id restart_budget);
       s.s_inc <- s.s_inc + 1;
       s.s_restart_at <-
         Some
@@ -1540,10 +1544,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   Session.v ~runtime:"net" ~apply ~query ~model ~close
 
 let run ~config ~program ~spec ?seed ?procs ?transport ?partition ?hb_ms
-    ?hb_miss_limit ?max_restarts ?spawn (rw : Rewrite.t) ~edb =
+    ?hb_miss_limit ?spawn (rw : Rewrite.t) ~edb =
   Session.close
     (open_session ~config ~program ~spec ?seed ?procs ?transport ?partition
-       ?hb_ms ?hb_miss_limit ?max_restarts ?spawn rw ~edb)
+       ?hb_ms ?hb_miss_limit ?spawn rw ~edb)
 
 let runtime ~program ~spec ?seed ?procs ?transport ?partition ?hb_ms ?spawn
     () : (module Pardatalog.Runtime.S) =

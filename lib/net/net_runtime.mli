@@ -37,7 +37,7 @@
     construction cannot be replayed deterministically in another
     process. [Run_config] fields that belong to the simulator
     ([resend_all], [replicate_base], [max_rounds], [network]) and the
-    domain runtime ([detector], [domains]) are ignored, as are the
+    domain runtime ([domains]) are ignored, as are the
     observability sinks (workers are separate processes; wire-level
     counters are reported in {!Pardatalog.Stats.transport} instead). *)
 
@@ -65,7 +65,6 @@ val run :
   ?partition:float ->
   ?hb_ms:int ->
   ?hb_miss_limit:int ->
-  ?max_restarts:int ->
   ?spawn:spawn ->
   Pardatalog.Rewrite.t ->
   edb:Datalog.Database.t ->
@@ -76,8 +75,8 @@ val run :
     [transport] defaults to [`Unix]; [partition] (default 0) is the
     shim's channel-cut probability; [hb_ms] (default 25) the heartbeat
     period; [hb_miss_limit] (default 40) the missed-heartbeat
-    declaration threshold; [max_restarts] (default 8) the per-worker
-    restart budget.
+    declaration threshold. Each worker may be restarted at most 8
+    times.
 
     @raise Pardatalog.Overload.Overload on a worker budget breach or a
     blown coordinator deadline, with partial statistics.
@@ -98,7 +97,6 @@ val open_session :
   ?partition:float ->
   ?hb_ms:int ->
   ?hb_miss_limit:int ->
-  ?max_restarts:int ->
   ?spawn:spawn ->
   Pardatalog.Rewrite.t ->
   edb:Datalog.Database.t ->

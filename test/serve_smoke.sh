@@ -39,8 +39,20 @@ fail () {
   exit 1
 }
 
-# One client, end to end. The client retries the connect internally
-# while the server is still binding, so no sleep is needed.
+# The client retries its connect only briefly, and a daemon still
+# starting on a loaded machine can take longer. Wait for a PING
+# answer, failing fast if the daemon dies and giving up after 60 s.
+deadline=$(( $(date +%s) + 60 ))
+until printf 'PING\n' | "$datalogd" --connect "$sock" > /dev/null 2>&1
+do
+  kill -0 "$server" 2>/dev/null \
+    || fail "daemon exited before answering"
+  [ "$(date +%s)" -lt "$deadline" ] \
+    || fail "daemon not ready after 60 s"
+  sleep 0.1
+done
+
+# One client, end to end.
 out=$(printf 'PING\nQUERY id=q1 prog=anc\nQUIT\n' \
         | "$datalogd" --connect "$sock") \
   || fail "single client exited nonzero"

@@ -219,11 +219,7 @@ let live_tests =
         Alcotest.(check int) "batches" 2 (Stratified.Live.batches live);
         let tot = Stratified.Live.totals live in
         Alcotest.(check bool) "inserted" true (tot.Delta.s_inserted > 0);
-        Alcotest.(check bool) "deleted" true (tot.Delta.s_deleted > 0);
-        (* The log records the exact net changes. *)
-        Alcotest.(check int) "log total"
-          (tot.Delta.s_inserted + tot.Delta.s_deleted)
-          (Delta.Log.total (Stratified.Live.log live)));
+        Alcotest.(check bool) "deleted" true (tot.Delta.s_deleted > 0));
     case "session stats serialize as schema 4 with the incr counters"
       (fun () ->
         let rw =

@@ -206,21 +206,16 @@ let config_cases =
         Alcotest.(check int) "round budget" 1_000_000 d.Run_config.max_rounds;
         Alcotest.(check bool) "fault-free" true
           (Fault.is_none d.Run_config.fault);
-        Alcotest.(check bool) "Safra" true
-          (d.Run_config.detector = Run_config.Safra);
         Alcotest.(check bool) "obs disabled" false
           (Obs.Trace.enabled d.Run_config.obs.Obs.trace));
     case "builders compose" (fun () ->
         let c =
           Run_config.(
             default |> with_capacity (Some 3)
-            |> with_detector Dijkstra_scholten
             |> with_domains (Some 2) |> with_max_rounds 42)
         in
         Alcotest.(check bool) "capacity" true
           (c.Run_config.capacity = Some 3);
-        Alcotest.(check bool) "detector" true
-          (c.Run_config.detector = Run_config.Dijkstra_scholten);
         Alcotest.(check bool) "domains" true (c.Run_config.domains = Some 2);
         Alcotest.(check int) "max_rounds" 42 c.Run_config.max_rounds);
     case "Runtime.find knows both implementations" (fun () ->

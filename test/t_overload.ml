@@ -9,8 +9,7 @@
    with capacity K the observed peak in-flight per channel never
    exceeds K. The deterministic cases pin down the watchdog (deadline,
    store and outbox budgets are structured Overload outcomes carrying
-   partial stats, never hangs), the dial controller itself, and the
-   bounded mailbox primitive under concurrent producers. *)
+   partial stats, never hangs) and the dial controller itself. *)
 
 open Datalog
 open Pardatalog
@@ -363,114 +362,6 @@ let dial_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The bounded mailbox primitive                                       *)
-(* ------------------------------------------------------------------ *)
-
-let mailbox_cases =
-  [
-    case "concurrent producers never exceed capacity" (fun () ->
-        let cap = 8 in
-        let producers = 4 and per_producer = 100 in
-        let mb = Mailbox.create ~capacity:cap () in
-        let doms =
-          List.init producers (fun p ->
-              Domain.spawn (fun () ->
-                  let ok = ref true in
-                  for i = 0 to per_producer - 1 do
-                    ok := Mailbox.push_blocking mb ((p * per_producer) + i)
-                          && !ok
-                  done;
-                  !ok))
-        in
-        let received = ref [] in
-        let max_len = ref 0 in
-        let expected = producers * per_producer in
-        while List.length !received < expected do
-          max_len := max !max_len (Mailbox.length mb);
-          (match Mailbox.drain_timeout mb ~seconds:0.01 with
-          | [] -> ()
-          | items -> received := List.rev_append items !received);
-          max_len := max !max_len (Mailbox.length mb)
-        done;
-        List.iter
-          (fun d ->
-            Alcotest.(check bool) "every push accepted" true (Domain.join d))
-          doms;
-        Alcotest.(check int) "all items delivered exactly once" expected
-          (List.length (List.sort_uniq compare !received));
-        Alcotest.(check bool) "occupancy never exceeded the bound" true
-          (!max_len <= cap);
-        Alcotest.(check int) "nothing dropped" 0 (Mailbox.dropped mb));
-    case "close during blocked pushes never hangs (stress)" (fun () ->
-        (* The push_blocking/close race: producers parked on a full
-           mailbox while another thread closes it. Every producer must
-           wake promptly with [false] — the audited invariant is that
-           both condition variables are broadcast under the same mutex
-           that guards the closed flag, so no sleeper can miss the
-           wake-up. A regression here makes this test hang, which is
-           the point: it pins "never hangs", not a timing. *)
-        for _ = 1 to 10 do
-          let cap = 2 and producers = 6 and per_producer = 25 in
-          let mb = Mailbox.create ~capacity:cap () in
-          let doms =
-            List.init producers (fun p ->
-                Domain.spawn (fun () ->
-                    let accepted = ref 0 in
-                    (try
-                       for i = 0 to per_producer - 1 do
-                         if Mailbox.push_blocking mb ((p * per_producer) + i)
-                         then incr accepted
-                         else raise Exit
-                       done
-                     with Exit -> ());
-                    !accepted))
-          in
-          (* Let some producers fill the mailbox and block, then slam
-             the door while they are parked. *)
-          let drained = List.length (Mailbox.drain_timeout mb ~seconds:0.002) in
-          Mailbox.close mb;
-          let accepted =
-            List.fold_left (fun acc d -> acc + Domain.join d) 0 doms
-          in
-          let leftovers = List.length (Mailbox.drain_blocking mb) in
-          Alcotest.(check int) "accepted = delivered + queued at close"
-            accepted (drained + leftovers);
-          Alcotest.(check bool) "at most one refusal per producer" true
-            (Mailbox.dropped mb <= producers)
-        done);
-    case "close wakes a producer blocked on a full mailbox" (fun () ->
-        let mb = Mailbox.create ~capacity:1 () in
-        Alcotest.(check bool) "first push fits" true
-          (Mailbox.push_blocking mb 1);
-        let blocked = Domain.spawn (fun () -> Mailbox.push_blocking mb 2) in
-        Unix.sleepf 0.05;
-        Mailbox.close mb;
-        Alcotest.(check bool) "blocked producer wakes with false" false
-          (Domain.join blocked);
-        Alcotest.(check int) "the refused push is counted" 1
-          (Mailbox.dropped mb);
-        Alcotest.(check (list int)) "queued item survives the close" [ 1 ]
-          (Mailbox.drain_blocking mb));
-    case "try_push reports Full and Closed without blocking" (fun () ->
-        let mb = Mailbox.create ~capacity:1 () in
-        Alcotest.(check bool) "fits" true (Mailbox.try_push mb 1 = `Ok);
-        Alcotest.(check bool) "full" true (Mailbox.try_push mb 2 = `Full);
-        ignore (Mailbox.drain mb);
-        Alcotest.(check bool) "drain frees capacity" true
-          (Mailbox.try_push mb 3 = `Ok);
-        Mailbox.close mb;
-        Alcotest.(check bool) "closed" true (Mailbox.try_push mb 4 = `Closed);
-        Alcotest.(check bool) "capacity is reported" true
-          (Mailbox.capacity mb = Some 1));
-    case "create rejects nonpositive capacity" (fun () ->
-        Alcotest.(check bool) "invalid_arg" true
-          (try
-             ignore (Mailbox.create ~capacity:0 ());
-             false
-           with Invalid_argument _ -> true));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Dial boundary properties                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -546,7 +437,6 @@ let suites =
     ("overload-backpressure", backpressure_cases);
     ("overload-watchdog", watchdog_cases);
     ("overload-dial", dial_cases);
-    ("overload-mailbox", mailbox_cases);
     ( "overload-props",
       List.map QCheck_alcotest.to_alcotest
         [

@@ -188,20 +188,6 @@ let domain_tests =
               (anc_relation seq)
               (anc_relation r.Sim_runtime.answers))
           [ 1; 2; 3; 6 ]);
-    slow_case "multiplexing under Dijkstra-Scholten" (fun () ->
-        let rw = Result.get_ok (Strategy.example3 ~nprocs:5 ancestor) in
-        let seq, _ = Seminaive.evaluate ancestor edb in
-        let r =
-          Domain_runtime.run
-            ~config:
-              Run_config.(
-                default
-                |> with_detector Dijkstra_scholten
-                |> with_domains (Some 2))
-            rw ~edb
-        in
-        Alcotest.check relation_t "equal" (anc_relation seq)
-          (anc_relation r.Sim_runtime.answers));
     slow_case "domains above nprocs are capped" (fun () ->
         let rw = Result.get_ok (Strategy.example3 ~nprocs:2 ancestor) in
         let seq, _ = Seminaive.evaluate ancestor edb in
