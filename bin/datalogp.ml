@@ -291,10 +291,11 @@ let par_cmd =
       & info [ "v"; "verbose" ]
           ~doc:"Log each simulated round to stderr.")
   in
+  let runtimes = [ ("sim", `Sim); ("domain", `Domain); ("net", `Net) ] in
   let runtime_arg =
     Arg.(
       value
-      & opt (enum [ ("sim", `Sim); ("domain", `Domain); ("net", `Net) ]) `Sim
+      & opt (enum runtimes) `Sim
       & info [ "runtime" ] ~docv:"RT"
           ~doc:
             "$(b,sim) = deterministic simulated rounds (default); \
@@ -303,7 +304,8 @@ let par_cmd =
   in
   let procs_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt (some int) None
       & info [ "procs" ] ~docv:"P"
           ~doc:
             "With --runtime net: number of worker processes (clamped \
@@ -312,7 +314,7 @@ let par_cmd =
   let net_transport_arg =
     Arg.(
       value
-      & opt (enum [ ("unix", `Unix); ("tcp", `Tcp) ]) `Unix
+      & opt (some (enum [ ("unix", `Unix); ("tcp", `Tcp) ])) None
       & info [ "net-transport" ] ~docv:"T"
           ~doc:
             "With --runtime net: $(b,unix) sockets (default) or \
@@ -320,17 +322,21 @@ let par_cmd =
   in
   let net_partition_arg =
     Arg.(
-      value & opt float 0.0
+      value
+      & opt (some float) None
       & info [ "net-partition" ] ~docv:"PR"
           ~doc:
             "With --runtime net: probability in [0,1) that a channel's \
-             current frame window is cut by the fault shim.")
+             current frame window is cut by the fault shim (default 0).")
   in
   let net_hb_arg =
     Arg.(
-      value & opt int 25
+      value
+      & opt (some int) None
       & info [ "net-hb-ms" ] ~docv:"MS"
-          ~doc:"With --runtime net: heartbeat period in milliseconds.")
+          ~doc:
+            "With --runtime net: heartbeat period in milliseconds \
+             (default 25).")
   in
   let domains_arg =
     Arg.(
@@ -577,6 +583,24 @@ let par_cmd =
          net@.";
       exit 2
     end;
+    (* A flag of one runtime would do nothing under another: refuse it
+       rather than run the default and exit 0. *)
+    let runtime_name rt = fst (List.find (fun (_, r) -> r = rt) runtimes) in
+    List.iter
+      (fun (flag, owner, given) ->
+        if given && runtime <> owner then begin
+          Format.eprintf "%s is not supported with --runtime %s (it applies to \
+                          --runtime %s only)@."
+            flag (runtime_name runtime) (runtime_name owner);
+          exit 2
+        end)
+      [
+        ("--domains", `Domain, domains <> None);
+        ("--procs", `Net, procs <> None);
+        ("--net-partition", `Net, net_partition <> None);
+        ("--net-transport", `Net, net_transport <> None);
+        ("--net-hb-ms", `Net, net_hb <> None);
+      ];
     (* Domain crash recovery rebuilds from the base fragment and keeps
        no snapshots, so a checkpoint interval there would do nothing. *)
     if runtime = `Domain && fault.Fault.checkpoint_every <> None then begin
@@ -740,8 +764,10 @@ let par_cmd =
                 | `General -> Net.Wire.Spec_general)
             in
             Net.Net_runtime.run ~config ~program:program_text ~spec ~seed
-              ~procs ~transport:net_transport ~partition:net_partition
-              ~hb_ms:net_hb
+              ~procs:(Option.value procs ~default:4)
+              ~transport:(Option.value net_transport ~default:`Unix)
+              ~partition:(Option.value net_partition ~default:0.0)
+              ~hb_ms:(Option.value net_hb ~default:25)
               ~spawn:(Net.Net_runtime.Exec Sys.executable_name) rw ~edb)
         with
         | result ->

@@ -36,26 +36,25 @@ let add_fact db pred tuple =
   let rel = declare db pred (Tuple.arity tuple) in
   Relation.add rel tuple
 
-module Tset = Hashtbl.Make (Tuple)
-
+(* Tombstoning keeps removal O(removed); a relation whose dead
+   positions come to outnumber its live ones is compacted on the spot,
+   so dead space stays bounded by live space and each removal pays
+   O(1) amortised for the compaction. *)
 let remove_facts db pairs =
   let by_pred = Hashtbl.create 8 in
   List.iter
     (fun (pred, tuple) ->
-      let set =
-        match Hashtbl.find_opt by_pred pred with
-        | Some set -> set
-        | None ->
-          let set = Tset.create 16 in
-          Hashtbl.add by_pred pred set;
-          set
-      in
-      Tset.replace set tuple ())
+      let tuples = Option.value ~default:[] (Hashtbl.find_opt by_pred pred) in
+      Hashtbl.replace by_pred pred (tuple :: tuples))
     pairs;
   Hashtbl.fold
-    (fun pred set removed ->
+    (fun pred tuples removed ->
       match find db pred with
-      | Some rel -> removed + Relation.remove_all rel (Tset.mem set)
+      | Some rel ->
+        let n = Relation.remove_all rel tuples in
+        if Relation.bound rel > 2 * Relation.cardinal rel then
+          Relation.compact rel;
+        removed + n
       | None -> removed)
     by_pred 0
 

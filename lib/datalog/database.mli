@@ -28,16 +28,22 @@ val add_fact : t -> string -> Tuple.t -> bool
     [true] iff new. *)
 
 val remove_facts : t -> (string * Tuple.t) list -> int
-(** Delete the listed facts and return how many were present. The
-    pairs are grouped by predicate, so each touched relation is
-    rebuilt once ({!Relation.remove_all}), however many of its tuples
-    go; unbound predicates and absent tuples are ignored. *)
+(** Delete the listed facts and return how many were present;
+    unbound predicates, absent tuples and repeats are ignored. The
+    pairs are grouped by predicate and each relation tombstones its
+    victims ({!Relation.remove_all}), so the cost is O(pairs),
+    whatever the size of the model: survivors keep their positions and
+    indexes. A relation left with more dead positions than live ones
+    is then compacted ({!Relation.compact}), which moves positions, so
+    a caller holding windows or watermarks over [db] re-pins them
+    afterwards. *)
 
 val predicates : t -> string list
 (** Sorted list of bound predicates. *)
 
 val cardinal : t -> string -> int
-(** Number of tuples of a predicate; 0 when unbound. *)
+(** Number of live tuples of a predicate ({!Relation.cardinal}); 0 when
+    unbound. *)
 
 val total_tuples : t -> int
 

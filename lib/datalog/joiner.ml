@@ -291,7 +291,7 @@ type window = {
 type relations = { window_of : string -> window option }
 
 let window_all rel =
-  let n = Relation.cardinal rel in
+  let n = Relation.bound rel in
   { w_rel = rel; w_old = n; w_cur = n }
 
 let current_of find = { window_of = (fun pred -> Option.map window_all (find pred)) }

@@ -26,7 +26,15 @@ type index = {
    few int pushes and one array store — no per-bucket heap structure,
    no allocation beyond amortized array growth — and a raw-word
    membership probe walks the chain comparing cached hashes and then
-   column words, never touching the boxed tuples. *)
+   column words, never touching the boxed tuples.
+
+   Removal leaves a tombstone: the victim is unlinked from its dedup
+   chain and its position marked in [dead], so survivors keep their
+   positions and every index bucket stays valid (readers skip marked
+   positions). [dead] is sized lazily — positions past its end are
+   live — and [ndead] counts the marks; with [ndead = 0] every reader
+   runs its tombstone-free loop, choosing once per call. Only
+   [compact] moves positions, squeezing the tombstones out. *)
 type t = {
   arity : int;
   elements : Tuple.t Vec.t;  (* insertion order *)
@@ -37,6 +45,8 @@ type t = {
   hashes : int Vec.t;  (* per element: cached Tuple.hash *)
   indexes : (int list, index) Hashtbl.t;
   mutable ix_all : index array;  (* = indexes, iterable without closures *)
+  mutable dead : Bytes.t;  (* per position: '\001' = tombstone *)
+  mutable ndead : int;  (* tombstones in [dead] *)
 }
 
 let dummy_tuple = Tuple.of_list []
@@ -56,11 +66,17 @@ let create ?(initial_size = 64) ~arity () =
     hashes = ints ();
     indexes = Hashtbl.create 4;
     ix_all = [||];
+    dead = Bytes.empty;
+    ndead = 0;
   }
 
 let arity r = r.arity
-let cardinal r = Vec.length r.elements
-let is_empty r = Vec.is_empty r.elements
+let cardinal r = Vec.length r.elements - r.ndead
+let bound r = Vec.length r.elements
+let is_empty r = cardinal r = 0
+
+let is_dead r pos =
+  pos < Bytes.length r.dead && Bytes.unsafe_get r.dead pos <> '\000'
 
 let mem r t =
   let h = Tuple.hash t in
@@ -105,25 +121,36 @@ let index_insert ix t pos =
     Vec.push bucket pos;
     Hashtbl.add ix.ix_buckets h bucket
 
-(* Double the chain-head table when load passes 3/4: chains are
-   rebuilt in insertion order by re-threading [next] through the
-   fresh table — a linear sweep of the cached hashes, no tuple access,
-   no allocation beyond the new head array. *)
-let grow r n =
-  let cap = (r.mask + 1) * 2 in
+(* Re-thread every live position's chain link through a fresh
+   [cap]-slot head table, in insertion order: a linear sweep of the
+   cached hashes, no tuple access, no allocation beyond the new head
+   array. Tombstones are unlinked and stay so. *)
+let rethread r cap =
   let table = Array.make cap 0 in
   let mask = cap - 1 in
-  for p = 0 to n - 1 do
+  let link p =
     let idx = Vec.unsafe_get r.hashes p land mask in
     Vec.set r.next p (Array.unsafe_get table idx);
     Array.unsafe_set table idx (p + 1)
-  done;
+  in
+  let n = Vec.length r.elements in
+  if r.ndead = 0 then
+    for p = 0 to n - 1 do
+      link p
+    done
+  else
+    for p = 0 to n - 1 do
+      if not (is_dead r p) then link p
+    done;
   r.table <- table;
   r.mask <- mask
 
+(* Double the chain-head table when load passes 3/4. *)
+let grow r = rethread r ((r.mask + 1) * 2)
+
 let unchecked_push r t =
   let pos = Vec.length r.elements in
-  if (pos + 1) * 4 > (r.mask + 1) * 3 then grow r pos;
+  if (pos + 1) * 4 > (r.mask + 1) * 3 then grow r;
   let h = Tuple.hash t in
   let idx = h land r.mask in
   Vec.push r.hashes h;
@@ -156,16 +183,31 @@ let add r t =
    wrong call corrupts the relation with a duplicate. *)
 let add_new r t = unchecked_push r t
 
-let iter f r = Vec.iter f r.elements
-let fold f r init = Vec.fold f r.elements init
-let to_list r = Vec.to_list r.elements
+let iter f r =
+  if r.ndead = 0 then Vec.iter f r.elements
+  else
+    for pos = 0 to Vec.length r.elements - 1 do
+      if not (is_dead r pos) then f (Vec.unsafe_get r.elements pos)
+    done
+
+let fold f r init =
+  if r.ndead = 0 then Vec.fold f r.elements init
+  else begin
+    let acc = ref init in
+    iter (fun t -> acc := f t !acc) r;
+    !acc
+  end
+
+let to_list r =
+  if r.ndead = 0 then Vec.to_list r.elements
+  else List.rev (fold List.cons r [])
 
 let add_all dst src =
   fold (fun t n -> if add dst t then n + 1 else n) src 0
 
 let add_all_new dst src =
-  Vec.iter (fun t -> add_new dst t) src.elements;
-  Vec.length src.elements
+  iter (fun t -> add_new dst t) src;
+  cardinal src
 
 let sorted_elements r = List.sort Tuple.compare (to_list r)
 
@@ -178,7 +220,7 @@ let build_index r positions =
   in
   let els = r.elements in
   for pos = 0 to Vec.length els - 1 do
-    index_insert ix (Vec.unsafe_get els pos) pos
+    if not (is_dead r pos) then index_insert ix (Vec.unsafe_get els pos) pos
   done;
   Hashtbl.add r.indexes (Array.to_list positions) ix;
   r.ix_all <- Array.append r.ix_all [| ix |];
@@ -204,40 +246,58 @@ let lower_bound bucket lo =
     !left
   end
 
-(* Candidates are verified by comparing raw int words straight out of
-   the columns: no boxed tuple is touched until a candidate passes. *)
+(* Does the stored tuple at [pos] carry [raws] at [positions]? Raw
+   int words straight out of the columns: no boxed tuple is touched
+   until a candidate passes. *)
+let rec same_raws cols positions raws pos j =
+  j >= Array.length positions
+  || Vec.unsafe_get (Array.unsafe_get cols (Array.unsafe_get positions j)) pos
+     = Array.unsafe_get raws j
+     && same_raws cols positions raws pos (j + 1)
+
+(* Index buckets keep tombstoned positions until [compact]; a relation
+   holding any takes the second loop, which skips them. *)
 let probe_index r ix positions key ~raws ~lo ~hi f =
   match Hashtbl.find ix.ix_buckets (Tuple.hash_key key) with
   | exception Not_found -> ()
   | bucket ->
     let els = r.elements in
     let cols = r.cols in
-    let np = Array.length positions in
     let n = Vec.length bucket in
     let i = ref (lower_bound bucket lo) in
     let continue = ref true in
-    while !continue && !i < n do
-      let pos = Vec.unsafe_get bucket !i in
-      if pos >= hi then continue := false
-      else begin
-        let rec same j =
-          j >= np
-          || Vec.unsafe_get
-               (Array.unsafe_get cols (Array.unsafe_get positions j))
-               pos
-             = Array.unsafe_get raws j
-             && same (j + 1)
-        in
-        if same 0 then f (Vec.unsafe_get els pos);
-        incr i
-      end
-    done
+    if r.ndead = 0 then
+      while !continue && !i < n do
+        let pos = Vec.unsafe_get bucket !i in
+        if pos >= hi then continue := false
+        else begin
+          if same_raws cols positions raws pos 0 then
+            f (Vec.unsafe_get els pos);
+          incr i
+        end
+      done
+    else
+      while !continue && !i < n do
+        let pos = Vec.unsafe_get bucket !i in
+        if pos >= hi then continue := false
+        else begin
+          if (not (is_dead r pos)) && same_raws cols positions raws pos 0 then
+            f (Vec.unsafe_get els pos);
+          incr i
+        end
+      done
 
 let iter_range r ~lo ~hi f =
   let els = r.elements in
-  for pos = lo to min hi (Vec.length els) - 1 do
-    f (Vec.unsafe_get els pos)
-  done
+  let hi = min hi (Vec.length els) in
+  if r.ndead = 0 then
+    for pos = lo to hi - 1 do
+      f (Vec.unsafe_get els pos)
+    done
+  else
+    for pos = lo to hi - 1 do
+      if not (is_dead r pos) then f (Vec.unsafe_get els pos)
+    done
 
 (* Below this window width a probe skips the index entirely and scans
    the key columns over [lo, hi) directly: for the narrow Delta windows
@@ -250,18 +310,16 @@ let scan_cutoff = 16
 let scan_window r positions ~raws ~lo ~hi f =
   let cols = r.cols in
   let els = r.elements in
-  let np = Array.length positions in
   let hi = min hi (Vec.length els) in
-  for pos = lo to hi - 1 do
-    let rec same j =
-      j >= np
-      || Vec.unsafe_get (Array.unsafe_get cols (Array.unsafe_get positions j))
-           pos
-         = Array.unsafe_get raws j
-         && same (j + 1)
-    in
-    if same 0 then f (Vec.unsafe_get els pos)
-  done
+  if r.ndead = 0 then
+    for pos = lo to hi - 1 do
+      if same_raws cols positions raws pos 0 then f (Vec.unsafe_get els pos)
+    done
+  else
+    for pos = lo to hi - 1 do
+      if (not (is_dead r pos)) && same_raws cols positions raws pos 0 then
+        f (Vec.unsafe_get els pos)
+    done
 
 (* The staged form the join inner loop uses: index resolution — a
    string of hashtable lookups that is invariant across the probes of
@@ -270,10 +328,11 @@ let scan_window r positions ~raws ~lo ~hi f =
    narrower than [scan_cutoff], a direct columnar scan that never
    touches the index at all — the index is then built only when a
    wide window first needs it). The returned closure reads the live
-   relation, so tuples added after staging are still found; it is
-   invalidated by [compact] and [clear] (which drop indexes) and must
-   not be kept across them. It owns a scratch key buffer, so it is not
-   re-entrant: don't call it from within its own callback. *)
+   relation, so tuples added after staging are still found and tuples
+   removed after staging are skipped; it is invalidated by [compact]
+   and [clear] (which drop indexes) and must not be kept across them.
+   It owns a scratch key buffer, so it is not re-entrant: don't call
+   it from within its own callback. *)
 let matcher r ~positions =
   if Array.length positions = 0 then fun _key ~lo ~hi f ->
     iter_range r ~lo ~hi f
@@ -303,8 +362,8 @@ let matcher r ~positions =
   end
 
 let iter_matching r ~positions ~key f =
-  if Array.length positions = 0 then Vec.iter f r.elements
-  else (matcher r ~positions) key ~lo:0 ~hi:(cardinal r) f
+  if Array.length positions = 0 then iter f r
+  else (matcher r ~positions) key ~lo:0 ~hi:(bound r) f
 
 let lookup r ~positions ~key =
   if Array.length positions = 0 then to_list r
@@ -314,8 +373,10 @@ let lookup r ~positions ~key =
     List.rev !acc
   end
 
-(* A structural clone: the element vector, columns and dedup chains
-   are duplicated with flat array copies, never rehashing a tuple.
+(* A structural clone: the element vector, columns, dedup chains and
+   tombstones are duplicated with flat array copies, never rehashing a
+   tuple, so every position — and any watermark held over one — means
+   the same in the copy.
    This is what makes [Database.copy] (snapshotting an engine's model,
    assembling run results) cheap enough to sit inside
    [Seminaive.evaluate]. *)
@@ -330,7 +391,13 @@ let copy r =
     hashes = Vec.copy r.hashes;
     indexes = Hashtbl.create 4;
     ix_all = [||];
+    dead = Bytes.copy r.dead;
+    ndead = r.ndead;
   }
+
+let drop_indexes r =
+  Hashtbl.reset r.indexes;
+  r.ix_all <- [||]
 
 let clear r =
   Array.fill r.table 0 (Array.length r.table) 0;
@@ -338,32 +405,81 @@ let clear r =
   Vec.clear r.hashes;
   Array.iter Vec.clear r.cols;
   Vec.clear r.elements;
-  Hashtbl.reset r.indexes;
-  r.ix_all <- [||]
+  drop_indexes r;
+  r.dead <- Bytes.empty;
+  r.ndead <- 0
 
-(* Deletion support for the incremental-maintenance layer. The store is
-   append-only by design, so removal is an in-place rebuild: surviving
-   tuples are re-pushed in their original insertion order (window
-   positions of the survivors shift but stay ascending) and every
-   materialized index is dropped — bucket positions would all be stale —
-   to be rebuilt lazily by the next probe. Staged matchers taken before
-   a removal are invalidated, exactly as by [compact]/[clear]. *)
-let remove_all r keep_out =
-  let victims = ref 0 in
-  Vec.iter (fun t -> if keep_out t then incr victims) r.elements;
-  if !victims = 0 then 0
-  else begin
-    let survivors = List.filter (fun t -> not (keep_out t)) (to_list r) in
-    clear r;
-    List.iter (fun t -> unchecked_push r t) survivors;
-    !victims
-  end
+(* Mark [pos] dead, growing [dead] to cover it (doubling, so marking
+   is amortized O(1)), and release the boxed tuple. *)
+let bury r pos =
+  if pos >= Bytes.length r.dead then begin
+    let dead =
+      Bytes.make (max (Vec.length r.elements) (2 * Bytes.length r.dead)) '\000'
+    in
+    Bytes.blit r.dead 0 dead 0 (Bytes.length r.dead);
+    r.dead <- dead
+  end;
+  Bytes.unsafe_set r.dead pos '\001';
+  r.ndead <- r.ndead + 1;
+  Vec.set r.elements pos dummy_tuple
 
+(* Find [t] on its dedup chain, unlink it (from the head slot or from
+   its predecessor's [next]) and bury its position: O(chain length),
+   whatever the relation's size. *)
+let remove r t =
+  let h = Tuple.hash t in
+  let idx = h land r.mask in
+  let els = r.elements and hashes = r.hashes and next = r.next in
+  let rec walk prev p =
+    p <> 0
+    &&
+    let pos = p - 1 in
+    if Vec.unsafe_get hashes pos = h && Tuple.equal (Vec.unsafe_get els pos) t
+    then begin
+      let after = Vec.unsafe_get next pos in
+      if prev = 0 then Array.unsafe_set r.table idx after
+      else Vec.set next (prev - 1) after;
+      bury r pos;
+      true
+    end
+    else walk p (Vec.unsafe_get next pos)
+  in
+  walk 0 (Array.unsafe_get r.table idx)
+
+let remove_all r victims =
+  List.fold_left (fun n t -> if remove r t then n + 1 else n) 0 victims
+
+(* Squeeze the tombstones out: survivors slide down in order (the only
+   operation that moves a position), the chains are re-threaded over
+   the new positions, and the indexes — whose buckets name the old
+   ones — are dropped. *)
 let compact r =
+  if r.ndead > 0 then begin
+    let n = Vec.length r.elements in
+    let w = ref 0 in
+    for pos = 0 to n - 1 do
+      if not (is_dead r pos) then begin
+        if !w < pos then begin
+          Vec.set r.elements !w (Vec.unsafe_get r.elements pos);
+          Vec.set r.hashes !w (Vec.unsafe_get r.hashes pos);
+          Array.iter (fun c -> Vec.set c !w (Vec.unsafe_get c pos)) r.cols
+        end;
+        incr w
+      end
+    done;
+    Vec.truncate r.elements !w;
+    Vec.truncate r.hashes !w;
+    Vec.truncate r.next !w;
+    Array.iter (fun c -> Vec.truncate c !w) r.cols;
+    r.dead <- Bytes.empty;
+    r.ndead <- 0;
+    rethread r (r.mask + 1)
+  end;
   Vec.compact r.elements;
+  Vec.compact r.hashes;
+  Vec.compact r.next;
   Array.iter Vec.compact r.cols;
-  Hashtbl.reset r.indexes;
-  r.ix_all <- [||]
+  drop_indexes r
 
 let of_list ~arity tuples =
   let r = create ~arity () in
@@ -373,7 +489,7 @@ let of_list ~arity tuples =
 let equal a b =
   a.arity = b.arity
   && cardinal a = cardinal b
-  && Vec.for_all (fun t -> mem b t) a.elements
+  && fold (fun t ok -> ok && mem b t) a true
 
 let pp ppf r =
   Format.fprintf ppf "{@[%a@]}"

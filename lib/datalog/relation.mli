@@ -15,15 +15,35 @@
     injective encoding, wide integers included), dedup is by
     whole-tuple hash chains verified against those columns, and index
     probes compare raw int words instead of chasing boxed tuple
-    pointers. *)
+    pointers.
+
+    Positions are stable: a tuple keeps its insertion position until
+    {!compact}, the one operation that moves positions. Removal
+    ({!remove_all}) leaves a tombstone at the victim's position, which
+    every reader skips; survivors keep their positions and every
+    materialized index stays valid. Hence two sizes: {!cardinal}
+    counts the live tuples, {!bound} is one past the highest position
+    ever handed out, the limit of every window ([lo]/[hi]) and
+    watermark a caller holds. The two are equal while the relation
+    holds no tombstone. *)
 
 type t
 
 val create : ?initial_size:int -> arity:int -> unit -> t
 
 val arity : t -> int
+
 val cardinal : t -> int
+(** The number of live tuples. *)
+
+val bound : t -> int
+(** The position bound: positions run over [\[0, bound)], and the
+    next tuple added lands at [bound]. It counts tombstones too, so
+    [cardinal r <= bound r]; windows and watermarks are measured
+    against it, never against {!cardinal}. *)
+
 val is_empty : t -> bool
+(** No live tuple. *)
 
 val mem : t -> Tuple.t -> bool
 
@@ -34,7 +54,10 @@ val mem_raw : t -> hash:int -> int array -> bool
     answers from the columns without materializing a tuple. *)
 
 val add : t -> Tuple.t -> bool
-(** [add r t] inserts [t]; returns [true] iff [t] was new.
+(** [add r t] inserts [t] at position {!bound}; returns [true] iff [t]
+    was new. A removed tuple is absent, so adding it again appends a
+    fresh position: a window over the positions added since some
+    watermark sees it as new.
     @raise Invalid_argument on arity mismatch. *)
 
 val add_all : t -> t -> int
@@ -52,10 +75,10 @@ val add_all_new : t -> t -> int
     precondition: [src] and [dst] must be disjoint. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** In insertion order. *)
+(** The live tuples, in insertion order. *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** In insertion order. *)
+(** The live tuples, in insertion order. *)
 
 val to_list : t -> Tuple.t list
 
@@ -88,40 +111,47 @@ val matcher :
     answered by scanning the raw key columns directly over
     [\[lo, hi)], skipping the index (and deferring its construction)
     entirely. Both paths enumerate the same tuples in the same
-    order. The probe sees tuples added after staging; it is
-    invalidated by {!compact} and {!clear}, and it owns a scratch key
-    buffer, so it must not be re-entered from its own callback. *)
+    order, tombstones skipped. The probe sees tuples added after
+    staging and skips tuples removed after staging; it is invalidated
+    by {!compact} and {!clear}, and it owns a scratch key buffer, so
+    it must not be re-entered from its own callback. *)
 
 val scan_cutoff : int
 (** The widest window a {!matcher} probe answers by a columnar scan
     rather than through the index. *)
 
 val iter_range : t -> lo:int -> hi:int -> (Tuple.t -> unit) -> unit
-(** Iterate the tuples with insertion positions in [\[lo, hi)], in
-    insertion order. *)
+(** Iterate the live tuples with insertion positions in [\[lo, hi)],
+    in insertion order. *)
 
 val copy : t -> t
 (** An independent relation with the same contents: a structural
-    clone — flat copies of the element vector, columns and dedup
-    chains, no rehashing — which is what keeps [Database.copy] cheap
-    on big models. *)
+    clone — flat copies of the element vector, columns, dedup chains
+    and tombstones, no rehashing — which is what keeps
+    [Database.copy] cheap on big models. Positions, and so {!bound}
+    and any watermark over the original, mean the same in the copy. *)
 
 val clear : t -> unit
 
-val remove_all : t -> (Tuple.t -> bool) -> int
-(** [remove_all r victim] deletes every tuple for which [victim] holds
-    and returns how many were removed. Survivors keep their relative
-    insertion order but their positions shift, and all materialized
-    indexes are dropped (rebuilt lazily) — so, like {!compact}, this
-    invalidates staged {!matcher}s and any window watermarks the caller
-    holds over [r]. Its one caller is {!Database.remove_facts}, which
-    every deletion goes through; the semi-naive hot path never
-    removes. *)
+val remove_all : t -> Tuple.t list -> int
+(** [remove_all r victims] deletes the listed tuples and returns how
+    many were present (absent ones and repeats are ignored). Each
+    victim is found through its dedup chain, unlinked from it and its
+    position tombstoned, so the cost is O(victims), whatever the size
+    of [r]. Survivors keep their positions, {!bound} is unchanged,
+    every materialized index stays valid, and staged {!matcher}s and
+    window watermarks held over [r] stay usable. Its one caller is
+    {!Database.remove_facts}, which every deletion goes through; the
+    semi-naive hot path never removes. *)
 
 val compact : t -> unit
-(** Release slack: shrink the element store to its current size and
-    drop all materialized indexes (they are rebuilt on the next
-    {!lookup} that needs them). Contents are unchanged. *)
+(** Squeeze out every tombstone, release slack (shrink the stores to
+    their live size) and drop all materialized indexes (they are
+    rebuilt on the next {!lookup} that needs them). Contents and their
+    relative order are unchanged, but survivors after a tombstone move
+    to lower positions and {!bound} falls to {!cardinal}: this is the
+    one operation that moves positions, so it invalidates staged
+    {!matcher}s and every window watermark a caller holds over [r]. *)
 
 val of_list : arity:int -> Tuple.t list -> t
 val equal : t -> t -> bool

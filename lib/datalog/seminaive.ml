@@ -73,7 +73,7 @@ let mark_of engine pred ~arity =
       | Some r -> r
       | None -> Database.declare engine.full pred arity
     in
-    let n = Relation.cardinal rel in
+    let n = Relation.bound rel in
     let m = { m_rel = rel; m_old = n; m_cur = n } in
     Hashtbl.add engine.marks pred m;
     m
@@ -277,7 +277,7 @@ let step engine =
   Hashtbl.iter
     (fun _ m ->
       m.m_old <- m.m_cur;
-      m.m_cur <- Relation.cardinal m.m_rel;
+      m.m_cur <- Relation.bound m.m_rel;
       if m.m_cur > m.m_old then any_delta := true)
     engine.marks;
   if not !any_delta then []
@@ -295,7 +295,7 @@ let step engine =
 
 let has_pending engine =
   Hashtbl.fold
-    (fun _ m acc -> acc || Relation.cardinal m.m_rel > m.m_cur)
+    (fun _ m acc -> acc || Relation.bound m.m_rel > m.m_cur)
     engine.marks false
 
 (* Drive the pending delta to a local fixpoint. Work is proportional
@@ -321,12 +321,14 @@ let run_to_fixpoint engine =
   done
 
 (* Remove concrete facts from the store. Only legal on a quiescent
-   engine: the windows are positional, and a removal rebuilds the
-   backing store, so every mark is re-pinned to the new cardinal
-   (everything present becomes processed state with no firings owed).
-   The caller owns the consequences — this is the primitive the
-   incremental sessions use to install a net-deletion patch computed
-   by [Stratified.Live], not a maintenance algorithm by itself. *)
+   engine: removal tombstones the victims, so survivors keep their
+   positions, but a relation left mostly dead is compacted
+   ({!Database.remove_facts}), which moves them — so every mark is
+   re-pinned to its relation's position bound (everything present
+   becomes processed state with no firings owed). The caller owns the
+   consequences — this is the primitive the incremental sessions use
+   to install a net-deletion patch computed by [Stratified.Live], not
+   a maintenance algorithm by itself. *)
 let retract_facts engine pairs =
   if has_pending engine then
     invalid_arg "Seminaive.retract_facts: engine has pending work";
@@ -334,7 +336,7 @@ let retract_facts engine pairs =
   if removed > 0 then
     Hashtbl.iter
       (fun _ m ->
-        let n = Relation.cardinal m.m_rel in
+        let n = Relation.bound m.m_rel in
         m.m_old <- n;
         m.m_cur <- n)
       engine.marks;

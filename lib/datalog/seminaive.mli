@@ -101,8 +101,11 @@ val resume : t -> (string * Tuple.t) list
 val retract_facts : t -> (string * Tuple.t) list -> int
 (** Remove concrete facts from the engine's store (pairs naming absent
     tuples or unknown predicates are ignored); returns how many tuples
-    were actually removed. Every predicate's window is re-pinned to
-    the post-removal store, so nothing is left pending. Only legal on
+    were actually removed. Removal tombstones the victims in
+    O(removed) ({!Database.remove_facts}); since a relation left mostly
+    dead is compacted, which moves positions, every predicate's window
+    is then re-pinned to its relation's {!Relation.bound}, so nothing
+    is left pending. Only legal on
     a quiescent engine — this installs a net-deletion patch computed
     by the incremental maintenance layer ({!Stratified.Live}); it does
     not itself propagate consequences.

@@ -173,7 +173,12 @@ module Live = struct
     c
 
   let rel_opt live pred = Database.find live.lv_db pred
-  let card live pred = Database.cardinal live.lv_db pred
+
+  (* The position bound of [pred]'s relation: the limit of every window
+     and watermark below (tombstoned positions count, so a watermark
+     taken before an append still marks where the append began). *)
+  let bound live pred =
+    match rel_opt live pred with Some rel -> Relation.bound rel | None -> 0
 
   (* Every source below names its windows explicitly, so the join never
      looks a predicate up. *)
@@ -187,7 +192,7 @@ module Live = struct
     else []
 
   let whole ?skip = function
-    | Some rel -> span ?skip rel ~lo:0 ~hi:(Relation.cardinal rel)
+    | Some rel -> span ?skip rel ~lo:0 ~hi:(Relation.bound rel)
     | None -> []
 
   let model live pred = whole (rel_opt live pred)
@@ -368,7 +373,7 @@ module Live = struct
     let pending () =
       Hashtbl.fold
         (fun _ o more ->
-          o.od_hi <- Relation.cardinal o.od_rel;
+          o.od_hi <- Relation.bound o.od_rel;
           more || o.od_hi > o.od_lo)
         od false
     in
@@ -460,9 +465,9 @@ module Live = struct
   (* Insertion phase                                                  *)
 
   (* [add_lo] watermarks every relation before the batch's first
-     append: the added region of predicate [p] is [add_lo(p), cardinal). *)
+     append: the added region of predicate [p] is [add_lo(p), bound). *)
   let lo_of live ~add_lo p =
-    match Hashtbl.find_opt add_lo p with Some v -> v | None -> card live p
+    match Hashtbl.find_opt add_lo p with Some v -> v | None -> bound live p
 
   (* Counting stratum: the gained firings — position [j] reads the
      added window, earlier atoms the full new state, later atoms the
@@ -477,7 +482,7 @@ module Live = struct
     List.iter
       (fun rp ->
         fire_variants rp
-          ~changed:(fun p -> window live p ~lo:(lo_of p) ~hi:(card live p))
+          ~changed:(fun p -> window live p ~lo:(lo_of p) ~hi:(bound live p))
           ~before:(model live)
           ~after:(fun p -> window live p ~lo:0 ~hi:(lo_of p))
           ~emit:(fun h ->
@@ -502,7 +507,7 @@ module Live = struct
     List.iter
       (fun p ->
         Hashtbl.replace lo p (lo_of live ~add_lo p);
-        Hashtbl.replace cur p (card live p))
+        Hashtbl.replace cur p (bound live p))
       scope;
     let delta p =
       window live p ~lo:(Hashtbl.find lo p) ~hi:(Hashtbl.find cur p)
@@ -521,7 +526,7 @@ module Live = struct
       List.iter
         (fun p ->
           Hashtbl.replace lo p (Hashtbl.find cur p);
-          Hashtbl.replace cur p (card live p))
+          Hashtbl.replace cur p (bound live p))
         scope
     done
 
@@ -608,7 +613,7 @@ module Live = struct
       if adds <> [] then begin
         let add_lo : (string, int) Hashtbl.t = Hashtbl.create 16 in
         List.iter
-          (fun pred -> Hashtbl.replace add_lo pred (card live pred))
+          (fun pred -> Hashtbl.replace add_lo pred (bound live pred))
           (Database.predicates live.lv_db);
         List.iter
           (fun (pred, tuple) ->

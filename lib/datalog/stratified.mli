@@ -28,13 +28,13 @@ val evaluate :
     remainder, install the difference — followed by a semi-naive
     insertion pass resumed from the added windows only. Every firing
     is enumerated by {!Joiner.run}, each pass with the plan that scans
-    its changed window first. Join work is proportional to the
-    consequences of the batch, not the store — but a deletion still
-    rebuilds every relation it touches ({!Database.remove_facts}), a
-    cost proportional to that relation's size until deletions stop
-    rebuilding the store. The returned {!Live.change} is the exact net
-    model difference, which is what the session runtimes propagate to
-    resident workers. *)
+    its changed window first. Work is proportional to the consequences
+    of the batch, not the store: a deletion tombstones its victims
+    ({!Database.remove_facts}), so survivors keep their positions and
+    the indexes the next pass probes stay built, and every window is
+    measured against {!Relation.bound}. The returned {!Live.change} is
+    the exact net model difference, which is what the session runtimes
+    propagate to resident workers. *)
 module Live : sig
   type t
 

@@ -62,6 +62,12 @@ let clear v =
   Array.fill v.data 0 v.len v.dummy;
   v.len <- 0
 
+let truncate v n =
+  if n < v.len then begin
+    Array.fill v.data n (v.len - n) v.dummy;
+    v.len <- n
+  end
+
 let compact v =
   if v.len < Array.length v.data then
     v.data <- Array.sub v.data 0 (max v.len 1)

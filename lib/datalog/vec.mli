@@ -49,6 +49,11 @@ val clear : 'a t -> unit
 (** Length becomes 0; capacity is retained. Cleared slots are
     overwritten with [dummy] so no element is kept alive. *)
 
+val truncate : 'a t -> int -> unit
+(** [truncate v n] drops every element from offset [n] on (a no-op
+    when [n >= length v]); capacity is retained and the dropped slots
+    are overwritten with [dummy], as by {!clear}. *)
+
 val compact : 'a t -> unit
 (** Shrink the backing array to the current length (at least 1),
     releasing slack after a load phase. *)

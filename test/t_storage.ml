@@ -270,9 +270,223 @@ let prop_matcher_is_filtered_range =
           then expected := t :: !expected);
       List.equal Tuple.equal !probed !expected)
 
-(* One batched deletion: each touched relation is rebuilt once, the
-   survivors keep their order, and pairs of unbound predicates, absent
-   tuples and repeats do not count. *)
+(* ------------------------------------------------------------------ *)
+(* Tombstones                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One relation under a random interleaving of adds, removals (mostly
+   of present tuples, so re-adds of removed ones are common), and
+   every kind of read, checked after each step against a model: the
+   live set, each live tuple's position, and the position bound. Reads
+   must see exactly the live tuples; a removal must leave survivors at
+   their positions and the bound where it was; a re-added tuple must
+   land at the bound. A final compaction must keep the contents and
+   their order while renumbering positions densely. *)
+let ints_of t =
+  Array.to_list
+    (Array.map
+       (function Const.Int i -> i | Const.Sym _ -> assert false)
+       (Tuple.to_array t))
+
+type slab_op =
+  | Add of int list
+  | Remove of int list list
+  | Mem of int list
+  | Lookup of int array * int list
+  | Probe of int array * int list * int * int  (* positions, key, lo, width *)
+  | Iter
+
+let slab_row = QCheck.Gen.(list_size (return 2) (int_range 0 4))
+
+let slab_positions =
+  QCheck.Gen.oneofl [ [| 0 |]; [| 1 |]; [| 0; 1 |] ]
+
+let slab_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun r -> Add r) slab_row);
+        (2, map (fun rs -> Remove rs) (list_size (int_range 1 6) slab_row));
+        (1, map (fun r -> Mem r) slab_row);
+        ( 1,
+          let* ps = slab_positions in
+          let* key = list_size (return (Array.length ps)) (int_range 0 4) in
+          return (Lookup (ps, key)) );
+        ( 2,
+          let* ps = slab_positions in
+          let* key = list_size (return (Array.length ps)) (int_range 0 4) in
+          let* lo = int_range 0 40 in
+          let* width = int_range 0 (2 * Relation.scan_cutoff) in
+          return (Probe (ps, key, lo, width)) );
+        (1, return Iter);
+      ])
+
+let show_row r = "(" ^ String.concat "," (List.map string_of_int r) ^ ")"
+
+let show_slab_op = function
+  | Add r -> "add " ^ show_row r
+  | Remove rs -> "remove " ^ String.concat " " (List.map show_row rs)
+  | Mem r -> "mem " ^ show_row r
+  | Lookup (ps, k) ->
+    Printf.sprintf "lookup [%s] %s"
+      (String.concat "," (Array.to_list (Array.map string_of_int ps)))
+      (show_row k)
+  | Probe (ps, k, lo, w) ->
+    Printf.sprintf "probe [%s] %s [%d, %d)"
+      (String.concat "," (Array.to_list (Array.map string_of_int ps)))
+      (show_row k) lo (lo + w)
+  | Iter -> "iter"
+
+let slab_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_slab_op ops))
+    QCheck.Gen.(list_size (int_range 1 80) slab_op_gen)
+
+let prop_tombstones_match_model =
+  QCheck.Test.make ~count:300
+    ~name:"tombstoned slab = set model under add/remove/re-add/probe"
+    slab_ops
+    (fun ops ->
+      let r = Relation.create ~arity:2 () in
+      (* live row -> its position; the bound the relation must report *)
+      let pos = Hashtbl.create 16 in
+      let bound = ref 0 in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+      let live_in_order () =
+        Hashtbl.fold (fun row p acc -> (p, row) :: acc) pos []
+        |> List.sort compare |> List.map snd
+      in
+      let rows ts = List.map ints_of ts in
+      let matches ps key row =
+        List.for_all2 (fun p k -> List.nth row p = k) (Array.to_list ps) key
+      in
+      let check_survivors () =
+        Hashtbl.iter
+          (fun row p ->
+            let seen = ref [] in
+            Relation.iter_range r ~lo:p ~hi:(p + 1) (fun t ->
+                seen := ints_of t :: !seen);
+            if !seen <> [ row ] then fail "%s left position %d" (show_row row) p)
+          pos
+      in
+      let step op =
+        (match op with
+        | Add row ->
+          let fresh = not (Hashtbl.mem pos row) in
+          if Relation.add r (Tuple.of_ints row) <> fresh then
+            fail "add %s: wrong freshness" (show_row row);
+          if fresh then begin
+            Hashtbl.replace pos row !bound;
+            incr bound
+          end
+        | Remove victims ->
+          let present =
+            List.sort_uniq compare (List.filter (Hashtbl.mem pos) victims)
+          in
+          let n = Relation.remove_all r (List.map Tuple.of_ints victims) in
+          if n <> List.length present then
+            fail "remove: %d removed, %d expected" n (List.length present);
+          List.iter (Hashtbl.remove pos) present;
+          check_survivors ()
+        | Mem row ->
+          if Relation.mem r (Tuple.of_ints row) <> Hashtbl.mem pos row then
+            fail "mem %s" (show_row row)
+        | Lookup (ps, key) ->
+          let got =
+            Relation.lookup r ~positions:ps ~key:(Array.of_list (List.map Const.int key))
+          in
+          if List.sort compare (rows got)
+             <> List.sort compare (List.filter (matches ps key) (live_in_order ()))
+          then fail "lookup"
+        | Probe (ps, key, lo, width) ->
+          let hi = lo + width in
+          let got = ref [] in
+          (Relation.matcher r ~positions:ps)
+            (Array.of_list (List.map Const.int key))
+            ~lo ~hi
+            (fun t -> got := ints_of t :: !got);
+          let expected =
+            List.filter
+              (fun row ->
+                let p = Hashtbl.find pos row in
+                p >= lo && p < hi && matches ps key row)
+              (live_in_order ())
+          in
+          if List.rev !got <> expected then fail "probe [%d, %d)" lo hi
+        | Iter ->
+          if rows (Relation.to_list r) <> live_in_order () then fail "iter");
+        if Relation.cardinal r <> Hashtbl.length pos then fail "cardinal";
+        if Relation.bound r <> !bound then fail "bound"
+      in
+      List.iter step ops;
+      let before = live_in_order () in
+      Relation.compact r;
+      rows (Relation.to_list r) = before
+      && Relation.bound r = List.length before
+      && Relation.cardinal r = List.length before
+      && List.for_all
+           (fun row -> Relation.mem r (Tuple.of_ints row))
+           before)
+
+(* Removing some tuples keeps every materialized index: the next probe
+   answers from it without building one. *)
+let test_removal_keeps_indexes () =
+  let n = 100 and k = 30 in
+  let r = Relation.create ~arity:2 () in
+  for i = 0 to n - 1 do
+    ignore (Relation.add r (Tuple.of_ints [ i mod 5; i ]))
+  done;
+  let probe () =
+    List.map ints_of
+      (Relation.lookup r ~positions:[| 0 |] ~key:[| Const.int 3 |])
+  in
+  ignore (probe ());
+  ignore (Relation.lookup r ~positions:[| 1 |] ~key:[| Const.int 7 |]);
+  let indexes = Relation.index_count r in
+  Alcotest.(check int) "two indexes materialized" 2 indexes;
+  let victims = List.init k (fun i -> Tuple.of_ints [ (3 * i) mod 5; 3 * i ]) in
+  Alcotest.(check int) "k removed" k (Relation.remove_all r victims);
+  Alcotest.(check int) "indexes kept" indexes (Relation.index_count r);
+  Alcotest.(check int) "bound unchanged" n (Relation.bound r);
+  Alcotest.(check int) "cardinal" (n - k) (Relation.cardinal r);
+  let expected =
+    List.filter_map
+      (fun i ->
+        if i mod 5 = 3 && not (i mod 3 = 0 && i < 3 * k) then Some [ 3; i ]
+        else None)
+      (List.init n Fun.id)
+  in
+  Alcotest.(check (list (list int))) "probe skips the removed" expected
+    (probe ());
+  Alcotest.(check int) "the probe built no index" indexes
+    (Relation.index_count r)
+
+(* A relation left with more dead positions than live ones is
+   compacted by the deletion that tips it, so dead space stays bounded
+   by live space. *)
+let test_remove_facts_compacts_sparse () =
+  let db = Database.create () in
+  for i = 0 to 9 do
+    ignore (Database.add_fact db "p" (Tuple.of_ints [ i ]))
+  done;
+  let rel = Database.get db "p" in
+  let drop lo hi =
+    ignore
+      (Database.remove_facts db
+         (List.init (hi - lo) (fun i -> ("p", Tuple.of_ints [ lo + i ]))))
+  in
+  drop 0 5;
+  Alcotest.(check (pair int int)) "half dead: tombstoned in place" (5, 10)
+    (Relation.cardinal rel, Relation.bound rel);
+  drop 5 6;
+  Alcotest.(check (pair int int)) "mostly dead: compacted" (4, 4)
+    (Relation.cardinal rel, Relation.bound rel);
+  Alcotest.(check (list tuple_t)) "survivors in order"
+    (List.init 4 (fun i -> Tuple.of_ints [ 6 + i ]))
+    (Relation.to_list rel)
+
+(* One batched deletion: the survivors keep their order, and pairs of
+   unbound predicates, absent tuples and repeats do not count. *)
 let test_remove_facts () =
   let db = edb_of_edges [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
   ignore (Database.add_fact db "f" (Tuple.of_ints [ 7 ]));
@@ -294,7 +508,7 @@ let test_remove_facts () =
     (Relation.to_list (Database.get db "par"));
   Alcotest.(check (list tuple_t)) "f survivors" [ Tuple.of_ints [ 8 ] ]
     (Relation.to_list (Database.get db "f"));
-  Alcotest.(check (list tuple_t)) "indexes rebuilt on the next probe"
+  Alcotest.(check (list tuple_t)) "the next probe skips the removed"
     [ Tuple.of_ints [ 4; 5 ] ]
     (Relation.lookup (Database.get db "par") ~positions:[| 0 |]
        ~key:[| Const.int 4 |]);
@@ -322,6 +536,10 @@ let storage =
     to_alcotest prop_matcher_is_filtered_range;
     case "remove_facts deletes a batch of facts across predicates"
       test_remove_facts;
+    to_alcotest prop_tombstones_match_model;
+    case "removing k of n tuples keeps every index" test_removal_keeps_indexes;
+    case "remove_facts compacts a relation once mostly dead"
+      test_remove_facts_compacts_sparse;
   ]
 
 let suites = [ ("storage", storage) ]
