@@ -31,10 +31,11 @@ type index = {
    Removal leaves a tombstone: the victim is unlinked from its dedup
    chain and its position marked in [dead], so survivors keep their
    positions and every index bucket stays valid (readers skip marked
-   positions). [dead] is sized lazily — positions past its end are
-   live — and [ndead] counts the marks; with [ndead = 0] every reader
-   runs its tombstone-free loop, choosing once per call. Only
-   [compact] moves positions, squeezing the tombstones out. *)
+   positions). [dead] is sized lazily: positions past its end are
+   live, so on a relation that never lost a tuple ([dead] empty) the
+   per-position test fails on its first comparison. [ndead] counts
+   the marks. Only [compact] moves positions, squeezing the
+   tombstones out. *)
 type t = {
   arity : int;
   elements : Tuple.t Vec.t;  (* insertion order *)
@@ -133,15 +134,9 @@ let rethread r cap =
     Vec.set r.next p (Array.unsafe_get table idx);
     Array.unsafe_set table idx (p + 1)
   in
-  let n = Vec.length r.elements in
-  if r.ndead = 0 then
-    for p = 0 to n - 1 do
-      link p
-    done
-  else
-    for p = 0 to n - 1 do
-      if not (is_dead r p) then link p
-    done;
+  for p = 0 to Vec.length r.elements - 1 do
+    if not (is_dead r p) then link p
+  done;
   r.table <- table;
   r.mask <- mask
 
@@ -184,23 +179,17 @@ let add r t =
 let add_new r t = unchecked_push r t
 
 let iter f r =
-  if r.ndead = 0 then Vec.iter f r.elements
-  else
-    for pos = 0 to Vec.length r.elements - 1 do
-      if not (is_dead r pos) then f (Vec.unsafe_get r.elements pos)
-    done
+  let els = r.elements in
+  for pos = 0 to Vec.length els - 1 do
+    if not (is_dead r pos) then f (Vec.unsafe_get els pos)
+  done
 
 let fold f r init =
-  if r.ndead = 0 then Vec.fold f r.elements init
-  else begin
-    let acc = ref init in
-    iter (fun t -> acc := f t !acc) r;
-    !acc
-  end
+  let acc = ref init in
+  iter (fun t -> acc := f t !acc) r;
+  !acc
 
-let to_list r =
-  if r.ndead = 0 then Vec.to_list r.elements
-  else List.rev (fold List.cons r [])
+let to_list r = List.rev (fold List.cons r [])
 
 let add_all dst src =
   fold (fun t n -> if add dst t then n + 1 else n) src 0
@@ -255,8 +244,8 @@ let rec same_raws cols positions raws pos j =
      = Array.unsafe_get raws j
      && same_raws cols positions raws pos (j + 1)
 
-(* Index buckets keep tombstoned positions until [compact]; a relation
-   holding any takes the second loop, which skips them. *)
+(* Index buckets keep tombstoned positions until [compact]; the walk
+   skips them. *)
 let probe_index r ix positions key ~raws ~lo ~hi f =
   match Hashtbl.find ix.ix_buckets (Tuple.hash_key key) with
   | exception Not_found -> ()
@@ -266,38 +255,22 @@ let probe_index r ix positions key ~raws ~lo ~hi f =
     let n = Vec.length bucket in
     let i = ref (lower_bound bucket lo) in
     let continue = ref true in
-    if r.ndead = 0 then
-      while !continue && !i < n do
-        let pos = Vec.unsafe_get bucket !i in
-        if pos >= hi then continue := false
-        else begin
-          if same_raws cols positions raws pos 0 then
-            f (Vec.unsafe_get els pos);
-          incr i
-        end
-      done
-    else
-      while !continue && !i < n do
-        let pos = Vec.unsafe_get bucket !i in
-        if pos >= hi then continue := false
-        else begin
-          if (not (is_dead r pos)) && same_raws cols positions raws pos 0 then
-            f (Vec.unsafe_get els pos);
-          incr i
-        end
-      done
+    while !continue && !i < n do
+      let pos = Vec.unsafe_get bucket !i in
+      if pos >= hi then continue := false
+      else begin
+        if (not (is_dead r pos)) && same_raws cols positions raws pos 0 then
+          f (Vec.unsafe_get els pos);
+        incr i
+      end
+    done
 
 let iter_range r ~lo ~hi f =
   let els = r.elements in
   let hi = min hi (Vec.length els) in
-  if r.ndead = 0 then
-    for pos = lo to hi - 1 do
-      f (Vec.unsafe_get els pos)
-    done
-  else
-    for pos = lo to hi - 1 do
-      if not (is_dead r pos) then f (Vec.unsafe_get els pos)
-    done
+  for pos = lo to hi - 1 do
+    if not (is_dead r pos) then f (Vec.unsafe_get els pos)
+  done
 
 (* Below this window width a probe skips the index entirely and scans
    the key columns over [lo, hi) directly: for the narrow Delta windows
@@ -311,15 +284,10 @@ let scan_window r positions ~raws ~lo ~hi f =
   let cols = r.cols in
   let els = r.elements in
   let hi = min hi (Vec.length els) in
-  if r.ndead = 0 then
-    for pos = lo to hi - 1 do
-      if same_raws cols positions raws pos 0 then f (Vec.unsafe_get els pos)
-    done
-  else
-    for pos = lo to hi - 1 do
-      if (not (is_dead r pos)) && same_raws cols positions raws pos 0 then
-        f (Vec.unsafe_get els pos)
-    done
+  for pos = lo to hi - 1 do
+    if (not (is_dead r pos)) && same_raws cols positions raws pos 0 then
+      f (Vec.unsafe_get els pos)
+  done
 
 (* The staged form the join inner loop uses: index resolution — a
    string of hashtable lookups that is invariant across the probes of

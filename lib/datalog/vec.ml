@@ -8,7 +8,6 @@ let create ?(capacity = 8) ~dummy () =
   { data = Array.make (max capacity 1) dummy; len = 0; dummy }
 
 let length v = v.len
-let is_empty v = v.len = 0
 let capacity v = Array.length v.data
 
 let grow v =
@@ -32,24 +31,8 @@ let set v i x =
   if i < 0 || i >= v.len then invalid_arg "Vec.set: index out of bounds";
   v.data.(i) <- x
 
-let iter f v =
-  for i = 0 to v.len - 1 do
-    f (Array.unsafe_get v.data i)
-  done
-
-let fold f v init =
-  let acc = ref init in
-  for i = 0 to v.len - 1 do
-    acc := f (Array.unsafe_get v.data i) !acc
-  done;
-  !acc
-
 let exists p v =
   let rec go i = i < v.len && (p (Array.unsafe_get v.data i) || go (i + 1)) in
-  go 0
-
-let for_all p v =
-  let rec go i = i >= v.len || (p (Array.unsafe_get v.data i) && go (i + 1)) in
   go 0
 
 let to_list v =

@@ -12,7 +12,6 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [dummy] fills unused capacity and is never returned by reads. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val capacity : 'a t -> int
 (** Current backing-array size (for tests of the growth policy). *)
@@ -30,14 +29,7 @@ val set : 'a t -> int -> 'a -> unit
 (** Overwrite an existing slot.
     @raise Invalid_argument when the index is out of bounds. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** In insertion order. *)
-
-val fold : ('a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-(** In insertion order. *)
-
 val exists : ('a -> bool) -> 'a t -> bool
-val for_all : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 
 val copy : 'a t -> 'a t
