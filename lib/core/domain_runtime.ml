@@ -22,7 +22,6 @@ type ctl = {
   mutable held_token : Safra.token option;
   mutable probe_outstanding : bool;  (* pid 0 only *)
   mutable local_rounds : int;  (* semi-naive iterations this epoch *)
-  mutable crashes_fired : int list;
 }
 
 (* Per-worker outcome, merged by the parent after the join. *)
@@ -42,8 +41,9 @@ let retry_delay attempt = 0.001 *. float_of_int (1 lsl min attempt 6)
    touches any processor between [Domain.spawn] and [Domain.join]
    cycles (the join provides the happens-before edge). [bootstrap]
    marks the first epoch; later epochs adopt the engines as-is — their
-   pending injections are drained by the ordinary step loop. *)
-let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
+   pending injections are drained by the ordinary step loop. [since]
+   is the epoch's start, from which its deadline runs. *)
+let worker plan ~(limits : Overload.limits) ~dial ~obs ~since ~bootstrap
     n mailboxes ~domain_of procs my_domain =
   let faulty = not (Fault.is_none plan) in
   let credited = List.exists (fun (p : Processor.t) -> p.capacity <> None) procs in
@@ -53,8 +53,7 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
      lock): pooled into [Stats.phase_ns] after the join. *)
   let ptimer = Obs.Phase_timer.create ~metrics:mx () in
   let span ~pid ~round phase f =
-    Obs.Phase_timer.time ptimer (Obs.Trace.phase_name phase) (fun () ->
-        Obs.Trace.span tr ~pid ~round phase f)
+    Obs.Phase_timer.span ptimer tr ~pid ~round phase f
   in
   let overload : Overload.reason option ref = ref None in
   let my_mailbox = mailboxes.(my_domain) in
@@ -97,7 +96,6 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
           held_token = None;
           probe_outstanding = false;
           local_rounds = 0;
-          crashes_fired = [];
         })
       procs
   in
@@ -114,22 +112,16 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     in
     if not faulty then data ()
     else begin
-      let fc = p.fc in
+      (* The fate's delay and jitter are only tallied: mailbox
+         scheduling is already asynchronous, so added latency changes
+         nothing observable. *)
       let attempt = Processor.transmitted p b ~now:(Obs.Clock.now ()) in
-      let fate = Fault.fate plan ~src:p.pid ~dst:b.dst ~seq:b.seq ~attempt in
-      if fate.f_drop then fc.n_drops <- fc.n_drops + 1
-      else begin
-        (* Delay and reorder are no-ops here: mailbox scheduling is
-           already asynchronous, so added latency changes nothing
-           observable. They are only tallied. *)
-        if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
-        if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
-        data ();
-        if fate.f_dup then begin
-          fc.n_dups_injected <- fc.n_dups_injected + 1;
-          data ()
-        end
-      end
+      let copies, _ =
+        Fault.deliveries plan p.fc ~src:p.pid ~dst:b.dst ~seq:b.seq ~attempt
+      in
+      for _ = 1 to copies do
+        data ()
+      done
     end
   in
   (* New batches on the channels. Safra counts at sequence-number
@@ -143,33 +135,15 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
   in
   let route c produced =
     let p = c.p in
+    (* Adaptive degradation: the worst channel demand feeds the dial.
+       Each worker only observes — and the dial only writes — its own
+       processors' entries. *)
+    let demand d backlog =
+      Overload.observe d ~pid:p.pid ~backlog;
+      Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d p.pid)
+    in
     span ~pid:p.pid ~round:c.local_rounds Obs.Trace.Sending (fun () ->
-        let batches = Processor.route ~local:true p produced in
-        (* Adaptive degradation: feed the worst channel demand (this
-           step's batch plus what is still deferred or in flight) to the
-           dial. Each worker only observes — and the dial only writes —
-           its own processors' entries. *)
-        (match dial with
-         | Some d ->
-           let backlog = ref 0 in
-           Array.iteri
-             (fun dst batch ->
-               if dst <> p.pid then
-                 backlog :=
-                   max !backlog
-                     (List.length batch
-                     + Queue.length p.pending.(dst)
-                     + p.credit_used.(dst)))
-             batches;
-           Overload.observe d ~pid:p.pid ~backlog:!backlog;
-           Obs.Metrics.observe mx "dial.alpha" (Overload.alpha d p.pid)
-         | None -> ());
-        Array.iteri
-          (fun dst batch ->
-            if batch <> [] then
-              Processor.dispatch ~replay:false p dst batch (emit c))
-          batches;
-        Processor.note_outbox p)
+        Processor.ship ?demand:(Option.map demand dial) p produced (emit c))
   in
   let announce_termination () =
     (* Any staged tuples must precede the poison pill in every queue. *)
@@ -188,9 +162,8 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
      delay its own queue). *)
   let maybe_crash c =
     let p = c.p in
-    match Fault.crash_at plan ~pid:p.pid ~round:c.local_rounds with
-    | Some cr when not (List.mem cr.Fault.cr_round c.crashes_fired) ->
-      c.crashes_fired <- cr.Fault.cr_round :: c.crashes_fired;
+    match Processor.crash_due p plan ~round:c.local_rounds with
+    | Some _ ->
       p.fc.n_crashes <- p.fc.n_crashes + 1;
       Obs.Trace.instant tr ~pid:p.pid ~round:c.local_rounds "crash";
       Processor.rebuild p;
@@ -200,7 +173,7 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
       for d = 0 to Array.length mailboxes - 1 do
         Mailbox.push mailboxes.(d) (Replay { requester = p.pid })
       done
-    | _ -> ()
+    | None -> ()
   in
   let pump_retransmits () =
     let now = Obs.Clock.now () in
@@ -226,7 +199,7 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     | Tack { sender; receiver; seq } ->
       let c = ctl_of sender in
       (* Freed credit: try to move deferred work. *)
-      if Processor.ack c.p ~dst:receiver ~seq then Processor.flush c.p (emit c)
+      Processor.ack_flush c.p ~dst:receiver ~seq (emit c)
     | Replay { requester } ->
       List.iter
         (fun c ->
@@ -272,34 +245,13 @@ let worker plan ~(limits : Overload.limits) ~dial ~obs ~t0 ~bootstrap
     announce_termination ()
   in
   let check_limits () =
-    if !overload = None && not (Overload.is_none limits) then begin
-      (match limits.Overload.deadline with
-       | Some seconds ->
-         let elapsed = Obs.Clock.now () -. t0 in
-         if elapsed > seconds then
-           breach (Overload.Deadline { seconds; elapsed; round = 0 })
-       | None -> ());
-      List.iter
-        (fun (p : Processor.t) ->
-          (match limits.Overload.max_store_rows with
-           | Some limit when !overload = None ->
-             let rows = Overload.db_rows (Seminaive.store p.engine) in
-             if rows > limit then
-               breach (Overload.Store_budget { pid = p.pid; rows; limit })
-           | _ -> ());
-          match limits.Overload.max_outbox_rows with
-          | Some limit when !overload = None ->
-            let rows = Processor.pending_rows p in
-            if rows > limit then
-              breach (Overload.Outbox_budget { pid = p.pid; rows; limit })
-          | _ -> ())
-        procs
-    end
+    if !overload = None then
+      Option.iter breach (Processor.watchdog limits ~since procs)
   in
   (* A blocked drain must time out whenever the worker has periodic
-     duties: retransmissions under a fault plan, deadline checks under
-     a wall-clock limit. *)
-  let timed_drain = faulty || limits.Overload.deadline <> None in
+     duties: retransmissions under a fault plan, watchdog checks under
+     a limit. *)
+  let timed_drain = faulty || not (Overload.is_none limits) in
   let note_depth msgs =
     if Obs.Metrics.enabled mx then
       Obs.Metrics.observe mx "mailbox.depth" (float_of_int (List.length msgs));
@@ -383,7 +335,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let pool = Pool.create ~config rw ~edb in
   let obs = config.Run_config.obs in
   let n = rw.nprocs in
-  let t0 = Obs.Clock.now () in
   let ndomains =
     match config.Run_config.domains with
     | Some d ->
@@ -410,6 +361,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   in
   let epochs = ref 0 in
   let epoch () =
+    let since = Obs.Clock.now () in
     Array.iter Processor.reset_channels procs;
     let mailboxes = Array.init ndomains (fun _ -> Mailbox.create ()) in
     let spawned =
@@ -422,7 +374,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
               try
                 worker config.Run_config.fault
                   ~limits:config.Run_config.limits ~dial:config.Run_config.dial
-                  ~obs ~t0 ~bootstrap:(!epochs = 0) n mailboxes ~domain_of own
+                  ~obs ~since ~bootstrap:(!epochs = 0) n mailboxes ~domain_of own
                   d
               with e ->
                 (* Poison-pill shutdown: wake every peer blocked in its

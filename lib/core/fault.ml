@@ -180,6 +180,29 @@ let counters () =
     n_restores = 0;
   }
 
+(* A plan without message faults draws no hash: the net shim asks for
+   every fault-free frame. *)
+let deliveries ?(cut = false) plan fc ~src ~dst ~seq ~attempt =
+  let f =
+    if plan.drop = 0.0 && plan.dup = 0.0 && plan.reorder = 0.0
+       && plan.delay = 0.0
+    then { f_drop = false; f_dup = false; f_delay = 0; f_jitter = 0 }
+    else fate plan ~src ~dst ~seq ~attempt
+  in
+  if f.f_drop || cut then begin
+    fc.n_drops <- fc.n_drops + 1;
+    (0, f)
+  end
+  else begin
+    if f.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
+    if f.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
+    if f.f_dup then begin
+      fc.n_dups_injected <- fc.n_dups_injected + 1;
+      (2, f)
+    end
+    else (1, f)
+  end
+
 let freeze ?(mailbox_drops = 0) ?(credit_stalls = 0) ?(alpha_raises = 0)
     ?(alpha_decays = 0) c : Stats.faults =
   {

@@ -27,7 +27,7 @@ type crash = {
   cr_round : int;
       (** Round at which it fails: global round index on the simulated
           runtime, the processor's local semi-naive iteration count on
-          the domain runtime. *)
+          the domain (per drive) and net runtimes. *)
   cr_down : int;
       (** Rounds out of service before recovery begins (simulated
           runtime; the domain runtime recovers immediately). At least
@@ -104,7 +104,9 @@ val shuffle : plan -> pid:Pid.t -> round:int -> 'a array -> unit
 (** Deterministic Fisher-Yates shuffle keyed by (seed, pid, round). *)
 
 val crash_at : plan -> pid:Pid.t -> round:int -> crash option
-(** The crash scheduled for [pid] exactly at [round], if any. *)
+(** The crash scheduled for [pid] exactly at [round], if any. Drivers
+    ask {!Processor.crash_due}, which records the firing: a scheduled
+    crash fires at most once per session on every runtime. *)
 
 val retransmit_after : attempt:int -> int
 (** Rounds to wait for an acknowledgement before retransmitting: a
@@ -128,6 +130,21 @@ type counters = {
 
 val counters : unit -> counters
 (** A fresh all-zero accumulator. *)
+
+val deliveries :
+  ?cut:bool ->
+  plan ->
+  counters ->
+  src:Pid.t ->
+  dst:Pid.t ->
+  seq:int ->
+  attempt:int ->
+  int * fate
+(** Every runtime's transmission attempt meets the plan here: the
+    copies to deliver — 0 when its {!fate} drops it or the transport's
+    own rule [cut]s it, 2 when duplicated, else 1 — and the fate, whose
+    delay and jitter the transport turns into latency. Drops, dups,
+    delays and jitters (reorders) are tallied into [counters]. *)
 
 val freeze :
   ?mailbox_drops:int ->

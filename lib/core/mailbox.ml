@@ -110,12 +110,6 @@ let drain_timeout mb ~seconds =
   in
   go ()
 
-let is_empty mb =
-  Mutex.lock mb.mutex;
-  let e = Queue.is_empty mb.queue in
-  Mutex.unlock mb.mutex;
-  e
-
 let dropped mb =
   Mutex.lock mb.mutex;
   let n = mb.dropped in

@@ -52,7 +52,5 @@ val drain_timeout : 'a t -> seconds:float -> 'a list
     on timeout. Used by workers that must periodically wake to
     retransmit unacknowledged messages or check a deadline. *)
 
-val is_empty : 'a t -> bool
-
 val dropped : 'a t -> int
 (** Pushes discarded because the mailbox was closed. *)

@@ -2,8 +2,9 @@
     outcome, and the adaptive Section 6 retention dial.
 
     The paper's architecture assumes infinite channels and stores. This
-    module gives both runtimes a bounded-resource story: wall-clock and
-    store/outbox budgets checked by a watchdog, and — instead of an OOM
+    module gives every runtime a bounded-resource story: wall-clock and
+    store/outbox budgets checked by one watchdog
+    ({!Processor.watchdog}), and — instead of an OOM
     or a hang — a structured exception carrying the partial statistics
     and the offending processor. The degradation mechanism is the
     Section 6 redundancy spectrum itself: raising a processor's
@@ -18,17 +19,22 @@ open Datalog
 (** Why a run was aborted. *)
 type reason =
   | Deadline of { seconds : float; elapsed : float; round : int }
-      (** The wall-clock deadline passed. [round] is the round being
-          executed when the watchdog fired (0-based; the domain runtime
-          reports 0 since it has no global rounds). *)
+      (** The wall-clock deadline passed. [round] is the number of
+          rounds completed when the watchdog fired (the domain and net
+          runtimes report 0: they have no global rounds). *)
   | Store_budget of { pid : Pid.t; rows : int; limit : int }
       (** Processor [pid]'s tuple store grew past [limit] rows. *)
   | Outbox_budget of { pid : Pid.t; rows : int; limit : int }
-      (** Processor [pid]'s outbox + unsent channel backlog grew past
-          [limit] rows. *)
+      (** Processor [pid]'s outbox backlog grew past [limit] rows: the
+          driver's own products not yet routed plus the routed rows
+          still deferred for channel credit. In-flight rows do not
+          count. *)
 
 type limits = {
-  deadline : float option;  (** Wall-clock budget in seconds. *)
+  deadline : float option;
+      (** Wall-clock budget in seconds of each drive: a one-shot run,
+          or one applied batch of a session. Time a session spends
+          idle between drives never counts. *)
   max_store_rows : int option;  (** Per-processor tuple-store budget. *)
   max_outbox_rows : int option;  (** Per-processor outbox budget. *)
 }

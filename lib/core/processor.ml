@@ -60,13 +60,14 @@ type t = {
   mutable peak_in_flight : int;
   mutable lost : Seminaive.stats;
   mutable lost_probes : int;
+  mutable crashes_done : int list;
 }
 
 let no_work =
   { Seminaive.iterations = 0; firings = 0; new_tuples = 0; duplicate_firings = 0 }
 
-let create ?(fc = Fault.counters ()) ~pushdown ~capacity ~reliable
-    ~retry_after (rw : Rewrite.t) ~fragment pid =
+let create ?(fc = Fault.counters ()) ?(crashes_done = []) ~pushdown
+    ~capacity ~reliable ~retry_after (rw : Rewrite.t) ~fragment pid =
   let n = rw.nprocs in
   (* A self-routed predicate never leaves its engine: no route. *)
   let routes =
@@ -123,6 +124,7 @@ let create ?(fc = Fault.counters ()) ~pushdown ~capacity ~reliable
     peak_in_flight = 0;
     lost = no_work;
     lost_probes = 0;
+    crashes_done;
   }
 
 let reset_channels p =
@@ -158,6 +160,15 @@ let rebuild ?snapshot p =
     (match snapshot with
      | Some snap -> Seminaive.restore ~pushdown:p.pushdown p.program snap
      | None -> Seminaive.create ~pushdown:p.pushdown p.program ~edb:p.fragment)
+
+(* The firing is recorded in the processor, not the driver's per-epoch
+   state, so a session's later drives never fire the crash again. *)
+let crash_due p plan ~round =
+  match Fault.crash_at plan ~pid:p.pid ~round with
+  | Some c when not (List.mem round p.crashes_done) ->
+    p.crashes_done <- round :: p.crashes_done;
+    Some c
+  | _ -> None
 
 let row ?active_rounds ?(store = true) p : Stats.per_proc =
   let s = totals p in
@@ -346,11 +357,6 @@ let dispatch ~replay p dst tuples emit =
 let pending_rows p =
   Array.fold_left (fun n q -> n + Queue.length q) 0 p.pending
 
-let in_flight_rows p =
-  Array.fold_left
-    (fun n tbl -> Hashtbl.fold (fun _ size n -> n + size) tbl n)
-    0 p.inflight
-
 let has_deferred p = Array.exists (fun q -> not (Queue.is_empty q)) p.pending
 
 let note_outbox ?(rows = 0) ?(bytes = fun () -> 0) p =
@@ -362,6 +368,62 @@ let note_outbox ?(rows = 0) ?(bytes = fun () -> 0) p =
         (fun n q -> Queue.fold (fun n (_, t, _) -> n + (Tuple.arity t * 8)) n q)
         (bytes ()) p.pending
   end
+
+(* The asynchronous drivers' send step. The dial's demand is measured
+   before dispatch: a channel's new batch plus what it already holds
+   deferred or in flight. *)
+let ship ?(replay = false) ?on_new ?demand p produced emit =
+  let batches = route ~local:(not replay) ?on_new p produced in
+  Option.iter
+    (fun f ->
+      let worst = ref 0 in
+      Array.iteri
+        (fun dst batch ->
+          if dst <> p.pid then
+            worst :=
+              max !worst
+                (List.length batch + Queue.length p.pending.(dst)
+               + p.credit_used.(dst)))
+        batches;
+      f !worst)
+    demand;
+  Array.iteri
+    (fun dst batch -> if batch <> [] then dispatch ~replay p dst batch emit)
+    batches;
+  note_outbox p
+
+(* One definition of every budget for all three drivers. The deadline
+   runs from the drive's start, so time a session spends idle between
+   drives never counts against it. *)
+let watchdog (limits : Overload.limits) ?since ?(round = 0)
+    ?(backlog = fun _ -> 0) ps =
+  let over budget measure breach =
+    Option.bind budget (fun limit ->
+        let v = measure () in
+        if v > limit then Some (breach v limit) else None)
+  in
+  let deadline t0 =
+    over limits.deadline
+      (fun () -> Obs.Clock.now () -. t0)
+      (fun elapsed seconds -> Overload.Deadline { seconds; elapsed; round })
+  in
+  let budgets p =
+    match
+      over limits.max_store_rows
+        (fun () -> Overload.db_rows (Seminaive.store p.engine))
+        (fun rows limit -> Overload.Store_budget { pid = p.pid; rows; limit })
+    with
+    | None ->
+      over limits.max_outbox_rows
+        (fun () -> backlog p + pending_rows p)
+        (fun rows limit -> Overload.Outbox_budget { pid = p.pid; rows; limit })
+    | breach -> breach
+  in
+  if Overload.is_none limits then None
+  else
+    match Option.bind since deadline with
+    | None -> List.find_map budgets ps
+    | breach -> breach
 
 (* ------------------------------------------------------------------ *)
 (* Reliable layer                                                      *)
@@ -392,6 +454,8 @@ let ack p ~dst ~seq =
     p.credit_used.(dst) <- p.credit_used.(dst) - size;
     true
   | None -> false
+
+let ack_flush p ~dst ~seq emit = if ack p ~dst ~seq then flush p emit
 
 let idle p =
   (not (Seminaive.has_pending p.engine))

@@ -73,10 +73,12 @@ type t = private {
   mutable peak_in_flight : int;
   mutable lost : Seminaive.stats;
   mutable lost_probes : int;  (** Join probes of crashed engines. *)
+  mutable crashes_done : int list;  (** Rounds fired; see {!crash_due}. *)
 }
 
 val create :
   ?fc:Fault.counters ->
+  ?crashes_done:int list ->
   pushdown:bool ->
   capacity:int option ->
   reliable:bool ->
@@ -90,7 +92,8 @@ val create :
     {!ack}; [retry_after attempt] is the transport's backoff, in the
     unit of the [now] the driver passes to {!transmitted} and {!due}.
     [fc] (default fresh) receives the replay, ack, retransmit and
-    duplicate counters. *)
+    duplicate counters; [crashes_done] (default none) seeds
+    {!crash_due}. *)
 
 val reset_channels : t -> unit
 (** Forget sequence numbers, unacked and deferred batches, receipts and
@@ -102,6 +105,11 @@ val rebuild : ?snapshot:Seminaive.snapshot -> t -> unit
 (** Crash recovery: fold the engine's counters into [lost] and
     [lost_probes], then resume from [snapshot] or start over the base
     fragment. *)
+
+val crash_due : t -> Fault.plan -> round:int -> Fault.crash option
+(** The crash [plan] schedules here at [round], unless it has fired:
+    one returned is recorded, and the record survives {!rebuild} and
+    every drive, so it fires at most once per session. *)
 
 val totals : t -> Seminaive.stats
 (** Engine counters plus the work lost with crashed engines. *)
@@ -154,10 +162,37 @@ val dispatch :
   replay:bool -> t -> int -> (string * Tuple.t) list -> (batch -> unit) -> unit
 (** Send now when unbounded; defer and {!flush} under a capacity. *)
 
+val ship :
+  ?replay:bool ->
+  ?on_new:(string -> Tuple.t -> unit) ->
+  ?demand:(int -> unit) ->
+  t ->
+  (string * Tuple.t) list ->
+  (batch -> unit) ->
+  unit
+(** The asynchronous drivers' send step: {!route} the products
+    ([~local] unless [replay]), {!dispatch} each batch through [emit]
+    and {!note_outbox}. [demand] first receives the worst channel
+    demand — its new batch plus deferred and in-flight tuples — for the
+    adaptive dial. *)
+
 val pending_rows : t -> int
-val in_flight_rows : t -> int
 
 val has_deferred : t -> bool
+
+val watchdog :
+  Overload.limits ->
+  ?since:float ->
+  ?round:int ->
+  ?backlog:(t -> int) ->
+  t list ->
+  Overload.reason option
+(** Every runtime's watchdog: the first budget breached, if any. The
+    deadline runs from [since], the {!Obs.Clock.now} its drive started
+    (omitted by a driver without the drive clock), reported at [round]
+    (default 0); then per processor the store budget and the outbox
+    budget, [backlog p] (default 0, the driver's unrouted products)
+    plus {!pending_rows}. *)
 
 val note_outbox : ?rows:int -> ?bytes:(unit -> int) -> t -> unit
 (** Update the outbox peak with the deferred tuples plus a driver's
@@ -174,6 +209,9 @@ val due : t -> now:float -> (batch -> unit) -> unit
 
 val ack : t -> dst:int -> seq:int -> bool
 (** Release an acknowledged batch; [true] when it returned credit. *)
+
+val ack_flush : t -> dst:int -> seq:int -> (batch -> unit) -> unit
+(** {!ack}, then {!flush} the credit it returned. *)
 
 val idle : t -> bool
 (** No engine work, no unacked batch, nothing deferred. *)

@@ -50,8 +50,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
      sink it is always on — one monotonic clock pair per phase span. *)
   let ptimer = Obs.Phase_timer.create ~metrics:mx () in
   let span ~pid ~round phase f =
-    Obs.Phase_timer.time ptimer (Obs.Trace.phase_name phase) (fun () ->
-        Obs.Trace.span tr ~pid ~round phase f)
+    Obs.Phase_timer.span ptimer tr ~pid ~round phase f
   in
   let nprocs = rw.nprocs in
   let plan = options.fault in
@@ -69,7 +68,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       "Sim_runtime.run: resend_all cannot be combined with a channel \
        capacity (re-sending the whole output every round outgrows any \
        bound)";
-  let t0 = Obs.Clock.now () in
   let fc = Fault.counters () in
   (* The channel layer — histories, pending queues, sequence numbers,
      unacked buffers, credit — is stable storage in the fault model and
@@ -113,18 +111,13 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
     let attempt =
       Processor.transmitted procs.(src) b ~now:(float_of_int !rounds)
     in
-    let fate = Fault.fate plan ~src ~dst:b.dst ~seq:b.seq ~attempt in
-    if fate.f_drop then fc.n_drops <- fc.n_drops + 1
-    else begin
-      if fate.f_delay > 0 then fc.n_delays <- fc.n_delays + 1;
-      if fate.f_jitter > 0 then fc.n_reorders <- fc.n_reorders + 1;
-      let at = !rounds + fate.f_delay + fate.f_jitter in
-      schedule at (Fdata { fm_src = src; fm_batch = b; fm_attempt = attempt });
-      if fate.f_dup then begin
-        fc.n_dups_injected <- fc.n_dups_injected + 1;
-        schedule at (Fdata { fm_src = src; fm_batch = b; fm_attempt = attempt })
-      end
-    end
+    let copies, fate =
+      Fault.deliveries plan fc ~src ~dst:b.dst ~seq:b.seq ~attempt
+    in
+    let at = !rounds + fate.f_delay + fate.f_jitter in
+    for _ = 1 to copies do
+      schedule at (Fdata { fm_src = src; fm_batch = b; fm_attempt = attempt })
+    done
   in
   let check_channel src dst =
     match options.network with
@@ -337,28 +330,23 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   in
   (* The drive loop: repeat rounds until global quiescence. A session
      re-enters it on every applied batch; [max_rounds] is the
-     cumulative budget across the whole session. *)
+     cumulative budget across the whole session, the deadline runs per
+     drive. *)
   let drive () =
+  let since = Obs.Clock.now () in
   let continue = ref true in
   while !continue do
     if !rounds >= options.max_rounds then
       raise
         (Round_budget_exceeded { round = !rounds; stats = build_stats ~pooled:0 });
-    (match options.limits.Overload.deadline with
-     | Some seconds ->
-       let elapsed = Obs.Clock.now () -. t0 in
-       if elapsed > seconds then
-         overload (Deadline { seconds; elapsed; round = !rounds })
-     | None -> ());
     let round_now = !rounds in
     (* Fault schedule: crashes first, then due recoveries. *)
     if faulty then begin
       Array.iter
         (fun s ->
           if s.alive then
-            match Fault.crash_at plan ~pid:s.p.pid ~round:!rounds with
-            | Some c -> do_crash s c
-            | None -> ())
+            Option.iter (do_crash s)
+              (Processor.crash_due s.p plan ~round:!rounds))
         sims;
       Array.iter
         (fun s -> if (not s.alive) && !rounds >= s.down_until then do_recover s)
@@ -424,25 +412,19 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
                  fc.n_checkpoints <- fc.n_checkpoints + 1))
          sims
      | _ -> ());
-    (* Watchdog: outbox peaks and the store/outbox budgets, measured
-       when the round's production has landed. *)
+    (* Watchdog: outbox peaks and the budgets, measured when the
+       round's production has landed; the unrouted outbox is this
+       driver's own backlog. *)
     Array.iter
       (fun s ->
-        let p = s.p in
-        let backlog = Queue.length s.outbox + Processor.pending_rows p in
         Processor.note_outbox ~rows:(Queue.length s.outbox)
           ~bytes:(fun () ->
             Queue.fold (fun n (_, t) -> n + (Tuple.arity t * 8)) 0 s.outbox)
-          p;
-        (match options.limits.Overload.max_outbox_rows with
-         | Some limit when backlog > limit ->
-           overload (Outbox_budget { pid = p.pid; rows = backlog; limit })
-         | _ -> ());
-        match options.limits.Overload.max_store_rows with
-        | Some limit ->
-          let rows = Overload.db_rows (Seminaive.store p.engine) in
-          if rows > limit then overload (Store_budget { pid = p.pid; rows; limit })
-        | None -> ())
+          s.p;
+        Option.iter overload
+          (Processor.watchdog options.limits ~since ~round:!rounds
+             ~backlog:(fun _ -> Queue.length s.outbox)
+             [ s.p ]))
       sims;
     (* Adaptive degradation: feed each processor's worst channel demand
        (sent + still pending this round) to the dial; the new alpha

@@ -11,20 +11,6 @@ let dependency_graph p =
       (pred, deps))
     derived
 
-let signed_dependency_graph p =
-  let derived = Program.derived_predicates p in
-  List.map
-    (fun pred ->
-      let deps =
-        Program.rules_for p pred
-        |> List.concat_map (fun (r : Rule.t) ->
-               List.map (fun (a : Atom.t) -> (a.pred, false)) r.body
-               @ List.map (fun (a : Atom.t) -> (a.pred, true)) r.neg)
-        |> List.sort_uniq compare
-      in
-      (pred, deps))
-    derived
-
 (* Tarjan's algorithm over the derived-predicate dependency graph.
    Output order (components finished first) is bottom-up topological. *)
 let sccs p =

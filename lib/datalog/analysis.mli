@@ -7,12 +7,6 @@ val dependency_graph : Program.t -> (string * string list) list
     in the bodies of its rules — negated occurrences included (i.e. the
     predicates that derive it). *)
 
-val signed_dependency_graph :
-  Program.t -> (string * (string * bool) list) list
-(** Like {!dependency_graph} but each dependency carries whether it is
-    through a negated atom ([true] = negative edge). Used by the static
-    stratification check. *)
-
 val sccs : Program.t -> string list list
 (** Strongly connected components of the dependency graph restricted to
     derived predicates, in bottom-up topological order. Components are

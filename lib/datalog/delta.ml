@@ -1,9 +1,5 @@
 type op = Insert | Delete
 
-let pp_op ppf = function
-  | Insert -> Format.pp_print_string ppf "+"
-  | Delete -> Format.pp_print_string ppf "-"
-
 type update = { u_op : op; u_pred : string; u_tuple : Tuple.t }
 
 module Batch = struct

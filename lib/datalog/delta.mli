@@ -9,8 +9,6 @@
 
 type op = Insert | Delete
 
-val pp_op : Format.formatter -> op -> unit
-
 type update = { u_op : op; u_pred : string; u_tuple : Tuple.t }
 
 module Batch : sig

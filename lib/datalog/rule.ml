@@ -16,8 +16,6 @@ type t = {
 let make ?loc ?(neg = []) ?(guards = []) head body =
   { head; body; neg; guards; loc }
 
-let with_loc loc r = { r with loc = Some loc }
-
 let guard ~name ~vars ~fn ~expect =
   { gname = name; gvars = Array.of_list vars; gfn = fn; gexpect = expect }
 

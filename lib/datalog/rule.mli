@@ -27,9 +27,6 @@ type t = {
 val make : ?loc:int -> ?neg:Atom.t list -> ?guards:guard list ->
   Atom.t -> Atom.t list -> t
 
-val with_loc : int -> t -> t
-(** Attach a source line to a programmatically built rule. *)
-
 val guard :
   name:string -> vars:string list -> fn:(Const.t array -> int) -> expect:int
   -> guard

@@ -99,7 +99,7 @@ let now = Obs.Clock.now
 
 exception Worker_exit of int
 
-(* The worker's checkpoint and crash bookkeeping around one processor. *)
+(* The worker's checkpoint bookkeeping around one processor. *)
 type wproc = {
   p : Processor.t;
   mutable local_rounds : int;
@@ -107,7 +107,6 @@ type wproc = {
   (* Receipts not yet shipped in a checkpoint: checkpoints carry only
      this delta and the coordinator accumulates. *)
   mutable seen_new : (int * int * int) list;
-  mutable crashes_fired : int list;
   (* Derived-store growth since the last checkpoint (bootstrap and
      step products, accepted wire injections): the next checkpoint
      ships this instead of scanning the whole store. *)
@@ -221,16 +220,15 @@ let worker_body ~addr ~worker ~inc =
           Some
             {
               p =
-                Processor.create ~fc ~pushdown:cf.cf_pushdown ~capacity
-                  ~reliable:faulty
+                Processor.create ~fc
+                  ?crashes_done:(List.assoc_opt pid cf.cf_crashes_done)
+                  ~pushdown:cf.cf_pushdown ~capacity ~reliable:faulty
                   ~retry_after:(fun attempt ->
                     float_of_int (Backoff.delay_ms retx attempt) /. 1000.)
                   rw ~fragment:(Pool.fragment rw edb pid) pid;
               local_rounds = 0;
               last_ckpt = 0;
               seen_new = [];
-              crashes_fired =
-                Option.value ~default:[] (List.assoc_opt pid cf.cf_crashes_done);
               ckpt_acc = [];
               dumped = Ktbl.create 256;
             })
@@ -266,11 +264,7 @@ let worker_body ~addr ~worker ~inc =
   (* A fresh product addressed to its own processor is delivered in
      place; a recovery replay travels like any other, marked as one. *)
   let route ~replay w produced =
-    Array.iteri
-      (fun dst batch ->
-        if batch <> [] then Processor.dispatch ~replay w.p dst batch (transmit w))
-      (Processor.route ~local:(not replay) ?on_new:(on_accept w) w.p produced);
-    Processor.note_outbox w.p
+    Processor.ship ~replay ?on_new:(on_accept w) w.p produced (transmit w)
   in
   let pump_retransmits () =
     let t = now () in
@@ -281,9 +275,8 @@ let worker_body ~addr ~worker ~inc =
      ourselves. The coordinator records the fired round so the
      restarted worker does not re-fire it. *)
   let maybe_crash w =
-    match Fault.crash_at plan ~pid:w.p.pid ~round:w.local_rounds with
-    | Some c when not (List.mem c.Fault.cr_round w.crashes_fired) ->
-      w.crashes_fired <- c.Fault.cr_round :: w.crashes_fired;
+    match Processor.crash_due w.p plan ~round:w.local_rounds with
+    | Some c ->
       write
         (Wire.Crashing
            {
@@ -293,7 +286,7 @@ let worker_body ~addr ~worker ~inc =
            });
       flush_blocking ();
       Unix.kill (Unix.getpid ()) Sys.sigkill
-    | _ -> ()
+    | None -> ()
   in
   let maybe_checkpoint w =
     match plan.Fault.checkpoint_every with
@@ -338,21 +331,10 @@ let worker_body ~addr ~worker ~inc =
     breached := true;
     write (Wire.Breach { reason })
   in
-  let check_limits (p : Processor.t) =
-    if not !breached then begin
-      (match limits.Overload.max_store_rows with
-       | Some limit ->
-         let rows = Overload.db_rows (Seminaive.store p.engine) in
-         if rows > limit then
-           breach (Overload.Store_budget { pid = p.pid; rows; limit })
-       | None -> ());
-      match limits.Overload.max_outbox_rows with
-      | Some limit when not !breached ->
-        let rows = Processor.pending_rows p + Processor.in_flight_rows p in
-        if rows > limit then
-          breach (Overload.Outbox_budget { pid = p.pid; rows; limit })
-      | _ -> ()
-    end
+  (* The budgets; the deadline is the coordinator's, which owns the
+     drive clock. *)
+  let check_limits w =
+    if not !breached then Option.iter breach (Processor.watchdog limits [ w.p ])
   in
   (* Record derived-store growth for the next checkpoint delta —
      every insertion flows through here or [on_accept], so a scan of
@@ -455,7 +437,7 @@ let worker_body ~addr ~worker ~inc =
          addressed to a previous incarnation are stale. *)
       if tinc = inc then begin
         let w = proc_of src in
-        if Processor.ack w.p ~dst ~seq then Processor.flush w.p (transmit w)
+        Processor.ack_flush w.p ~dst ~seq (transmit w)
       end
     | Inject { dst; batch } -> accept_batch (proc_of dst) batch
     | Patch { dels } ->
@@ -554,7 +536,7 @@ let worker_body ~addr ~worker ~inc =
             ckpt_note w produced;
             route ~replay:false w produced;
             maybe_checkpoint w;
-            check_limits w.p
+            check_limits w
           end)
         procs
   in
@@ -702,7 +684,8 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     || partition > 0.0
     || config.Run_config.capacity <> None
   in
-  let shim = Shim.create ~plan ~partition in
+  let fc = Fault.counters () in
+  let shim = Shim.create ~plan ~partition fc in
   let t0 = now () in
   (* The combined EDB every worker receives, serialized once so all
      workers intern its symbols in the same order — and again whenever
@@ -734,7 +717,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
   let worker_of pid = pid mod nworkers in
   let own_pids w = List.filter (fun pid -> pid mod nworkers = w) (List.init n Fun.id) in
   let anon : (Unix.file_descr * Wire.reader) list ref = ref [] in
-  let fc = Fault.counters () in
   let bytes_sent = ref 0 in
   let bytes_received = ref 0 in
   let reconnects = ref 0 in
@@ -1019,7 +1001,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     | Data { src; dst; inc = sinc; seq; attempt; replay = _; batch } ->
       disarm ();
       let v = Shim.verdict shim ~src ~dst ~seq ~attempt in
-      if not v.Shim.v_drop then begin
+      if v.Shim.v_copies > 0 then begin
         let key = (src, dst, sinc, seq) in
         if not (Hashtbl.mem payload_seen key) then begin
           Hashtbl.replace payload_seen key ();
@@ -1038,7 +1020,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
           push_delay (now () +. (float_of_int v.Shim.v_delay_ms /. 1000.))
             dst frame
         else enqueue_to_pid dst frame;
-        if v.Shim.v_dup then enqueue_to_pid dst frame
+        if v.Shim.v_copies = 2 then enqueue_to_pid dst frame
       end
     | Tack _ -> ()
       (* Acks originate at the coordinator; workers no longer send
@@ -1201,15 +1183,11 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
         end)
       slots
   in
+  (* The deadline alone: the workers watch the budgets. *)
   let check_deadline () =
-    match limits.Overload.deadline with
-    | Some sec when not !stopping ->
-      (* Per drive, not per session: an idle session must not blow the
-         watchdog while the client thinks. *)
-      let elapsed = now () -. !drive_start in
-      if elapsed > sec then
-        overload_stop (Overload.Deadline { seconds = sec; elapsed; round = 0 })
-    | _ -> ()
+    if not !stopping then
+      Option.iter overload_stop
+        (Processor.watchdog limits ~since:!drive_start [])
   in
   let cleanup () =
     if not !dead then begin
@@ -1380,10 +1358,6 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
       (List.init n Fun.id)
   in
   let assemble_final () =
-  fc.Fault.n_drops <- fc.Fault.n_drops + Shim.drops shim;
-  fc.Fault.n_dups_injected <- fc.Fault.n_dups_injected + Shim.dups shim;
-  fc.Fault.n_delays <- fc.Fault.n_delays + Shim.delays shim;
-  fc.Fault.n_reorders <- fc.Fault.n_reorders + Shim.reorders shim;
   let bye_list = Hashtbl.fold (fun _ v acc -> v :: acc) byes [] in
   let total_stalls =
     List.fold_left (fun acc (_, st, _) -> acc + st) 0 bye_list

@@ -3,29 +3,17 @@ module Fault = Pardatalog.Fault
 type t = {
   plan : Fault.plan;
   partition : float;
+  fc : Fault.counters;
   index : (int * int, int) Hashtbl.t;  (* channel -> frames routed *)
-  mutable drops : int;
-  mutable dups : int;
-  mutable delays : int;
-  mutable reorders : int;
 }
 
-let create ~plan ~partition =
+let create ~plan ~partition fc =
   if not (partition >= 0.0 && partition < 1.0) then
     invalid_arg "Shim.create: partition must be in [0, 1)";
-  {
-    plan;
-    partition;
-    index = Hashtbl.create 64;
-    drops = 0;
-    dups = 0;
-    delays = 0;
-    reorders = 0;
-  }
+  { plan; partition; fc; index = Hashtbl.create 64 }
 
 type verdict = {
-  v_drop : bool;
-  v_dup : bool;
+  v_copies : int;
   v_delay_ms : int;
 }
 
@@ -61,32 +49,12 @@ let verdict t ~src ~dst ~seq ~attempt =
     Hashtbl.replace t.index k (i + 1);
     i
   in
-  let fate = t.plan == Fault.none || Fault.is_none t.plan in
-  let f =
-    if fate then
-      { Fault.f_drop = false; f_dup = false; f_delay = 0; f_jitter = 0 }
-    else Fault.fate t.plan ~src ~dst ~seq ~attempt
+  let v_copies, f =
+    Fault.deliveries t.plan t.fc
+      ~cut:(partitioned t ~src ~dst ~attempt idx)
+      ~src ~dst ~seq ~attempt
   in
-  let drop = f.Fault.f_drop || partitioned t ~src ~dst ~attempt idx in
-  if drop then begin
-    t.drops <- t.drops + 1;
-    { v_drop = true; v_dup = false; v_delay_ms = 0 }
-  end
-  else begin
-    if f.Fault.f_dup then t.dups <- t.dups + 1;
-    if f.Fault.f_delay > 0 then t.delays <- t.delays + 1;
-    if f.Fault.f_jitter > 0 then t.reorders <- t.reorders + 1;
-    (* A simulated-round delay becomes 2 ms of wire latency, a reorder
-       jitter 1 ms: enough to change arrival order, small enough to
-       keep test wall-clock low. *)
-    {
-      v_drop = false;
-      v_dup = f.Fault.f_dup;
-      v_delay_ms = (2 * f.Fault.f_delay) + f.Fault.f_jitter;
-    }
-  end
-
-let drops t = t.drops
-let dups t = t.dups
-let delays t = t.delays
-let reorders t = t.reorders
+  (* A simulated-round delay becomes 2 ms of wire latency, a reorder
+     jitter 1 ms: enough to change arrival order, small enough to keep
+     test wall-clock low. *)
+  { v_copies; v_delay_ms = (2 * f.Fault.f_delay) + f.Fault.f_jitter }

@@ -1,13 +1,13 @@
 (** Deterministic socket-level fault shim.
 
     The coordinator passes every [Data] frame it routes through the
-    shim, which decides — as a pure hash of the fault-plan seed and
-    the frame coordinates (channel, sequence number, transmission
-    attempt) — whether the frame is dropped, duplicated or delayed,
-    exactly like the in-process fault layer ({!Pardatalog.Fault.fate}),
-    plus a net-only {e partition} fault: a channel can go dark for a
-    whole window of frames, modelling a link cut rather than
-    independent losses.
+    shim, which asks the in-process fault layer
+    ({!Pardatalog.Fault.deliveries}) — a pure hash of the fault-plan
+    seed and the frame coordinates (channel, sequence number,
+    transmission attempt) — whether the frame is dropped, duplicated
+    or delayed. The shim adds only its own loss rule, the net-only
+    {e partition} fault: a channel can go dark for a whole window of
+    frames, modelling a link cut rather than independent losses.
 
     Scope: the shim models a lossy {e payload} plane only. Control
     frames (acks, probes, heartbeats, stop) are never faulted — they
@@ -20,14 +20,21 @@
 
 type t
 
-val create : plan:Pardatalog.Fault.plan -> partition:float -> t
+val create :
+  plan:Pardatalog.Fault.plan ->
+  partition:float ->
+  Pardatalog.Fault.counters ->
+  t
 (** [partition] = probability that a channel's current window (16
-    consecutive frames) is cut, in [0, 1). *)
+    consecutive frames) is cut, in [0, 1). Drops (partition cuts
+    included), duplicates, delays and reorders are tallied into the
+    counters. *)
 
 type verdict = {
-  v_drop : bool;
-  v_dup : bool;
-  v_delay_ms : int;  (** Extra latency before delivery (0 = immediate). *)
+  v_copies : int;  (** Copies to deliver: 0 (dropped), 1 or 2. *)
+  v_delay_ms : int;
+      (** Extra latency before delivering the first copy (0 =
+          immediate); a duplicate follows at once. *)
 }
 
 val verdict : t -> src:int -> dst:int -> seq:int -> attempt:int -> verdict
@@ -36,10 +43,3 @@ val verdict : t -> src:int -> dst:int -> seq:int -> attempt:int -> verdict
     partition windows), which is itself deterministic for a fixed
     frame arrival order and harmless to replay divergence otherwise:
     correctness never depends on {e which} frames are cut. *)
-
-val drops : t -> int
-val dups : t -> int
-val delays : t -> int
-val reorders : t -> int
-(** Frames jittered by the reorder fault (delivered late, so later
-    frames overtake them). *)

@@ -32,6 +32,9 @@ let time t name f =
   let start = Clock.now_ns () in
   Fun.protect ~finally:(fun () -> record t name (Clock.now_ns () - start)) f
 
+let span t tr ~pid ~round phase f =
+  time t (Trace.phase_name phase) (fun () -> Trace.span tr ~pid ~round phase f)
+
 let totals t =
   Hashtbl.fold (fun name c acc -> (name, c.total_ns) :: acc) t.cells []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

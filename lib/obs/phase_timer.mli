@@ -22,6 +22,11 @@ val time : t -> string -> (unit -> 'a) -> 'a
     the accumulator for [name]. The duration is recorded even if [f]
     raises. *)
 
+val span :
+  t -> Trace.t -> pid:int -> round:int -> Trace.phase -> (unit -> 'a) -> 'a
+(** A runtime phase: {!time} [f] under its {!Trace.phase_name} and
+    record it as a {!Trace.span} of [(pid, round, phase)] too. *)
+
 val record : t -> string -> int -> unit
 (** Add a measured duration (nanoseconds) directly. *)
 

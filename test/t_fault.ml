@@ -337,9 +337,40 @@ let fault_cases =
           (Fault.is_none (Fault.make ~checkpoint_every:2 ())));
   ]
 
+(* A scheduled crash fires once per session, however many drives reach
+   its round: the domain runtime counts local rounds afresh in each
+   drive. *)
+let crash_once_case (module R : Runtime.S) =
+  case
+    (Printf.sprintf "a scheduled crash fires once per session (%s)" R.name)
+    (fun () ->
+      let plan =
+        Fault.make
+          ~crashes:[ { Fault.cr_pid = 1; cr_round = 1; cr_down = 1 } ]
+          ()
+      in
+      let s =
+        R.open_session ~config:(sim_config plan) (example3_rw ())
+          ~edb:(edb_of_edges (chain_edges 8))
+      in
+      List.iter
+        (fun a ->
+          ignore
+            (Session.apply s
+               (Update_batch.of_list
+                  [ Delta.Batch.insert "par" (Tuple.of_ints [ a; a + 1 ]) ])))
+        [ 8; 9; 10 ];
+      let r = Session.close s in
+      let f = r.Session.stats.Stats.faults in
+      Alcotest.(check int) "one crash" 1 f.Stats.crashes;
+      Alcotest.(check int) "one recovery" 1 f.Stats.recoveries;
+      Alcotest.check relation_t "closure of the grown chain"
+        (relation_of_pairs (closure_pairs (chain_edges 11)))
+        (anc_relation r.Session.answers))
+
 let suites =
   [
-    ("fault", fault_cases);
+    ("fault", fault_cases @ List.map crash_once_case Runtime.all);
     ( "fault-props",
       List.map QCheck_alcotest.to_alcotest
         [

@@ -174,6 +174,54 @@ let backpressure_cases =
 (* Watchdog: every breach is a structured outcome with partial stats   *)
 (* ------------------------------------------------------------------ *)
 
+(* One outbox definition on both in-process runtimes: the driver's
+   unrouted backlog plus the credit-deferred rows. *)
+let outbox_case (module R : Runtime.S) =
+  let module H = Harness (R) in
+  case
+    (Printf.sprintf "outbox budget fires under a stalled channel (%s)" R.name)
+    (fun () ->
+      let config =
+        Run_config.(
+          default |> with_capacity (Some 1)
+          |> with_limits { Overload.no_limits with max_outbox_rows = Some 1 })
+      in
+      match
+        H.run ~config (example3_rw ()) ~edb:(edb_of_edges (chain_edges 16))
+      with
+      | _ -> Alcotest.fail "expected Overload"
+      | exception Overload.Overload
+          { reason = Outbox_budget { limit; _ }; _ } ->
+        Alcotest.(check int) "limit echoed" 1 limit
+      | exception Overload.Overload _ ->
+        Alcotest.fail "expected an Outbox_budget reason")
+
+(* The deadline runs per drive: a session that idles past it between
+   drives still applies its next batch. *)
+let idle_session_case (module R : Runtime.S) =
+  let module H = Harness (R) in
+  case
+    (Printf.sprintf "an idle session's next apply is within its deadline (%s)"
+       R.name)
+    (fun () ->
+      let config =
+        Run_config.(
+          default
+          |> with_limits { Overload.no_limits with deadline = Some 0.2 })
+      in
+      let s =
+        H.open_session ~config (example3_rw ())
+          ~edb:(edb_of_edges (chain_edges 6))
+      in
+      Unix.sleepf 0.3;
+      let o =
+        Session.apply s
+          (Update_batch.of_list
+             [ Delta.Batch.insert "par" (Tuple.of_ints [ 6; 7 ]) ])
+      in
+      Alcotest.(check bool) "the insert landed" true (o.Session.oc_added <> []);
+      ignore (Session.close s))
+
 let watchdog_cases =
   [
     case "deadline breach carries partial stats (sim)" (fun () ->
@@ -217,23 +265,6 @@ let watchdog_cases =
                stats.Stats.per_proc)
         | exception Overload.Overload _ ->
           Alcotest.fail "expected a Store_budget reason");
-    case "outbox budget fires under a stalled channel (sim)" (fun () ->
-        let config =
-          Run_config.(
-            default |> with_capacity (Some 1)
-            |> with_limits
-                 { Overload.no_limits with max_outbox_rows = Some 1 })
-        in
-        match
-          Sim_runtime.run ~config (example3_rw ())
-            ~edb:(edb_of_edges (chain_edges 16))
-        with
-        | _ -> Alcotest.fail "expected Overload"
-        | exception Overload.Overload
-            { reason = Outbox_budget { limit; _ }; _ } ->
-          Alcotest.(check int) "limit echoed" 1 limit
-        | exception Overload.Overload _ ->
-          Alcotest.fail "expected an Outbox_budget reason");
     case "deadline breach is structured on the domain runtime" (fun () ->
         let config =
           Run_config.(
@@ -435,7 +466,10 @@ let prop_dial_noop =
 let suites =
   [
     ("overload-backpressure", backpressure_cases);
-    ("overload-watchdog", watchdog_cases);
+    ( "overload-watchdog",
+      watchdog_cases
+      @ List.map outbox_case Runtime.all
+      @ List.map idle_session_case Runtime.all );
     ("overload-dial", dial_cases);
     ( "overload-props",
       List.map QCheck_alcotest.to_alcotest

@@ -11,11 +11,6 @@ let mailbox_tests =
         List.iter (Mailbox.push mb) [ 1; 2; 3 ];
         Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (Mailbox.drain mb);
         Alcotest.(check (list int)) "now empty" [] (Mailbox.drain mb));
-    case "is_empty" (fun () ->
-        let mb = Mailbox.create () in
-        Alcotest.(check bool) "empty" true (Mailbox.is_empty mb);
-        Mailbox.push mb 0;
-        Alcotest.(check bool) "nonempty" false (Mailbox.is_empty mb));
     case "drain_blocking waits for a producer" (fun () ->
         let mb = Mailbox.create () in
         let producer =
