@@ -1,14 +1,5 @@
 open Datalog
 
-module Key = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
 type batch = {
   dst : int;
   seq : int;
@@ -42,7 +33,7 @@ type t = {
   reliable : bool;
   retry_after : int -> float;
   fc : Fault.counters;
-  history : unit Ktbl.t array;
+  history : unit Fact.Tbl.t array;
   stamp : int array;
   mutable production : int;
   next_seq : int array;
@@ -106,7 +97,8 @@ let create ?(fc = Fault.counters ()) ?(crashes_done = []) ~pushdown
     reliable;
     retry_after;
     fc;
-    history = Array.init n (fun _ -> Ktbl.create (if reliable then 64 else 1));
+    history =
+      Array.init n (fun _ -> Fact.Tbl.create (if reliable then 64 else 1));
     stamp = Array.make n (-1);
     production = 0;
     next_seq = Array.make n 0;
@@ -248,8 +240,8 @@ let route ?(dedup = true) ?(local = false) ?on_new p produced =
   let keep = dedup && p.reliable in
   let sent_before r tuple dst =
     if keep then
-      Ktbl.mem p.history.(dst) (r.r_pred, tuple)
-      || (Ktbl.add p.history.(dst) (r.r_pred, tuple) (); false)
+      Fact.Tbl.mem p.history.(dst) (r.r_pred, tuple)
+      || (Fact.Tbl.add p.history.(dst) (r.r_pred, tuple) (); false)
     else
       dedup
       && (p.stamp.(dst) = p.production
@@ -276,7 +268,8 @@ let route ?(dedup = true) ?(local = false) ?on_new p produced =
     produced;
   Array.map List.rev batches
 
-let history p dst = Ktbl.fold (fun key () acc -> key :: acc) p.history.(dst) []
+let history p dst =
+  Fact.Tbl.fold (fun key () acc -> key :: acc) p.history.(dst) []
 
 let enqueue ~replay p dst tuples =
   List.iter (fun (pred, t) -> Queue.add (pred, t, replay) p.pending.(dst)) tuples
@@ -502,7 +495,7 @@ let retract p removed =
     List.partition (fun (pred, _) -> is_derived p pred) removed
   in
   List.iter
-    (fun key -> Array.iter (fun tbl -> Ktbl.remove tbl key) p.history)
+    (fun key -> Array.iter (fun tbl -> Fact.Tbl.remove tbl key) p.history)
     derived;
   ignore (Database.remove_facts p.fragment base)
 

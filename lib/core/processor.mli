@@ -16,9 +16,6 @@
 
 open Datalog
 
-module Ktbl : Hashtbl.S with type key = string * Tuple.t
-(** Tables keyed by (predicate, tuple). *)
-
 type batch = {
   dst : int;
   seq : int;  (** Per-channel sequence number. *)
@@ -47,7 +44,7 @@ type t = private {
   reliable : bool;
   retry_after : int -> float;
   fc : Fault.counters;
-  history : unit Ktbl.t array;
+  history : unit Fact.Tbl.t array;
       (** Per destination, when [reliable]: every tuple routed there
           (the replay source, and the resend filter across engine
           lifetimes). Empty otherwise. *)

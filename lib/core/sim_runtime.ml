@@ -11,8 +11,6 @@ type result = Session.result = {
 
 exception Round_budget_exceeded of { round : int; stats : Stats.t }
 
-module Ktbl = Processor.Ktbl
-
 (* The round transport's per-processor state; the engine, channels and
    counters live in the processor. *)
 type sim_state = {
@@ -24,7 +22,7 @@ type sim_state = {
   all_out : (string * Tuple.t) Queue.t;  (* cumulative, for resend_all *)
   (* Receive-side content filter per source: volatile, reset when the
      processor crashes so that replays reach the rebuilt engine. *)
-  recv_seen : unit Ktbl.t array;
+  recv_seen : unit Fact.Tbl.t array;
   mutable active_rounds : int;
   mutable alive : bool;
   mutable down_until : int;  (* first round eligible for recovery *)
@@ -86,7 +84,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           outbox = Queue.create ();
           inbox = Queue.create ();
           all_out = Queue.create ();
-          recv_seen = Array.init nprocs (fun _ -> Ktbl.create 16);
+          recv_seen = Array.init nprocs (fun _ -> Fact.Tbl.create 16);
           active_rounds = 0;
           alive = true;
           down_until = 0;
@@ -207,7 +205,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       s.down_until <- !rounds + c.cr_down;
       Queue.clear s.outbox;
       Queue.clear s.inbox;
-      Array.iter Ktbl.reset s.recv_seen;
+      Array.iter Fact.Tbl.reset s.recv_seen;
       Obs.Trace.instant tr ~pid ~round:!rounds "crash";
       Log.info (fun m ->
           m "round %d: processor %d crashed, down for %d round(s)" !rounds
@@ -286,10 +284,10 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
               List.iter
                 (fun key ->
                   let seen = s.recv_seen.(src) in
-                  if Ktbl.mem seen key then
+                  if Fact.Tbl.mem seen key then
                     fc.n_dups_suppressed <- fc.n_dups_suppressed + 1
                   else begin
-                    Ktbl.add seen key ();
+                    Fact.Tbl.add seen key ();
                     Queue.add (src, b.seq, fst key, snd key) s.inbox
                   end)
                 b.tuples
@@ -486,17 +484,18 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
             (fun s ->
               s.checkpoint <- None;
               List.iter
-                (fun key -> Array.iter (fun tbl -> Ktbl.remove tbl key) s.recv_seen)
+                (fun key ->
+                  Array.iter (fun tbl -> Fact.Tbl.remove tbl key) s.recv_seen)
                 removed)
             sims;
           if options.resend_all then begin
-            let gone = Ktbl.create 16 in
-            List.iter (fun key -> Ktbl.replace gone key ()) removed;
+            let gone = Fact.Tbl.create 16 in
+            List.iter (fun key -> Fact.Tbl.replace gone key ()) removed;
             Array.iter
               (fun s ->
                 let keep =
                   List.filter
-                    (fun key -> not (Ktbl.mem gone key))
+                    (fun key -> not (Fact.Tbl.mem gone key))
                     (List.of_seq (Queue.to_seq s.all_out))
                 in
                 Queue.clear s.all_out;

@@ -26,25 +26,18 @@ module Batch = struct
      effective (insertions, deletions); an idempotent re-application of
      the same batch therefore normalizes to nothing. *)
   let normalize (b : t) ~present =
-    let module K = struct
-      type t = string * Tuple.t
-
-      let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-      let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-    end in
-    let module Ktbl = Hashtbl.Make (K) in
-    let last = Ktbl.create (max 16 (List.length b)) in
+    let last = Fact.Tbl.create (max 16 (List.length b)) in
     let order = ref [] in
     List.iter
       (fun u ->
         let key = (u.u_pred, u.u_tuple) in
-        if not (Ktbl.mem last key) then order := key :: !order;
-        Ktbl.replace last key u.u_op)
+        if not (Fact.Tbl.mem last key) then order := key :: !order;
+        Fact.Tbl.replace last key u.u_op)
       b;
     let adds = ref [] and rems = ref [] in
     List.iter
       (fun ((pred, tuple) as key) ->
-        match Ktbl.find last key with
+        match Fact.Tbl.find last key with
         | Insert -> if not (present pred tuple) then adds := (pred, tuple) :: !adds
         | Delete -> if present pred tuple then rems := (pred, tuple) :: !rems)
       (List.rev !order);

@@ -79,39 +79,38 @@ let is_empty r = cardinal r = 0
 let is_dead r pos =
   pos < Bytes.length r.dead && Bytes.unsafe_get r.dead pos <> '\000'
 
+(* The dedup chain walks below are top-level loops, so a membership
+   test allocates nothing, hit or miss. *)
+let rec walk_tuple r h t p =
+  p <> 0
+  &&
+  let pos = p - 1 in
+  (Vec.unsafe_get r.hashes pos = h
+   && Tuple.equal (Vec.unsafe_get r.elements pos) t)
+  || walk_tuple r h t (Vec.unsafe_get r.next pos)
+
 let mem r t =
   let h = Tuple.hash t in
-  let els = r.elements in
-  let hashes = r.hashes and next = r.next in
-  let rec walk p =
-    p <> 0
-    &&
-    let pos = p - 1 in
-    (Vec.unsafe_get hashes pos = h && Tuple.equal (Vec.unsafe_get els pos) t)
-    || walk (Vec.unsafe_get next pos)
-  in
-  walk (Array.unsafe_get r.table (h land r.mask))
+  walk_tuple r h t (Array.unsafe_get r.table (h land r.mask))
+
+(* Does the stored tuple at [pos] carry [raws] in columns [i, k)? *)
+let rec same_row cols k raws pos i =
+  i >= k
+  || Vec.unsafe_get (Array.unsafe_get cols i) pos = Array.unsafe_get raws i
+     && same_row cols k raws pos (i + 1)
+
+let rec walk_raw r ~hash raws p =
+  p <> 0
+  &&
+  let pos = p - 1 in
+  (Vec.unsafe_get r.hashes pos = hash && same_row r.cols r.arity raws pos 0)
+  || walk_raw r ~hash raws (Vec.unsafe_get r.next pos)
 
 (* Raw-word membership: the semi-naive duplicate filter. [raws] must be
    the raw encoding of a would-be tuple of this relation's arity and
    [hash] its [Tuple.hash_key]. *)
 let mem_raw r ~hash raws =
-  let cols = r.cols in
-  let k = r.arity in
-  let hashes = r.hashes and next = r.next in
-  let rec same pos i =
-    i >= k
-    || Vec.unsafe_get (Array.unsafe_get cols i) pos = Array.unsafe_get raws i
-       && same pos (i + 1)
-  in
-  let rec walk p =
-    p <> 0
-    &&
-    let pos = p - 1 in
-    (Vec.unsafe_get hashes pos = hash && same pos 0)
-    || walk (Vec.unsafe_get next pos)
-  in
-  walk (Array.unsafe_get r.table (hash land r.mask))
+  walk_raw r ~hash raws (Array.unsafe_get r.table (hash land r.mask))
 
 let index_insert ix t pos =
   let h = Tuple.hash_proj t ix.ix_positions in

@@ -1,80 +1,65 @@
-module Tset = Hashtbl.Make (Tuple)
-
-module Lkey = struct
-  type t = string * Tuple.t
-
-  let equal (p1, t1) (p2, t2) = String.equal p1 p2 && Tuple.equal t1 t2
-  let hash (p, t) = (Hashtbl.hash p * 0x01000193) lxor Tuple.hash t
-end
-
-module Ltbl = Hashtbl.Make (Lkey)
-
-let evaluate ?pushdown ?reorder program edb =
-  (match Program.check program with
-   | Ok () -> ()
-   | Error msg -> invalid_arg ("Stratified.evaluate: " ^ msg));
-  let components = Analysis.sccs program in
-  let db = Database.copy edb in
-  ignore (Database.merge_into ~dst:db ~src:(Program.facts_db program));
-  let totals =
-    ref
-      {
-        Seminaive.iterations = 0;
-        firings = 0;
-        new_tuples = 0;
-        duplicate_firings = 0;
-      }
-  in
-  List.iter
+(* The SCCs of [program] that have rules, bottom-up, each with its
+   rules. *)
+let components program =
+  List.filter_map
     (fun component ->
-      let rules =
+      match
         List.filter
           (fun (r : Rule.t) -> List.mem r.head.Atom.pred component)
           (Program.rules program)
-      in
-      if rules <> [] then begin
-        (* Lower components' results are already in [db] and look
-           extensional to this stratum. *)
-        let engine =
-          Seminaive.create ?pushdown ?reorder (Program.make rules) ~edb:db
-        in
-        Seminaive.run_to_fixpoint engine;
-        let produced = Seminaive.store engine in
-        List.iter
-          (fun pred ->
-            match Database.find produced pred with
-            | Some rel ->
-              let target =
-                Database.declare db pred (Relation.arity rel)
-              in
-              ignore (Relation.add_all target rel)
-            | None -> ())
-          component;
-        let s = Seminaive.stats engine in
-        totals :=
-          {
-            Seminaive.iterations =
-              !totals.Seminaive.iterations + s.Seminaive.iterations;
-            firings = !totals.Seminaive.firings + s.Seminaive.firings;
-            new_tuples = !totals.Seminaive.new_tuples + s.Seminaive.new_tuples;
-            duplicate_firings =
-              !totals.Seminaive.duplicate_firings
-              + s.Seminaive.duplicate_firings;
-          }
-      end)
-    components;
-  (db, !totals)
+      with
+      | [] -> None
+      | rules -> Some (component, rules))
+    (Analysis.sccs program)
+
+let evaluate ?pushdown program edb =
+  (match Program.check program with
+   | Ok () -> ()
+   | Error msg -> invalid_arg ("Stratified.evaluate: " ^ msg));
+  let db = Database.copy edb in
+  ignore (Database.merge_into ~dst:db ~src:(Program.facts_db program));
+  let add (t : Seminaive.stats) (component, rules) =
+    (* Lower components' results are already in [db] and look
+       extensional to this stratum. *)
+    let engine = Seminaive.create ?pushdown (Program.make rules) ~edb:db in
+    Seminaive.run_to_fixpoint engine;
+    let produced = Seminaive.store engine in
+    List.iter
+      (fun pred ->
+        match Database.find produced pred with
+        | Some rel ->
+          let target = Database.declare db pred (Relation.arity rel) in
+          ignore (Relation.add_all target rel)
+        | None -> ())
+      component;
+    let s = Seminaive.stats engine in
+    {
+      Seminaive.iterations = t.iterations + s.iterations;
+      firings = t.firings + s.firings;
+      new_tuples = t.new_tuples + s.new_tuples;
+      duplicate_firings = t.duplicate_firings + s.duplicate_firings;
+    }
+  in
+  let zero =
+    { Seminaive.iterations = 0; firings = 0; new_tuples = 0;
+      duplicate_firings = 0 }
+  in
+  (db, List.fold_left add zero (components program))
 
 (* ================================================================== *)
 (* Live incremental maintenance                                       *)
 
+
 module Live = struct
+  module Tset = Hashtbl.Make (Tuple)
+
   (* One rule of a stratum, compiled for every maintenance variant:
      [rp_plans.(j)] scans body atom [j] first (a bodiless rule has the
      single plan [rp_plans.(0)]), so each variant runs with its changed
      window as the outer loop. [rp_rederive] is [h :- h, body], the
-     head copied in as body atom 0 and scanned first: reading one
-     overdeleted tuple there asks whether the rule still derives it. *)
+     head copied in as body atom 0 and scanned first: reading the
+     overdeleted tuples there asks which of them the rule still
+     derives. *)
   type rule_plan = {
     rp_head : string;
     rp_preds : string array;  (* body predicates, by position *)
@@ -100,7 +85,7 @@ module Live = struct
     (* Derived program facts: permanent external support. Counting
        strata bake them in as a +1 baseline; DRed rederivation treats
        them as self-justifying. *)
-    lv_pfacts : unit Ltbl.t;
+    lv_pfacts : unit Fact.Tbl.t;
     mutable lv_batches : int;
     mutable lv_totals : Delta.summary;
   }
@@ -114,50 +99,39 @@ module Live = struct
   let no_change =
     { c_summary = Delta.empty_summary; c_added = []; c_removed = [] }
 
-  let compile_rule ?pushdown ?reorder (rule : Rule.t) =
+  let compile_rule ?pushdown (rule : Rule.t) =
     let n = List.length rule.body in
     {
       rp_head = rule.head.Atom.pred;
       rp_preds =
         Array.of_list (List.map (fun (a : Atom.t) -> a.pred) rule.body);
       rp_plans =
-        (if n = 0 then [| Joiner.compile ?pushdown ?reorder rule |]
-         else
-           Array.init n (fun first ->
-               Joiner.compile ?pushdown ?reorder ~first rule));
+        (if n = 0 then [| Joiner.compile ?pushdown rule |]
+         else Array.init n (fun first -> Joiner.compile ?pushdown ~first rule));
       rp_rederive =
-        Joiner.compile ?pushdown ?reorder ~first:0
+        Joiner.compile ?pushdown ~first:0
           { rule with body = rule.head :: rule.body };
     }
 
-  let build_strata ?pushdown ?reorder program =
-    List.filter_map
-      (fun component ->
-        let rules =
-          List.filter
-            (fun (r : Rule.t) -> List.mem r.head.Atom.pred component)
-            (Program.rules program)
-        in
-        if rules = [] then None
-        else
-          let recursive =
-            match component with
-            | [ _ ] ->
+  let build_strata ?pushdown program =
+    List.map
+      (fun (component, rules) ->
+        (* A component of two or more predicates always has a rule
+           reading one of them. *)
+        let recursive =
+          List.exists
+            (fun (r : Rule.t) ->
               List.exists
-                (fun (r : Rule.t) ->
-                  List.exists
-                    (fun (a : Atom.t) -> List.mem a.Atom.pred component)
-                    r.body)
-                rules
-            | _ -> true
-          in
-          Some
-            {
-              st_preds = component;
-              st_rules = List.map (compile_rule ?pushdown ?reorder) rules;
-              st_recursive = recursive;
-            })
-      (Analysis.sccs program)
+                (fun (a : Atom.t) -> List.mem a.Atom.pred component)
+                r.body)
+            rules
+        in
+        {
+          st_preds = component;
+          st_rules = List.map (compile_rule ?pushdown) rules;
+          st_recursive = recursive;
+        })
+      (components program)
 
   let counts_of live pred =
     match Hashtbl.find_opt live.lv_counts pred with
@@ -174,18 +148,14 @@ module Live = struct
 
   let rel_opt live pred = Database.find live.lv_db pred
 
-  (* The position bound of [pred]'s relation: the limit of every window
-     and watermark below (tombstoned positions count, so a watermark
-     taken before an append still marks where the append began). *)
-  let bound live pred =
-    match rel_opt live pred with Some rel -> Relation.bound rel | None -> 0
-
   (* Every source below names its windows explicitly, so the join never
      looks a predicate up. *)
   let no_windows = { Joiner.window_of = (fun _ -> None) }
 
   (* [rel]'s insertion positions [lo, hi) as a join source: no span at
-     all when the window is empty. *)
+     all when the window is empty. Windows are measured against
+     {!Relation.bound}: tombstoned positions count, so a watermark
+     taken before an append still marks where the append began. *)
   let span ?skip rel ~lo ~hi =
     if hi > lo then
       [ { Joiner.sp_rel = rel; sp_lo = lo; sp_hi = hi; sp_skip = skip } ]
@@ -197,8 +167,15 @@ module Live = struct
 
   let model live pred = whole (rel_opt live pred)
 
-  let window live pred ~lo ~hi =
-    match rel_opt live pred with Some rel -> span rel ~lo ~hi | None -> []
+  (* Where one rule's firings go in a pass. [sk_dedup], when present,
+     sees each firing's raw head words first ({!Joiner.run}'s
+     [fast_dedup]) and drops the firings that change nothing without
+     building their tuples; [sk_emit] gets the rest. Raw words are
+     injective, so a [`New] verdict is final. *)
+  type sink = {
+    sk_dedup : (hash:int -> int array -> [ `Dup | `New ]) option;
+    sk_emit : Tuple.t -> unit;
+  }
 
   (* The one maintenance join. For each body position [j] whose
      [changed] window is non-empty, atom [j] reads that window, the
@@ -206,9 +183,9 @@ module Live = struct
      the plan scanning atom [j] first enumerates the firings. With the
      new state on one side of [j] and the old on the other, the
      variants telescope: no firing is counted under two positions.
-     DRed reads the old state on both sides and may count a firing
-     twice, which its set semantics absorbs. *)
-  let fire_variants rp ~changed ~before ~after ~emit =
+     DRed reads one state on both sides and may count a firing twice,
+     which its set semantics absorbs. *)
+  let fire_variants rp ~changed ~before ~after ~sink =
     let n = Array.length rp.rp_preds in
     for j = 0 to n - 1 do
       match changed rp.rp_preds.(j) with
@@ -220,7 +197,40 @@ module Live = struct
               Joiner.Spans
                 (if i < j then before p else if i = j then window else after p))
         in
-        Joiner.run rp.rp_plans.(j) ~sources no_windows ~emit
+        Joiner.run rp.rp_plans.(j) ~sources ?fast_dedup:sink.sk_dedup
+          no_windows ~emit:sink.sk_emit
+    done
+
+  (* A relation that grows as [saturate] runs: each round reads
+     [g_lo, g_hi), its growth since the round before, as changed. *)
+  type growing = { g_rel : Relation.t; mutable g_lo : int; mutable g_hi : int }
+
+  let growing ?(lo = 0) rel = { g_rel = rel; g_lo = lo; g_hi = lo }
+
+  (* The one maintenance loop: semi-naive rounds over the relations of
+     [grow]. Each round fires every rule's variants with the growth
+     since the last round as the changed atoms; [sink rp] is resolved
+     once per rule and round, and what it appends to a relation of
+     [grow] is the next round's change. The loop stops after a round
+     that adds nothing. *)
+  let saturate st grow ~before ~after ~sink =
+    let changed p =
+      match Hashtbl.find_opt grow p with
+      | Some g -> span g.g_rel ~lo:g.g_lo ~hi:g.g_hi
+      | None -> []
+    in
+    let grew () =
+      Hashtbl.fold
+        (fun _ g more ->
+          g.g_hi <- Relation.bound g.g_rel;
+          more || g.g_hi > g.g_lo)
+        grow false
+    in
+    while grew () do
+      List.iter
+        (fun rp -> fire_variants rp ~changed ~before ~after ~sink:(sink rp))
+        st.st_rules;
+      Hashtbl.iter (fun _ g -> g.g_lo <- g.g_hi) grow
     done
 
   (* Count every current firing of the counting strata once, plus a +1
@@ -230,7 +240,8 @@ module Live = struct
     List.iter
       (fun st ->
         if not st.st_recursive then begin
-          let counts = counts_of live (List.hd st.st_preds) in
+          let head = List.hd st.st_preds in
+          let counts = counts_of live head in
           List.iter
             (fun rp ->
               Joiner.run rp.rp_plans.(0)
@@ -238,33 +249,28 @@ module Live = struct
                   (Array.map (fun p -> Joiner.Spans (model live p)) rp.rp_preds)
                 no_windows
                 ~emit:(fun h -> ignore (bump counts h 1)))
-            st.st_rules
+            st.st_rules;
+          Fact.Tbl.iter
+            (fun (pred, t) () ->
+              if String.equal pred head then ignore (bump counts t 1))
+            live.lv_pfacts
         end)
-      live.lv_strata;
-    let counting =
-      List.concat_map
-        (fun st -> if st.st_recursive then [] else st.st_preds)
-        live.lv_strata
-    in
-    Ltbl.iter
-      (fun (pred, tuple) () ->
-        if List.mem pred counting then ignore (bump (counts_of live pred) tuple 1))
-      live.lv_pfacts
+      live.lv_strata
 
-  let create ?pushdown ?reorder program ~edb =
+  let create ?pushdown program ~edb =
     (match Program.check program with
      | Ok () -> ()
      | Error msg -> invalid_arg ("Stratified.Live.create: " ^ msg));
-    let db, _ = evaluate ?pushdown ?reorder program edb in
+    let db, _ = evaluate ?pushdown program edb in
     let derived = Program.derived_predicates program in
     let live =
       {
         lv_program = program;
         lv_db = db;
-        lv_strata = build_strata ?pushdown ?reorder program;
+        lv_strata = build_strata ?pushdown program;
         lv_derived = derived;
         lv_counts = Hashtbl.create 8;
-        lv_pfacts = Ltbl.create 16;
+        lv_pfacts = Fact.Tbl.create 16;
         lv_batches = 0;
         lv_totals = Delta.empty_summary;
       }
@@ -272,263 +278,201 @@ module Live = struct
     (* Externally supported tuples of derived predicates — program facts
        and edb seeds — are self-justifying: counting gives them a +1
        baseline, DRed rederives them unconditionally. *)
+    let support pred tuple =
+      if List.mem pred derived then
+        Fact.Tbl.replace live.lv_pfacts (pred, tuple) ()
+    in
+    List.iter (fun (pred, tuple) -> support pred tuple) program.Program.facts;
     List.iter
-      (fun (pred, tuple) ->
-        if List.mem pred derived then Ltbl.replace live.lv_pfacts (pred, tuple) ())
-      program.Program.facts;
-    List.iter
-      (fun pred ->
-        if List.mem pred derived then
-          match Database.find edb pred with
-          | None -> ()
-          | Some rel ->
-            Relation.iter
-              (fun tuple -> Ltbl.replace live.lv_pfacts (pred, tuple) ())
-              rel)
+      (fun pred -> Relation.iter (support pred) (Database.get edb pred))
       (Database.predicates edb);
     init_counts live;
     live
 
+  (* Per-batch accounting, shared by both phases. *)
+  type tally = {
+    mutable firings : int;
+    mutable overdeleted : int;
+    mutable rederived : int;
+  }
+
+  let fire tally = tally.firings <- tally.firings + 1
+
+  (* A raw-word head filter: keep the firings whose head is in [a] and
+     not yet in [b]. *)
+  let within a b ~hash raws =
+    if Relation.mem_raw a ~hash raws && not (Relation.mem_raw b ~hash raws)
+    then `New
+    else `Dup
+
   (* ---------------------------------------------------------------- *)
   (* Deletion phase                                                   *)
 
-  (* [rem] holds, per predicate, the tuples this batch has removed from
-     the model so far: the main store plus [rem] is the pre-deletion
-     state. [retire] removes model tuples and moves them there. *)
-  let removed rem pred = whole (Hashtbl.find_opt rem pred)
-
-  (* Counting stratum: enumerate exactly the lost firings — position
-     [j] reads the removed tuples, earlier atoms the post-deletion
-     state, later atoms the pre-deletion state (main ∪ removed) — and
-     decrement; a head whose count reaches zero dies. *)
-  let delete_counting live st ~rem ~retire ~firings =
-    let head_pred = List.hd st.st_preds in
-    let counts = counts_of live head_pred in
-    let dead = ref [] in
+  (* Delete within one stratum. [rem] holds, per predicate, the tuples
+     this batch has removed from the model so far, and it seeds the
+     rounds: the main store plus [rem] is the pre-deletion state (this
+     stratum's predicates have no [rem] entry yet), and [retire]
+     removes model tuples and moves them there. *)
+  let delete live st ~rem ~retire ~tally =
+    let grow = Hashtbl.create 8 in
     List.iter
-      (fun rp ->
-        fire_variants rp ~changed:(removed rem) ~before:(model live)
-          ~after:(fun p -> model live p @ removed rem p)
-          ~emit:(fun h ->
-            incr firings;
-            if bump counts h (-1) = 0 then dead := (head_pred, h) :: !dead))
-      st.st_rules;
-    retire !dead
-
-  (* An overdeleted relation of a DRed stratum: [od_rel] grows by
-     propagation rounds, [od_lo, od_hi) is the window the current round
-     propagates, and [od_saved] the tuples rederivation has saved. *)
-  type overdeleted = {
-    od_rel : Relation.t;
-    mutable od_lo : int;
-    mutable od_hi : int;
-    od_saved : unit Tset.t;
-  }
-
-  (* Recursive stratum: DRed. Overdelete every tuple with a firing
-     over the old state that touches a removed or overdeleted tuple;
-     rederive the overdeleted tuples still derivable from survivors;
-     the difference is the net deletion. *)
-  let delete_dred live st ~rem ~retire ~firings ~overdeleted ~rederived =
-    let in_stratum p = List.mem p st.st_preds in
-    let od : (string, overdeleted) Hashtbl.t = Hashtbl.create 4 in
-    (* Old state: for lower predicates main ∪ removed (they are already
-       patched); for stratum predicates main (untouched until the net
-       deletion is installed below). *)
-    let old_state p =
-      if in_stratum p then model live p else model live p @ removed rem p
-    in
-    let overdelete rp h =
-      incr firings;
-      match rel_opt live rp.rp_head with
-      | Some main when Relation.mem main h ->
-        let o =
-          match Hashtbl.find_opt od rp.rp_head with
-          | Some o -> o
-          | None ->
-            let o =
-              {
-                od_rel = Relation.create ~arity:(Tuple.arity h) ();
-                od_lo = 0;
-                od_hi = 0;
-                od_saved = Tset.create 16;
-              }
-            in
-            Hashtbl.add od rp.rp_head o;
-            o
+      (fun p -> Hashtbl.replace grow p (growing (Database.get rem p)))
+      (Database.predicates rem);
+    let old p = model live p @ whole (Database.find rem p) in
+    if not st.st_recursive then begin
+      (* Counting: one round enumerates exactly the lost firings —
+         atoms before the changed one read the post-deletion state,
+         atoms after it the pre-deletion state — and decrements; a
+         head whose count reaches zero dies. *)
+      let head = List.hd st.st_preds in
+      let counts = counts_of live head in
+      let dead = ref [] in
+      let lose h =
+        fire tally;
+        if bump counts h (-1) = 0 then dead := (head, h) :: !dead
+      in
+      saturate st grow ~before:(model live) ~after:old ~sink:(fun _ ->
+          { sk_dedup = None; sk_emit = lose });
+      retire !dead
+    end
+    else begin
+      (* DRed. Overdelete every tuple with a firing over the old state
+         that touches a removed or overdeleted tuple: the overdeleted
+         relations grow in the same rounds as [rem]'s seed. A program
+         or edb fact is saved as soon as it is overdeleted. *)
+      let od = Hashtbl.create 4 in
+      List.iter
+        (fun p ->
+          let arity = Relation.arity (Database.get live.lv_db p) in
+          let o = Relation.create ~arity () in
+          Hashtbl.replace od p (o, Relation.create ~arity ());
+          Hashtbl.replace grow p (growing o))
+        st.st_preds;
+      saturate st grow ~before:old ~after:old ~sink:(fun rp ->
+          let main = Database.get live.lv_db rp.rp_head in
+          let o, s = Hashtbl.find od rp.rp_head in
+          let overdelete ~hash raws =
+            fire tally;
+            within main o ~hash raws
+          in
+          let mark h =
+            Relation.add_new o h;
+            if Fact.Tbl.mem live.lv_pfacts (rp.rp_head, h) then
+              Relation.add_new s h
+          in
+          { sk_dedup = Some overdelete; sk_emit = mark });
+      (* Rederive: an overdeleted tuple is also saved if some rule
+         derives it from survivors — stratum atoms read main minus the
+         overdeletions not (yet) saved, lower atoms the new state. One
+         join per rule reads every unsaved overdeleted tuple at once;
+         then, unless none is left, the saved tuples propagate as
+         ordinary rounds. A firing counts when it saves a tuple. *)
+      let survivors p =
+        match Hashtbl.find_opt od p with
+        | Some (o, s) when not (Relation.is_empty o) ->
+          let dead t = (not (Relation.mem s t)) && Relation.mem o t in
+          whole ~skip:dead (rel_opt live p)
+        | _ -> model live p
+      in
+      let save rp =
+        let o, s = Hashtbl.find od rp.rp_head in
+        let keep h =
+          Relation.add_new s h;
+          fire tally
         in
-        ignore (Relation.add o.od_rel h)
-      | _ -> ()
-    in
-    (* Seed: firings lost to lower-stratum removals. *)
-    List.iter
-      (fun rp ->
-        fire_variants rp
-          ~changed:(fun p -> if in_stratum p then [] else removed rem p)
-          ~before:old_state ~after:old_state ~emit:(overdelete rp))
-      st.st_rules;
-    (* Propagate: an overdeleted stratum tuple loses the firings it
-       supported, each round from the tuples the last one overdeleted.
-       Set semantics — overcounting is harmless here. *)
-    let pending () =
-      Hashtbl.fold
-        (fun _ o more ->
-          o.od_hi <- Relation.bound o.od_rel;
-          more || o.od_hi > o.od_lo)
-        od false
-    in
-    let round p =
-      match Hashtbl.find_opt od p with
-      | Some o -> span o.od_rel ~lo:o.od_lo ~hi:o.od_hi
-      | None -> []
-    in
-    while pending () do
+        { sk_dedup = Some (within o s); sk_emit = keep }
+      in
       List.iter
         (fun rp ->
-          fire_variants rp ~changed:round ~before:old_state ~after:old_state
-            ~emit:(overdelete rp))
+          let o, s = Hashtbl.find od rp.rp_head in
+          let { sk_dedup; sk_emit } = save rp in
+          let sources =
+            Array.init
+              (Array.length rp.rp_preds + 1)
+              (fun i ->
+                Joiner.Spans
+                  (if i = 0 then whole ~skip:(Relation.mem s) (Some o)
+                   else survivors rp.rp_preds.(i - 1)))
+          in
+          Joiner.run rp.rp_rederive ~sources ?fast_dedup:sk_dedup no_windows
+            ~emit:sk_emit)
         st.st_rules;
-      Hashtbl.iter (fun _ o -> o.od_lo <- o.od_hi) od
-    done;
-    Hashtbl.iter
-      (fun _ o -> overdeleted := !overdeleted + Relation.cardinal o.od_rel)
-      od;
-    (* Rederive: an overdeleted tuple survives if some rule derives it
-       from survivors — stratum atoms read main minus the still-dead
-       overdeletions, lower atoms the new state. Iterate to fixpoint:
-       each save can justify more. *)
-    let survivors p =
-      match Hashtbl.find_opt od p with
-      | Some o ->
-        let dead t = Relation.mem o.od_rel t && not (Tset.mem o.od_saved t) in
-        whole ~skip:dead (rel_opt live p)
-      | None -> model live p
-    in
-    (* Stop at the first firing: one is enough to save the tuple. *)
-    let rederivable pred o k =
-      let exception Derived in
-      let sources rp =
-        Array.init
-          (Array.length rp.rp_preds + 1)
-          (fun i ->
-            Joiner.Spans
-              (if i = 0 then span o.od_rel ~lo:k ~hi:(k + 1)
-               else survivors rp.rp_preds.(i - 1)))
+      let unsaved =
+        Hashtbl.fold
+          (fun _ (o, s) n -> n + Relation.cardinal o - Relation.cardinal s)
+          od 0
       in
-      List.exists
-        (fun rp ->
-          String.equal rp.rp_head pred
-          &&
-          match
-            Joiner.run rp.rp_rederive ~sources:(sources rp) no_windows
-              ~emit:(fun _ -> raise Derived)
-          with
-          | () -> false
-          | exception Derived ->
-            incr firings;
-            true)
-        st.st_rules
-    in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Hashtbl.iter
-        (fun pred o ->
-          let k = ref 0 in
-          Relation.iter
-            (fun t ->
-              if
-                (not (Tset.mem o.od_saved t))
-                && (Ltbl.mem live.lv_pfacts (pred, t) || rederivable pred o !k)
-              then begin
-                Tset.replace o.od_saved t ();
-                changed := true
-              end;
-              incr k)
-            o.od_rel)
-        od
-    done;
-    Hashtbl.iter
-      (fun _ o -> rederived := !rederived + Tset.length o.od_saved)
-      od;
-    (* Install the net deletion. *)
-    retire
-      (Hashtbl.fold
-         (fun pred o acc ->
-           Relation.fold
-             (fun t acc ->
-               if Tset.mem o.od_saved t then acc else (pred, t) :: acc)
-             o.od_rel acc)
-         od [])
+      if unsaved > 0 then begin
+        let grow = Hashtbl.create 4 in
+        Hashtbl.iter (fun p (_, s) -> Hashtbl.replace grow p (growing s)) od;
+        saturate st grow ~before:survivors ~after:survivors ~sink:save
+      end;
+      retire
+        (Hashtbl.fold
+           (fun p (o, s) acc ->
+             tally.overdeleted <- tally.overdeleted + Relation.cardinal o;
+             tally.rederived <- tally.rederived + Relation.cardinal s;
+             Relation.fold
+               (fun t acc -> if Relation.mem s t then acc else (p, t) :: acc)
+               o acc)
+           od [])
+    end
 
   (* ---------------------------------------------------------------- *)
   (* Insertion phase                                                  *)
 
-  (* [add_lo] watermarks every relation before the batch's first
-     append: the added region of predicate [p] is [add_lo(p), bound). *)
-  let lo_of live ~add_lo p =
-    match Hashtbl.find_opt add_lo p with Some v -> v | None -> bound live p
-
-  (* Counting stratum: the gained firings — position [j] reads the
-     added window, earlier atoms the full new state, later atoms the
-     pre-addition prefix — increment; a 0→1 head is born. *)
-  let insert_counting live st ~add_lo ~note_added ~firings =
-    let head_pred = List.hd st.st_preds in
-    let counts = counts_of live head_pred in
-    (* Head relations exist: the initial evaluation declared every
-       derived predicate. *)
-    let head_rel = Database.get live.lv_db head_pred in
-    let lo_of = lo_of live ~add_lo in
+  (* Insert within one stratum: semi-naive resumed from the added
+     windows over the live store. [add_lo] watermarks every relation
+     before the batch's first append, so the added region of [p] is
+     [add_lo(p), bound); a round's change is [lo, cur), earlier atoms
+     read [0, lo) and later atoms [0, cur). This orientation enumerates
+     each gained firing exactly once, so a counting stratum bumps its
+     counts here too, and a 0→1 head is born. *)
+  let insert live st ~add_lo ~note_added ~tally =
+    let grow = Hashtbl.create 8 in
     List.iter
       (fun rp ->
-        fire_variants rp
-          ~changed:(fun p -> window live p ~lo:(lo_of p) ~hi:(bound live p))
-          ~before:(model live)
-          ~after:(fun p -> window live p ~lo:0 ~hi:(lo_of p))
-          ~emit:(fun h ->
-            incr firings;
-            if bump counts h 1 = 1 && Relation.add head_rel h then
-              note_added (head_pred, h)))
-      st.st_rules
-
-  (* Recursive stratum: plain semi-naive resumed from the added
-     windows, driven over the live store with local watermarks (the
-     in-place analogue of [Seminaive.resume]): a round's delta is
-     [lo, cur), earlier atoms read [0, lo), later atoms [0, cur). *)
-  let insert_seminaive live st ~add_lo ~note_added ~firings =
-    let scope =
-      List.sort_uniq String.compare
-        (List.concat_map
-           (fun rp -> rp.rp_head :: Array.to_list rp.rp_preds)
-           st.st_rules)
+        List.iter
+          (fun p ->
+            match (rel_opt live p, Hashtbl.find_opt add_lo p) with
+            | Some rel, Some lo -> Hashtbl.replace grow p (growing rel ~lo)
+            | _ -> ())
+          (rp.rp_head :: Array.to_list rp.rp_preds))
+      st.st_rules;
+    let upto hi p =
+      match Hashtbl.find_opt grow p with
+      | Some g -> span g.g_rel ~lo:0 ~hi:(hi g)
+      | None -> []
     in
-    let lo : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let cur : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun p ->
-        Hashtbl.replace lo p (lo_of live ~add_lo p);
-        Hashtbl.replace cur p (bound live p))
-      scope;
-    let delta p =
-      window live p ~lo:(Hashtbl.find lo p) ~hi:(Hashtbl.find cur p)
+    let counts =
+      if st.st_recursive then None
+      else Some (counts_of live (List.hd st.st_preds))
     in
-    while List.exists (fun p -> delta p <> []) scope do
-      List.iter
-        (fun rp ->
-          let head_rel = Database.get live.lv_db rp.rp_head in
-          fire_variants rp ~changed:delta
-            ~before:(fun p -> window live p ~lo:0 ~hi:(Hashtbl.find lo p))
-            ~after:(fun p -> window live p ~lo:0 ~hi:(Hashtbl.find cur p))
-            ~emit:(fun h ->
-              incr firings;
-              if Relation.add head_rel h then note_added (rp.rp_head, h)))
-        st.st_rules;
-      List.iter
-        (fun p ->
-          Hashtbl.replace lo p (Hashtbl.find cur p);
-          Hashtbl.replace cur p (bound live p))
-        scope
-    done
+    saturate st grow
+      ~before:(upto (fun g -> g.g_lo))
+      ~after:(upto (fun g -> g.g_hi))
+      ~sink:(fun rp ->
+        (* Head relations exist: the initial evaluation declared every
+           derived predicate. *)
+        let head_rel = Database.get live.lv_db rp.rp_head in
+        match counts with
+        | Some c ->
+          let gain h =
+            fire tally;
+            if bump c h 1 = 1 && Relation.add head_rel h then
+              note_added (rp.rp_head, h)
+          in
+          { sk_dedup = None; sk_emit = gain }
+        | None ->
+          let known ~hash raws =
+            fire tally;
+            if Relation.mem_raw head_rel ~hash raws then `Dup else `New
+          in
+          let born h =
+            Relation.add_new head_rel h;
+            note_added (rp.rp_head, h)
+          in
+          { sk_dedup = Some known; sk_emit = born })
 
   (* ---------------------------------------------------------------- *)
 
@@ -572,48 +516,34 @@ module Live = struct
     let adds, rems = Delta.Batch.normalize batch ~present in
     if adds = [] && rems = [] then no_change
     else begin
-      let removed_now = Ltbl.create 32 in
-      let added_now = Ltbl.create 32 in
+      let removed_now = Fact.Tbl.create 32 in
+      let added_now = Fact.Tbl.create 32 in
       let note_added key =
-        if Ltbl.mem removed_now key then Ltbl.remove removed_now key
-        else Ltbl.replace added_now key ()
+        if Fact.Tbl.mem removed_now key then Fact.Tbl.remove removed_now key
+        else Fact.Tbl.replace added_now key ()
       in
-      let firings = ref 0 in
-      let overdeleted = ref 0 in
-      let rederived = ref 0 in
+      let tally = { firings = 0; overdeleted = 0; rederived = 0 } in
       (* -------- deletions, bottom-up -------- *)
       if rems <> [] then begin
-        let rem : (string, Relation.t) Hashtbl.t = Hashtbl.create 8 in
+        let rem = Database.create () in
         let retire pairs =
           ignore (Database.remove_facts live.lv_db pairs);
           List.iter
             (fun ((pred, t) as key) ->
-              let r =
-                match Hashtbl.find_opt rem pred with
-                | Some r -> r
-                | None ->
-                  let r = Relation.create ~arity:(Tuple.arity t) () in
-                  Hashtbl.add rem pred r;
-                  r
-              in
-              ignore (Relation.add r t);
-              Ltbl.replace removed_now key ())
+              ignore (Database.add_fact rem pred t);
+              Fact.Tbl.replace removed_now key ())
             pairs
         in
         retire rems;
-        List.iter
-          (fun st ->
-            if st.st_recursive then
-              delete_dred live st ~rem ~retire ~firings ~overdeleted
-                ~rederived
-            else delete_counting live st ~rem ~retire ~firings)
-          live.lv_strata
+        List.iter (fun st -> delete live st ~rem ~retire ~tally) live.lv_strata
       end;
       (* -------- insertions, bottom-up -------- *)
       if adds <> [] then begin
         let add_lo : (string, int) Hashtbl.t = Hashtbl.create 16 in
         List.iter
-          (fun pred -> Hashtbl.replace add_lo pred (bound live pred))
+          (fun pred ->
+            Hashtbl.replace add_lo pred
+              (Relation.bound (Database.get live.lv_db pred)))
           (Database.predicates live.lv_db);
         List.iter
           (fun (pred, tuple) ->
@@ -622,10 +552,7 @@ module Live = struct
               note_added (pred, tuple))
           adds;
         List.iter
-          (fun st ->
-            if st.st_recursive then
-              insert_seminaive live st ~add_lo ~note_added ~firings
-            else insert_counting live st ~add_lo ~note_added ~firings)
+          (fun st -> insert live st ~add_lo ~note_added ~tally)
           live.lv_strata
       end;
       let collect tbl =
@@ -634,7 +561,7 @@ module Live = struct
             match String.compare p1 p2 with
             | 0 -> Tuple.compare t1 t2
             | c -> c)
-          (Ltbl.fold (fun key () acc -> key :: acc) tbl [])
+          (Fact.Tbl.fold (fun key () acc -> key :: acc) tbl [])
       in
       let added = collect added_now in
       let removed = collect removed_now in
@@ -642,9 +569,9 @@ module Live = struct
         {
           Delta.s_inserted = List.length added;
           s_deleted = List.length removed;
-          s_overdeleted = !overdeleted;
-          s_rederived = !rederived;
-          s_firings = !firings;
+          s_overdeleted = tally.overdeleted;
+          s_rederived = tally.rederived;
+          s_firings = tally.firings;
         }
       in
       live.lv_totals <- Delta.add_summary live.lv_totals summary;

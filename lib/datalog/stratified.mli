@@ -9,8 +9,7 @@
     {!Seminaive.evaluate}'s, which the test suite checks. *)
 
 val evaluate :
-  ?pushdown:bool -> ?reorder:bool -> Program.t -> Database.t ->
-  Database.t * Seminaive.stats
+  ?pushdown:bool -> Program.t -> Database.t -> Database.t * Seminaive.stats
 (** The least model plus aggregate statistics across components
     ([iterations] sums the per-component iteration counts). The input
     database is not modified.
@@ -21,20 +20,27 @@ val evaluate :
 
     A {!Live.t} holds the full model (base + derived) and per-stratum
     support bookkeeping. {!Live.apply} folds an update batch into the
-    model stratum-by-stratum: non-recursive strata are maintained by
-    exact derivation counting (the telescoped lost/gained-firing
-    enumeration), recursive strata by DRed — overdelete everything a
-    removed tuple might have supported, rederive what survives from the
-    remainder, install the difference — followed by a semi-naive
-    insertion pass resumed from the added windows only. Every firing
-    is enumerated by {!Joiner.run}, each pass with the plan that scans
-    its changed window first. Work is proportional to the consequences
-    of the batch, not the store: a deletion tombstones its victims
-    ({!Database.remove_facts}), so survivors keep their positions and
-    the indexes the next pass probes stay built, and every window is
-    measured against {!Relation.bound}. The returned {!Live.change} is
-    the exact net model difference, which is what the session runtimes
-    propagate to resident workers. *)
+    model stratum by stratum, and every pass is the same loop:
+    semi-naive rounds over a table of growing relations, each round
+    firing every rule's variants with the growth since the last round
+    as the changed atoms, each variant through {!Joiner.run} with the
+    plan that scans its changed window first, until a round adds
+    nothing. Deletion seeds the rounds with the removed tuples.
+    Non-recursive strata keep exact derivation counts: one round
+    enumerates the lost firings and decrements, and a tuple dies at
+    zero. Recursive strata use DRed: overdelete everything a removed
+    tuple might have supported (the overdeleted relations grow in the
+    same rounds), rederive set-at-a-time — one join per rule over all
+    overdeleted tuples, then the saved tuples propagate as rounds —
+    and install the difference. Insertion is semi-naive resumed from
+    the added windows; a counting stratum bumps its counts there. Work
+    is proportional to the consequences of the batch, not the store: a
+    deletion tombstones its victims ({!Database.remove_facts}), so
+    survivors keep their positions and the indexes the next pass
+    probes stay built, and every window is measured against
+    {!Relation.bound}. The returned {!Live.change} is the exact net
+    model difference, which is what the session runtimes propagate to
+    resident workers. *)
 module Live : sig
   type t
 
@@ -48,8 +54,7 @@ module Live : sig
             [c_added]. *)
   }
 
-  val create :
-    ?pushdown:bool -> ?reorder:bool -> Program.t -> edb:Database.t -> t
+  val create : ?pushdown:bool -> Program.t -> edb:Database.t -> t
   (** Evaluate the program over [edb] and set up maintenance state.
       Tuples the [edb] seeds under derived predicates are treated like
       program facts: externally supported, never deleted by

@@ -67,17 +67,16 @@ let compare a b =
       in
       go 0
 
+(* A top-level loop, so comparing allocates nothing. *)
+let rec same_data da db i =
+  i >= Array.length da
+  || (Const.equal da.(i) db.(i) && same_data da db (i + 1))
+
 let equal a b =
   a == b
-  || (a.hcache = b.hcache
-     &&
-     let la = Array.length a.data in
-     la = Array.length b.data
-     &&
-     let rec go i =
-       i >= la || (Const.equal a.data.(i) b.data.(i) && go (i + 1))
-     in
-     go 0)
+  || a.hcache = b.hcache
+     && Array.length a.data = Array.length b.data
+     && same_data a.data b.data 0
 
 let pp ppf t =
   Format.fprintf ppf "(@[%a@])"

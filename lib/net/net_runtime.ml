@@ -11,7 +11,6 @@ module Sim_runtime = Pardatalog.Sim_runtime
 module Session = Pardatalog.Session
 module Processor = Pardatalog.Processor
 module Pool = Pardatalog.Pool
-module Ktbl = Processor.Ktbl
 
 let log_src = Logs.Src.create "pardatalog.net" ~doc:"Multi-process runtime"
 
@@ -114,7 +113,7 @@ type wproc = {
   (* Derived tuples already shipped in a checkpoint (or restored from
      one): checkpoints carry only the delta, the coordinator
      accumulates. *)
-  dumped : unit Ktbl.t;
+  dumped : unit Fact.Tbl.t;
 }
 
 let snap_of ~store w : Wire.psnap =
@@ -230,7 +229,7 @@ let worker_body ~addr ~worker ~inc =
               last_ckpt = 0;
               seen_new = [];
               ckpt_acc = [];
-              dumped = Ktbl.create 256;
+              dumped = Fact.Tbl.create 256;
             })
       (List.init nprocs Fun.id)
   in
@@ -304,9 +303,9 @@ let worker_body ~addr ~worker ~inc =
         w.ckpt_acc <- [];
         List.filter
           (fun (pred, t) ->
-            if Ktbl.mem w.dumped (pred, t) then false
+            if Fact.Tbl.mem w.dumped (pred, t) then false
             else begin
-              Ktbl.replace w.dumped (pred, t) ();
+              Fact.Tbl.replace w.dumped (pred, t) ();
               true
             end)
           acc
@@ -373,7 +372,7 @@ let worker_body ~addr ~worker ~inc =
           ignore (Seminaive.inject w.p.engine pred t);
           (* These tuples are already at the coordinator; future
              checkpoints ship only what this incarnation adds. *)
-          Ktbl.replace w.dumped (pred, t) ();
+          Fact.Tbl.replace w.dumped (pred, t) ();
           incr injected;
           (* A large restore must not look like death to the failure
              detector: keep heartbeats flowing while injecting. *)
@@ -446,12 +445,12 @@ let worker_body ~addr ~worker ~inc =
          is quiescent and retraction is legal. Re-derivation after a
          later re-insertion flows through the ordinary step loop. *)
       let dels = Wire.to_batch dels in
-      let gone = Ktbl.create 16 in
+      let gone = Fact.Tbl.create 16 in
       List.iter
         (fun (pred, t) ->
           if List.mem pred rw.derived then begin
-            Ktbl.replace gone (Rewrite.stored_pred rw pred, t) ();
-            Ktbl.replace gone (Rewrite.in_pred pred, t) ()
+            Fact.Tbl.replace gone (Rewrite.stored_pred rw pred, t) ();
+            Fact.Tbl.replace gone (Rewrite.in_pred pred, t) ()
           end)
         dels;
       List.iter
@@ -460,8 +459,9 @@ let worker_body ~addr ~worker ~inc =
           (* The checkpoint cover forgets exactly the removed tuples: a
              re-derived tuple must enter a checkpoint again, while
              everything still true stays covered. *)
-          Ktbl.iter (fun key () -> Ktbl.remove w.dumped key) gone;
-          w.ckpt_acc <- List.filter (fun key -> not (Ktbl.mem gone key)) w.ckpt_acc)
+          Fact.Tbl.iter (fun key () -> Fact.Tbl.remove w.dumped key) gone;
+          w.ckpt_acc <-
+            List.filter (fun key -> not (Fact.Tbl.mem gone key)) w.ckpt_acc)
         procs
     | Update { dst; batch } ->
       (* Net base insertions of a session batch: pending work for the
@@ -1423,10 +1423,10 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     let removed = oc.oc_removed and added = oc.oc_added in
     if removed <> [] || added <> [] then begin
       if removed <> [] then begin
-        let removed_tbl = Ktbl.create 64 in
-        List.iter (fun kt -> Ktbl.replace removed_tbl kt ()) removed;
+        let removed_tbl = Fact.Tbl.create 64 in
+        List.iter (fun kt -> Fact.Tbl.replace removed_tbl kt ()) removed;
         let gone name wt =
-          Ktbl.mem removed_tbl
+          Fact.Tbl.mem removed_tbl
             (Rewrite.original_pred name, Wire.to_tuple wt)
         in
         (* Purge the replay histories and checkpoint dumps of exactly

@@ -5,8 +5,12 @@
 # batch, and require the final live answer to be byte-identical to
 # (a) a from-scratch QUERY on the same server (whose EDB was patched
 # by the same updates) and (b) a second, update-free server loaded
-# directly with the final fact set. The stream runs on both session
-# runtimes: sim, and domain (the daemon's default).
+# directly with the final fact set. A second dataset puts a counting
+# stratum (twohop) over the recursive path and retracts an edge with a
+# second route, so part of the overdeletion is rederived; after every
+# batch each derived predicate's live rows must equal the same-server
+# recomputation. Both streams run on both session runtimes: sim, and
+# domain (the daemon's default).
 #
 # Usage: incr_smoke.sh DATALOGD
 set -eu
@@ -196,5 +200,66 @@ fresh: $fresh_rows"
   echo "incr_smoke: $runtime ok (4 batches + replay + 4 toggles, $n final rows, live = scratch = fresh)"
 }
 
+cat > "$dir/hop.dl" <<'EOF'
+path(X,Y) :- edge(X,Y).
+path(X,Y) :- edge(X,Z), path(Z,Y).
+twohop(X,Y) :- path(X,Z), path(Z,Y).
+EOF
+cat > "$dir/hop_start.dl" <<'EOF'
+edge(1,2). edge(2,3). edge(1,3). edge(3,4). edge(4,5).
+EOF
+
+# After batch ID, PRED's live rows must be non-empty and equal the
+# same server's from-scratch rows.
+same_rows () {
+  id=$1 pred=$2
+  reply=$(printf 'QUERY id=%sl prog=hop goal=%s live=true rows=true\nQUERY id=%ss prog=hop goal=%s rows=true\n' \
+            "$id" "$pred" "$id" "$pred" \
+            | client "$id $pred rows" "$sock") \
+    || exit 1
+  echo "$reply" | grep -q "RESULT id=${id}l status=ok .* scheme=live" \
+    || fail "$id: live $pred query did not answer from the live model: $reply"
+  hop_live=$(echo "$reply" | sed -n "/RESULT id=${id}l/,/END id=${id}l/p" | grep '^ROW ' || true)
+  hop_scratch=$(echo "$reply" | sed -n "/RESULT id=${id}s/,/END id=${id}s/p" | grep '^ROW ' || true)
+  [ -n "$hop_live" ] && [ "$hop_live" = "$hop_scratch" ] \
+    || fail "$id: live $pred rows differ from same-server recomputation:
+live:    $hop_live
+scratch: $hop_scratch"
+}
+
+# The two-stratum stream against a fresh daemon on RUNTIME.
+hop_stream () {
+  runtime=$1
+  "$datalogd" --socket "$sock" --runtime "$runtime" -j 2 \
+    --load hop="$dir/hop.dl" --facts hop="$dir/hop_start.dl" \
+    > "$dir/server.log" 2>&1 &
+  server=$!
+  wait_ready "$sock" "$server" "$dir/server.log"
+
+  # edge(1,3) is a second route: retracting edge(1,2) overdeletes
+  # path(1,2..5) and rederives path(1,3..5). twohop(1,3) loses its one
+  # derivation, twohop(1,4) one of its two.
+  out=$(printf 'RETRACT id=r1 prog=hop\nedge(1,2).\n.\n' \
+          | client "hop retract" "$sock") || exit 1
+  echo "$out" | grep -q 'OK retract prog=hop id=r1 added=0 removed=3' \
+    || fail "r1 did not remove edge(1,2), path(1,2) and twohop(1,3): $out"
+  same_rows r1 path
+  same_rows r1 twohop
+
+  # path(3,5) is overdeleted, not rederived, then inserted again.
+  out=$(printf 'UPDATE id=u1 prog=hop\n-edge(3,4).\n+edge(3,5).\n.\n' \
+          | client "hop update" "$sock") || exit 1
+  echo "$out" | grep -q 'OK update prog=hop id=u1 added=1 removed=7' \
+    || fail "u1 did not move one edge, three paths and three twohops: $out"
+  same_rows u1 path
+  same_rows u1 twohop
+
+  kill -TERM "$server" && wait "$server" || fail "hop server drain failed"
+  server=
+  echo "incr_smoke: $runtime hop ok (a rederiving retract + a mixed update, live = scratch per predicate)"
+}
+
 stream sim
 stream domain
+hop_stream sim
+hop_stream domain

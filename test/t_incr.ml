@@ -21,6 +21,16 @@ let stratified_program =
 let nonrec_program =
   Parser.program_exn "pair(X,Y) :- e(X,Y), f(Y). single(X) :- f(X)."
 
+(* The recursive atom first: rederiving a chain tuple reads [tc(X,Z)]
+   bound on [X] only. *)
+let left_program =
+  Parser.program_exn "tc(X,Y) :- e(X,Y). tc(X,Y) :- tc(X,Z), e(Z,Y)."
+
+(* Both body atoms in the stratum: one saved tuple is a round's delta
+   at two positions. *)
+let nonlinear_program =
+  Parser.program_exn "tc(X,Y) :- e(X,Y). tc(X,Y) :- tc(X,Z), tc(Z,Y)."
+
 let t2 a b = Tuple.of_ints [ a; b ]
 let t1 a = Tuple.of_ints [ a ]
 
@@ -388,6 +398,36 @@ let live_tests =
                 [3; 1; 0; 0; 2];
                 [0; 5; 0; 0; 2];
               ] );
+            ( "left-linear", left_program, false,
+              [
+                [6; 0; 0; 0; 17];
+                [0; 2; 24; 23; 72];
+                [1; 0; 0; 0; 1];
+                [10; 0; 0; 0; 29];
+                [7; 8; 56; 49; 191];
+                [0; 0; 0; 0; 0];
+                [0; 7; 54; 48; 166];
+                [0; 0; 0; 0; 0];
+                [2; 0; 0; 0; 10];
+                [2; 0; 0; 0; 2];
+                [1; 1; 1; 1; 11];
+                [1; 0; 0; 0; 9];
+              ] );
+            ( "non-linear", nonlinear_program, false,
+              [
+                [6; 0; 0; 0; 56];
+                [0; 2; 24; 23; 195];
+                [1; 0; 0; 0; 1];
+                [10; 0; 0; 0; 132];
+                [7; 8; 56; 49; 814];
+                [0; 0; 0; 0; 0];
+                [0; 7; 54; 48; 709];
+                [0; 0; 0; 0; 0];
+                [2; 0; 0; 0; 2];
+                [2; 0; 0; 0; 2];
+                [1; 1; 1; 1; 3];
+                [1; 0; 0; 0; 1];
+              ] );
           ]);
     case "a wrong-arity update rejects its whole batch before anything lands"
       (fun () ->
@@ -457,7 +497,8 @@ let live_tests =
 (* ------------------------------------------------------------------ *)
 
 let programs =
-  [| tc_program; stratified_program; nonrec_program |]
+  [| tc_program; stratified_program; nonrec_program; left_program;
+     nonlinear_program |]
 
 let stream_arb =
   QCheck.make

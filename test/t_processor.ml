@@ -113,7 +113,8 @@ let cases =
         let pred, t = anc 1 2 in
         let produced = [ (Rewrite.out_pred pred, t) ] in
         Alcotest.(check int) "sent once" 1 (routed p produced);
-        Alcotest.(check int) "no history kept" 0 (Processor.Ktbl.length p.history.(0));
+        Alcotest.(check int) "no history kept" 0
+          (Fact.Tbl.length p.history.(0));
         Alcotest.(check int) "dedup:false sends every copy" 2
           (Array.fold_left (fun n b -> n + List.length b) 0
              (Processor.route ~dedup:false p produced)));

@@ -517,6 +517,40 @@ let test_remove_facts () =
   Alcotest.(check int) "an empty list removes nothing" 0
     (Database.remove_facts db [])
 
+(* The semi-naive duplicate filter runs on every firing, and
+   maintenance tests membership per candidate, so neither test may
+   allocate, hit or miss. *)
+let test_mem_allocation () =
+  let r = Relation.create ~arity:2 () in
+  for i = 0 to 999 do
+    ignore (Relation.add r (Tuple.of_ints [ i; i + 1 ]))
+  done;
+  let raws_of a b = [| Const.to_raw (Const.int a); Const.to_raw (Const.int b) |] in
+  let key_of a b = Tuple.hash_key [| Const.int a; Const.int b |] in
+  let hit = raws_of 7 8 and hit_hash = key_of 7 8 in
+  let miss = raws_of 8 7 and miss_hash = key_of 8 7 in
+  let hit_t = Tuple.of_ints [ 7; 8 ] and miss_t = Tuple.of_ints [ 8; 7 ] in
+  let calls = 100_000 in
+  let per_call name test =
+    let found = ref 0 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      if test `Hit then incr found;
+      if test `Miss then incr found
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int (2 * calls) in
+    Alcotest.(check int) (name ^ ": every hit found, no miss") calls !found;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f minor words per call, under 1" name words)
+      true (words < 1.)
+  in
+  per_call "mem_raw" (function
+    | `Hit -> Relation.mem_raw r ~hash:hit_hash hit
+    | `Miss -> Relation.mem_raw r ~hash:miss_hash miss);
+  per_call "mem" (function
+    | `Hit -> Relation.mem r hit_t
+    | `Miss -> Relation.mem r miss_t)
+
 (* ------------------------------------------------------------------ *)
 
 let storage =
@@ -540,6 +574,7 @@ let storage =
     case "removing k of n tuples keeps every index" test_removal_keeps_indexes;
     case "remove_facts compacts a relation once mostly dead"
       test_remove_facts_compacts_sparse;
+    case "mem and mem_raw allocate nothing, hit or miss" test_mem_allocation;
   ]
 
 let suites = [ ("storage", storage) ]
