@@ -600,6 +600,7 @@ let par_cmd =
         ("--net-partition", `Net, net_partition <> None);
         ("--net-transport", `Net, net_transport <> None);
         ("--net-hb-ms", `Net, net_hb <> None);
+        ("--max-rounds", `Sim, max_rounds <> None);
       ];
     (* Domain crash recovery rebuilds from the base fragment and keeps
        no snapshots, so a checkpoint interval there would do nothing. *)
@@ -775,16 +776,16 @@ let par_cmd =
           if not quiet then
             print_answers result.Sim_runtime.answers rw.Rewrite.derived;
           print_stats result.Sim_runtime.stats
-        | exception Sim_runtime.Round_budget_exceeded { round; stats } ->
-          write_sinks ();
-          Format.printf "round budget exceeded after %d rounds@." round;
-          print_stats ~outcome:"round_budget" stats;
-          exit 3
         | exception Overload.Overload { reason; stats } ->
           write_sinks ();
-          Format.printf "overload: %a@." Overload.pp_reason reason;
+          let rounds =
+            match reason with Overload.Round_budget _ -> true | _ -> false
+          in
+          Format.printf
+            (if rounds then "%a@." else "overload: %a@.")
+            Overload.pp_reason reason;
           print_stats ~outcome:(Overload.reason_kind reason) stats;
-          exit 4
+          exit (if rounds then 3 else 4)
         | exception Plan.Rejected r ->
           write_sinks ();
           plan_reject r

@@ -119,16 +119,6 @@ let balance_of ~profile ~nprocs routes =
 let base_atoms_of derived (r : Rule.t) =
   List.filter (fun (a : Atom.t) -> not (List.mem a.Atom.pred derived)) r.Rule.body
 
-(* Default Section 7 choice, mirrored from [Strategy.general]: each
-   rule discriminates on its first derived body atom's variables, or on
-   its first body atom's when it has none. *)
-let general_choice derived (r : Rule.t) =
-  match
-    List.find_opt (fun (a : Atom.t) -> List.mem a.Atom.pred derived) r.Rule.body
-  with
-  | Some a -> Atom.vars a
-  | None -> ( match r.Rule.body with a :: _ -> Atom.vars a | [] -> [])
-
 let estimate ?profile ~nprocs ~scheme (p : Program.t) =
   let n = float_of_int nprocs in
   let t = tuple_volume ?profile p in
@@ -167,10 +157,10 @@ let estimate ?profile ~nprocs ~scheme (p : Program.t) =
           p.Program.rules
       in
       let m = float_of_int (List.length with_derived) *. unicast in
+      let choose = Strategy.default_choice p in
       let routes =
         List.map
-          (fun (r : Rule.t) ->
-            (general_choice derived r, base_atoms_of derived r))
+          (fun (r : Rule.t) -> (choose r, base_atoms_of derived r))
           p.Program.rules
       in
       (m, 0., routes)

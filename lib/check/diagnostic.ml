@@ -111,25 +111,9 @@ let pp_summary ppf diags =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   let field name value = Printf.sprintf "\"%s\":%s" name value in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
+  let str s = Printf.sprintf "\"%s\"" (Obs.Json.escape s) in
   let fields =
     [
       field "code" (str d.code);

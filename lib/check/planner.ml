@@ -74,14 +74,6 @@ let q_sequences (s : Analysis.sirup) =
   in
   List.sort_uniq compare pairs
 
-let build ~nprocs ~seed scheme program =
-  match scheme with
-  | Plan.Nocomm _ -> Strategy.no_communication ~seed ~nprocs program
-  | Plan.Q { ve; vr } -> Strategy.hash_q ~seed ~nprocs ~ve ~vr program
-  | Plan.Wolfson -> Strategy.wolfson_redundant ~seed ~nprocs program
-  | Plan.Tradeoff { alpha } -> Strategy.tradeoff ~seed ~nprocs ~alpha program
-  | Plan.General -> Strategy.general ~seed ~nprocs program
-
 let enumerate ?file ~nprocs ~seed program =
   ignore file;
   let schemes =
@@ -114,7 +106,7 @@ let enumerate ?file ~nprocs ~seed program =
      constructor accepts — the same rebuild [Plan.verify] performs when
      the certificate is later presented to a runtime. *)
   List.filter
-    (fun scheme -> Result.is_ok (build ~nprocs ~seed scheme program))
+    (fun scheme -> Result.is_ok (Plan.build ~nprocs ~seed scheme program))
     schemes
 
 let strata_of program ~coordination_free =

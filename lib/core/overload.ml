@@ -4,6 +4,7 @@ type reason =
   | Deadline of { seconds : float; elapsed : float; round : int }
   | Store_budget of { pid : Pid.t; rows : int; limit : int }
   | Outbox_budget of { pid : Pid.t; rows : int; limit : int }
+  | Round_budget of { round : int }
 
 type limits = {
   deadline : float option;
@@ -36,6 +37,7 @@ let reason_kind = function
   | Deadline _ -> "deadline"
   | Store_budget _ -> "store_budget"
   | Outbox_budget _ -> "outbox_budget"
+  | Round_budget _ -> "round_budget"
 
 let pp_reason ppf = function
   | Deadline { seconds; elapsed; round } ->
@@ -48,6 +50,8 @@ let pp_reason ppf = function
   | Outbox_budget { pid; rows; limit } ->
     Format.fprintf ppf
       "processor %d outbox backlog is %d rows (budget %d)" pid rows limit
+  | Round_budget { round } ->
+    Format.fprintf ppf "round budget exceeded after %d rounds" round
 
 (* Store accounting: rows are exact; bytes are the word-size estimate
    [rows * arity * 8] summed over relations — enough to compare

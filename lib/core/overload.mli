@@ -29,6 +29,9 @@ type reason =
           driver's own products not yet routed plus the routed rows
           still deferred for channel credit. In-flight rows do not
           count. *)
+  | Round_budget of { round : int }
+      (** The simulator's cumulative round budget ([max_rounds]) ran
+          out after [round] rounds. *)
 
 type limits = {
   deadline : float option;
@@ -54,9 +57,9 @@ val pp_reason : Format.formatter -> reason -> unit
 
 val reason_kind : reason -> string
 (** Stable lowercase identifier of the abort kind — ["deadline"],
-    ["store_budget"] or ["outbox_budget"] — used by the schema-2
-    [Stats.to_json] attribution fields and the [datalogd] protocol's
-    [PARTIAL] replies. *)
+    ["store_budget"], ["outbox_budget"] or ["round_budget"] — used by
+    the schema-2 [Stats.to_json] attribution fields and the [datalogd]
+    protocol's [PARTIAL] replies. *)
 
 val db_rows : Database.t -> int
 (** Exact row count of a processor's store. *)

@@ -74,23 +74,9 @@ let make ~nprocs ~seed ~scheme ~cost ~strata program =
 
 (* ---------- JSON writing (deterministic: fixed order, %.3f) ---------- *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let buf_str b s =
   Buffer.add_char b '"';
-  buf_escape b s;
+  Buffer.add_string b (Obs.Json.escape s);
   Buffer.add_char b '"'
 
 let buf_strs b vs =
@@ -425,9 +411,8 @@ let theorem2 (s : Analysis.sirup) ~ve ~vr =
       "a variable of vr is not bound in the recursive rule's body (Theorem 2)"
   else Ok ()
 
-let build t program =
-  let seed = t.seed and nprocs = t.nprocs in
-  match t.scheme with
+let build ~nprocs ~seed scheme program =
+  match scheme with
   | Nocomm _ -> Strategy.no_communication ~seed ~nprocs program
   | Q { ve; vr } -> Strategy.hash_q ~seed ~nprocs ~ve ~vr program
   | Wolfson -> Strategy.wolfson_redundant ~seed ~nprocs program
@@ -469,7 +454,7 @@ let verify_scheme t program =
       | Error msg -> unverified ("program rejected: " ^ msg))
   in
   (* Belt and braces: the scheme constructor itself must accept. *)
-  match build t program with
+  match build ~nprocs:t.nprocs ~seed:t.seed t.scheme program with
   | Ok _ -> Ok ()
   | Error msg -> unverified msg
 
@@ -503,6 +488,6 @@ let validate_exn ?nprocs t program =
 
 let to_rewrite t program =
   let* () = verify t program in
-  match build t program with
+  match build ~nprocs:t.nprocs ~seed:t.seed t.scheme program with
   | Ok rw -> Ok rw
   | Error msg -> unverified msg

@@ -118,6 +118,10 @@ val verify : ?nprocs:int -> t -> Program.t -> (unit, reject) result
 val validate_exn : ?nprocs:int -> t -> Program.t -> unit
 (** {!verify}, raising {!Rejected}. *)
 
+val build :
+  nprocs:int -> seed:int -> scheme -> Program.t -> (Rewrite.t, string) result
+(** The scheme's rewrite, from its {!Strategy} constructor. *)
+
 val to_rewrite : t -> Program.t -> (Rewrite.t, reject) result
 (** {!verify}, then build the certified scheme's rewrite via
     {!Strategy} with the certificate's [nprocs] and [seed]. *)

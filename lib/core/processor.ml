@@ -213,20 +213,17 @@ let inlet p r tuple =
 
 (* Receipt into an [@in] relation: counted as received, and as
    accepted when the engine did not know the tuple. *)
-let accept ?on_new p name tuple fresh =
+let accept p fresh =
   p.received <- p.received + 1;
-  if fresh then begin
-    p.accepted <- p.accepted + 1;
-    Option.iter (fun f -> f name tuple) on_new
-  end
+  if fresh then p.accepted <- p.accepted + 1
 
 (* A tuple the processor addresses to itself, delivered on the spot:
    the engine's own canonical row goes straight into its [@in]
    relation, counted as one tuple sent on the self channel and
    received. *)
-let deliver_self ?on_new p r tuple =
+let deliver_self p r tuple =
   p.sent_row.(p.pid) <- p.sent_row.(p.pid) + 1;
-  accept ?on_new p r.r_in tuple (Seminaive.deliver (inlet p r tuple) tuple)
+  accept p (Seminaive.deliver (inlet p r tuple) tuple)
 
 (* Channel dedup, the paper's difference-based resend suppression: a
    (pred, tuple) pair travels each channel at most once. The engine
@@ -235,7 +232,7 @@ let deliver_self ?on_new p r tuple =
    recovery state (the replay source, like [unacked]) and doubles as
    the filter across productions, e.g. a rebuilt engine's re-derived
    tuples. *)
-let route ?(dedup = true) ?(local = false) ?on_new p produced =
+let route ?(dedup = true) ?(local = false) p produced =
   let batches = Array.make (Array.length p.history) [] in
   let keep = dedup && p.reliable in
   let sent_before r tuple dst =
@@ -251,7 +248,7 @@ let route ?(dedup = true) ?(local = false) ?on_new p produced =
     | [] -> ()
     | dst :: dsts ->
       if not (sent_before r tuple dst) then
-        if local && dst = p.pid then deliver_self ?on_new p r tuple
+        if local && dst = p.pid then deliver_self p r tuple
         else batches.(dst) <- (r.r_pred, tuple) :: batches.(dst);
       send r tuple dsts
   in
@@ -365,8 +362,8 @@ let note_outbox ?(rows = 0) ?(bytes = fun () -> 0) p =
 (* The asynchronous drivers' send step. The dial's demand is measured
    before dispatch: a channel's new batch plus what it already holds
    deferred or in flight. *)
-let ship ?(replay = false) ?on_new ?demand p produced emit =
-  let batches = route ~local:(not replay) ?on_new p produced in
+let ship ?(replay = false) ?demand p produced emit =
+  let batches = route ~local:(not replay) p produced in
   Option.iter
     (fun f ->
       let worst = ref 0 in
@@ -468,10 +465,10 @@ let fresh p key =
     true
   end
 
-let receive ?on_new p pred tuple =
+let receive p pred tuple =
   let i = route_index p pred in
   let name = if i >= 0 then p.routes.(i).r_in else Rewrite.in_pred pred in
-  accept ?on_new p name tuple (Seminaive.inject p.engine name tuple)
+  accept p (Seminaive.inject p.engine name tuple)
 
 (* ------------------------------------------------------------------ *)
 (* Session patches                                                     *)

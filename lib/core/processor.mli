@@ -121,7 +121,6 @@ val row : ?active_rounds:int -> ?store:bool -> t -> Stats.per_proc
 val route :
   ?dedup:bool ->
   ?local:bool ->
-  ?on_new:(string -> Tuple.t -> unit) ->
   t ->
   (string * Tuple.t) list ->
   (string * Tuple.t) list array
@@ -139,8 +138,8 @@ val route :
     {!Seminaive.deliver} into its own [@in] relations, and leaves its
     own entry of the result empty. Each counts as sent on the self
     channel ([sent_row.(pid)]) and as received and accepted as
-    {!receive} counts it; [on_new] sees those the engine did not know.
-    No batch, sequence number or credit is involved. Without [local] (the simulator's modelled self channel)
+    {!receive} counts it. No batch, sequence number or credit is
+    involved. Without [local] (the simulator's modelled self channel)
     they are returned like any other destination's. *)
 
 val history : t -> int -> (string * Tuple.t) list
@@ -161,7 +160,6 @@ val dispatch :
 
 val ship :
   ?replay:bool ->
-  ?on_new:(string -> Tuple.t -> unit) ->
   ?demand:(int -> unit) ->
   t ->
   (string * Tuple.t) list ->
@@ -217,12 +215,14 @@ val idle : t -> bool
 
 val fresh : t -> int * int * int -> bool
 (** First delivery of [(src, inc, seq)]? A repeat counts as a
-    suppressed duplicate. *)
+    suppressed duplicate. Every runtime's receive-side filter, one call
+    per payload (the simulator's single incarnation is [0]). It is
+    channel state and survives {!rebuild}: replays take fresh sequence
+    numbers, so they still reach a rebuilt engine. *)
 
-val receive :
-  ?on_new:(string -> Tuple.t -> unit) -> t -> string -> Tuple.t -> unit
-(** Inject a delivered tuple under its [@in] name; [on_new] sees the
-    ones the engine did not know. *)
+val receive : t -> string -> Tuple.t -> unit
+(** Inject a delivered tuple under its [@in] name, counted as received
+    and, when the engine did not know it, as accepted. *)
 
 (** {1 Session patches} *)
 

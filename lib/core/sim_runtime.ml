@@ -9,8 +9,6 @@ type result = Session.result = {
   stats : Stats.t;
 }
 
-exception Round_budget_exceeded of { round : int; stats : Stats.t }
-
 (* The round transport's per-processor state; the engine, channels and
    counters live in the processor. *)
 type sim_state = {
@@ -20,9 +18,6 @@ type sim_state = {
      number so receipt can return that channel's credit *)
   inbox : (Pid.t * int * string * Tuple.t) Queue.t;
   all_out : (string * Tuple.t) Queue.t;  (* cumulative, for resend_all *)
-  (* Receive-side content filter per source: volatile, reset when the
-     processor crashes so that replays reach the rebuilt engine. *)
-  recv_seen : unit Fact.Tbl.t array;
   mutable active_rounds : int;
   mutable alive : bool;
   mutable down_until : int;  (* first round eligible for recovery *)
@@ -68,9 +63,11 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
        bound)";
   let fc = Fault.counters () in
   (* The channel layer — histories, pending queues, sequence numbers,
-     unacked buffers, credit — is stable storage in the fault model and
-     survives processor crashes; only the engine, the inbox and the
-     receive-side filter are volatile. *)
+     unacked buffers, credit and the [(src, inc, seq)] duplicate
+     filter — is stable storage in the fault model and survives
+     processor crashes; only the engine and the inbox are volatile.
+     Replays take fresh sequence numbers, so they pass the filter and
+     reach a rebuilt engine. *)
   let procs =
     Pool.processors ~reliable:faulty
       ~retry_after:(fun attempt -> float_of_int (Fault.retransmit_after ~attempt))
@@ -84,7 +81,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
           outbox = Queue.create ();
           inbox = Queue.create ();
           all_out = Queue.create ();
-          recv_seen = Array.init nprocs (fun _ -> Fact.Tbl.create 16);
           active_rounds = 0;
           alive = true;
           down_until = 0;
@@ -205,7 +201,6 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
       s.down_until <- !rounds + c.cr_down;
       Queue.clear s.outbox;
       Queue.clear s.inbox;
-      Array.iter Fact.Tbl.reset s.recv_seen;
       Obs.Trace.instant tr ~pid ~round:!rounds "crash";
       Log.info (fun m ->
           m "round %d: processor %d crashed, down for %d round(s)" !rounds
@@ -281,16 +276,13 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
               then
                 schedule (!rounds + 1)
                   (Fack { fm_sender = src; fm_receiver = b.dst; fm_seq = b.seq });
-              List.iter
-                (fun key ->
-                  let seen = s.recv_seen.(src) in
-                  if Fact.Tbl.mem seen key then
-                    fc.n_dups_suppressed <- fc.n_dups_suppressed + 1
-                  else begin
-                    Fact.Tbl.add seen key ();
-                    Queue.add (src, b.seq, fst key, snd key) s.inbox
-                  end)
-                b.tuples
+              (* One payload, one [(src, inc, seq)] receipt, as on the
+                 real transports; the simulator has one incarnation. *)
+              if Processor.fresh s.p (src, 0, b.seq) then
+                List.iter
+                  (fun (pred, tuple) ->
+                    Queue.add (src, b.seq, pred, tuple) s.inbox)
+                  b.tuples
             end)
         (List.rev !msgs)
   in
@@ -335,8 +327,7 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
   let continue = ref true in
   while !continue do
     if !rounds >= options.max_rounds then
-      raise
-        (Round_budget_exceeded { round = !rounds; stats = build_stats ~pooled:0 });
+      overload (Overload.Round_budget { round = !rounds });
     let round_now = !rounds in
     (* Fault schedule: crashes first, then due recoveries. *)
     if faulty then begin
@@ -478,16 +469,8 @@ let open_session ?(config = Run_config.default) (rw : Rewrite.t) ~edb =
         let removed = oc.Session.oc_removed in
         if removed <> [] then begin
           (* A checkpoint predating the patch would resurrect the
-             retracted tuples on restore, and the receive filters must
-             let a later re-derivation through again. *)
-          Array.iter
-            (fun s ->
-              s.checkpoint <- None;
-              List.iter
-                (fun key ->
-                  Array.iter (fun tbl -> Fact.Tbl.remove tbl key) s.recv_seen)
-                removed)
-            sims;
+             retracted tuples on restore. *)
+          Array.iter (fun s -> s.checkpoint <- None) sims;
           if options.resend_all then begin
             let gone = Fact.Tbl.create 16 in
             List.iter (fun key -> Fact.Tbl.replace gone key ()) removed;

@@ -35,13 +35,6 @@ type result = Session.result = {
   stats : Stats.t;
 }
 
-exception Round_budget_exceeded of { round : int; stats : Stats.t }
-(** Raised when [max_rounds] is exhausted. Carries the partial
-    statistics accumulated so far ([pooled_tuples] is 0: outputs are
-    not pooled on an aborted run), so callers can see how far the
-    evaluation got — e.g. which processors were still active and what
-    the channels carried. *)
-
 val run :
   ?config:Run_config.t -> Rewrite.t -> edb:Datalog.Database.t -> result
 (** Execute a rewritten program. The extensional database [edb] is
@@ -52,10 +45,10 @@ val run :
     historical code path and reproduces its message and firing counts.
     Equivalent to {!open_session} followed immediately by
     {!Session.close}.
-    @raise Round_budget_exceeded when [config.max_rounds] is exceeded.
     @raise Overload.Overload when a limit of [config.limits] is
-    breached; the exception carries the partial statistics and the
-    offending processor.
+    breached, or with reason [Round_budget] when [config.max_rounds]
+    is exhausted; the exception carries the partial statistics
+    ([pooled_tuples] is 0) and the offending processor.
     @raise Failure when a tuple is routed along a missing channel of
     [config.network].
     @raise Invalid_argument on an invalid configuration or a program
@@ -73,5 +66,5 @@ val open_session :
     processors hosting them, and the round loop re-runs to quiescence —
     under the same fault plan, credit bounds and watchdog as the
     initial drive. [config.max_rounds] is the cumulative budget.
-    @raise Round_budget_exceeded / Overload.Overload / Failure as
+    @raise Overload.Overload / Failure as
     {!run}, from [open_session] or any later [apply]. *)

@@ -84,6 +84,14 @@ val adaptive_tradeoff :
     dial trajectory (Theorem 4 holds per tuple under a [Local]
     policy). *)
 
+val default_choice : Program.t -> Rule.t -> string list
+(** The discriminating sequence {!general} gives a rule by default: the
+    variables its first derived body atom shares with the rest of the
+    body (all of that atom's variables when it shares none) — as in
+    Example 8 where [v(r₁) = ⟨Y⟩, v(r₂) = ⟨Z⟩] both pivot on the join
+    variable; for a rule without a derived body atom, its head
+    variables, or its first body atom's when the head has none. *)
+
 val general :
   ?seed:int ->
   ?choose:(Rule.t -> string list) ->
@@ -91,10 +99,8 @@ val general :
   Program.t ->
   (Rewrite.t, string) result
 (** Scheme [T] (Section 7) for arbitrary Datalog programs. [choose]
-    picks each rule's discriminating sequence (default: the variables of
-    the rule's first derived body atom, or of its first body atom when
-    the rule has no derived atom — as in Example 8 where
-    [v(r₁) = ⟨Y⟩, v(r₂) = ⟨Z⟩] both pivot on the join variable). *)
+    picks each rule's discriminating sequence (default
+    {!default_choice}). *)
 
 val tc_shape : Program.t -> (Analysis.sirup, string) result
 (** Recognize the transitive-closure shape required by {!example2} and

@@ -106,14 +106,13 @@ type wproc = {
   (* Receipts not yet shipped in a checkpoint: checkpoints carry only
      this delta and the coordinator accumulates. *)
   mutable seen_new : (int * int * int) list;
-  (* Derived-store growth since the last checkpoint (bootstrap and
-     step products, accepted wire injections): the next checkpoint
-     ships this instead of scanning the whole store. *)
-  mutable ckpt_acc : (string * Tuple.t) list;
-  (* Derived tuples already shipped in a checkpoint (or restored from
-     one): checkpoints carry only the delta, the coordinator
-     accumulates. *)
-  dumped : unit Fact.Tbl.t;
+  (* Per derived relation of the store, the position bound at the last
+     checkpoint: the next one ships the slab window from there to the
+     bound, so the store is never rescanned or copied. *)
+  mutable marks : (string * int) list;
+  (* Unshipped tuples saved across a [Patch], whose retraction may
+     compact a relation and move the positions the marks refer to. *)
+  mutable carry : (string * Tuple.t) list;
 }
 
 let snap_of ~store w : Wire.psnap =
@@ -228,8 +227,8 @@ let worker_body ~addr ~worker ~inc =
               local_rounds = 0;
               last_ckpt = 0;
               seen_new = [];
-              ckpt_acc = [];
-              dumped = Fact.Tbl.create 256;
+              marks = [];
+              carry = [];
             })
       (List.init nprocs Fun.id)
   in
@@ -254,16 +253,37 @@ let worker_body ~addr ~worker ~inc =
            batch = Wire.of_batch b.tuples;
          })
   in
-  (* Accepted [@in] tuples are derived-store growth too, recorded for
-     the next checkpoint delta. *)
-  let on_accept w =
-    if ckpt_on then Some (fun name t -> w.ckpt_acc <- (name, t) :: w.ckpt_acc)
-    else None
-  in
   (* A fresh product addressed to its own processor is delivered in
      place; a recovery replay travels like any other, marked as one. *)
   let route ~replay w produced =
-    Processor.ship ~replay ?on_new:(on_accept w) w.p produced (transmit w)
+    Processor.ship ~replay w.p produced (transmit w)
+  in
+  (* The derived relations of a processor's store — its own products
+     and its [@in] receipts — are what a checkpoint ships. *)
+  let derived_rels w =
+    let db = Seminaive.store w.p.engine in
+    List.filter_map
+      (fun name ->
+        if is_derived_pred rw name then Some (name, Database.get db name)
+        else None)
+      (Database.predicates db)
+  in
+  (* The carry plus every derived tuple added since the last checkpoint:
+     per relation, the positions from its mark to its bound. *)
+  let unshipped w =
+    List.fold_left
+      (fun acc (name, rel) ->
+        let acc = ref acc in
+        Relation.iter_range rel
+          ~lo:(Option.value ~default:0 (List.assoc_opt name w.marks))
+          ~hi:(Relation.bound rel)
+          (fun t -> acc := (name, t) :: !acc);
+        !acc)
+      w.carry (derived_rels w)
+  in
+  let pin w =
+    w.marks <-
+      List.map (fun (name, rel) -> (name, Relation.bound rel)) (derived_rels w)
   in
   let pump_retransmits () =
     let t = now () in
@@ -292,24 +312,12 @@ let worker_body ~addr ~worker ~inc =
     | Some k when w.local_rounds > w.last_ckpt && w.local_rounds mod k = 0 ->
       w.last_ckpt <- w.local_rounds;
       fc.Fault.n_checkpoints <- fc.Fault.n_checkpoints + 1;
-      (* Ship only the derived tuples the coordinator has not seen in
-         an earlier checkpoint of this state: a full dump every few
-         rounds is O(rounds x store) on the wire and congests the
-         coordinator into false failure detections. [ckpt_acc] is the
-         store growth since the last checkpoint, so neither the dump
-         nor this filter ever rescans the store. *)
-      let delta =
-        let acc = w.ckpt_acc in
-        w.ckpt_acc <- [];
-        List.filter
-          (fun (pred, t) ->
-            if Fact.Tbl.mem w.dumped (pred, t) then false
-            else begin
-              Fact.Tbl.replace w.dumped (pred, t) ();
-              true
-            end)
-          acc
-      in
+      (* Ship only the derived tuples added since the last checkpoint:
+         a full dump every few rounds is O(rounds x store) on the wire
+         and congests the coordinator into false failure detections. *)
+      let delta = unshipped w in
+      w.carry <- [];
+      pin w;
       (* Receipts are deltas for the same reason as the tuples: the
          full table is O(frames) and would be re-marshalled on every
          checkpoint. *)
@@ -335,32 +343,17 @@ let worker_body ~addr ~worker ~inc =
   let check_limits w =
     if not !breached then Option.iter breach (Processor.watchdog limits [ w.p ])
   in
-  (* Record derived-store growth for the next checkpoint delta —
-     every insertion flows through here or [on_accept], so a scan of
-     the whole store at checkpoint time is never needed. *)
-  let ckpt_note w produced =
-    if ckpt_on then
-      List.iter
-        (fun ((name, _) as nt) ->
-          if is_derived_pred rw name then w.ckpt_acc <- nt :: w.ckpt_acc)
-        produced
-  in
   let accept_batch w batch =
-    let on_new = on_accept w in
     List.iter
-      (fun (pred, tuple) -> Processor.receive ?on_new w.p pred tuple)
+      (fun (pred, tuple) -> Processor.receive w.p pred tuple)
       (Wire.to_batch batch)
   in
   (* Restore from checkpoint dumps: a fresh engine over the base
-     fragment, every dumped derived tuple injected (so its
+     fragment, every checkpointed derived tuple injected (so its
      consequences re-derive), and — because [step] never returns
-     injected tuples — the dumped stored tuples re-routed explicitly
-     with [replay] marking (receivers dedup by content). *)
-  let restores =
-    List.filter (fun (r : Wire.restore) -> List.mem_assoc r.rs_pid
-                    (List.map (fun w -> (w.p.pid, ())) procs))
-      cf.cf_restores
-  in
+     injected tuples — the checkpointed stored tuples re-routed
+     explicitly with [replay] marking (receiving engines drop the ones
+     they know). *)
   let injected = ref 0 in
   List.iter
     (fun (r : Wire.restore) ->
@@ -370,9 +363,6 @@ let worker_body ~addr ~worker ~inc =
       List.iter
         (fun (pred, t) ->
           ignore (Seminaive.inject w.p.engine pred t);
-          (* These tuples are already at the coordinator; future
-             checkpoints ship only what this incarnation adds. *)
-          Fact.Tbl.replace w.dumped (pred, t) ();
           incr injected;
           (* A large restore must not look like death to the failure
              detector: keep heartbeats flowing while injecting. *)
@@ -383,12 +373,12 @@ let worker_body ~addr ~worker ~inc =
             flush_out ()
           end)
         (Wire.to_batch r.rs_tuples))
-    restores;
+    cf.cf_restores;
+  (* The restored tuples are already at the coordinator; checkpoints
+     ship only what this incarnation adds. *)
+  if ckpt_on then List.iter pin procs;
   List.iter
-    (fun w ->
-      let produced = Seminaive.bootstrap w.p.engine in
-      ckpt_note w produced;
-      route ~replay:false w produced)
+    (fun w -> route ~replay:false w (Seminaive.bootstrap w.p.engine))
     procs;
   List.iter
     (fun (r : Wire.restore) ->
@@ -397,7 +387,7 @@ let worker_body ~addr ~worker ~inc =
           (Wire.to_batch r.rs_tuples)
       in
       route ~replay:true (proc_of r.rs_pid) outs)
-    restores;
+    cf.cf_restores;
   let all_idle () = List.for_all (fun w -> Processor.idle w.p) procs in
   let answers_of w =
     let db = Seminaive.store w.p.engine in
@@ -455,13 +445,16 @@ let worker_body ~addr ~worker ~inc =
         dels;
       List.iter
         (fun w ->
+          (* Save the unshipped window before retraction can compact a
+             relation and move its positions; re-pinned afterwards, a
+             re-derived tuple lands past the marks and ships again. *)
+          if ckpt_on then
+            w.carry <-
+              List.filter
+                (fun key -> not (Fact.Tbl.mem gone key))
+                (unshipped w);
           Processor.retract w.p dels;
-          (* The checkpoint cover forgets exactly the removed tuples: a
-             re-derived tuple must enter a checkpoint again, while
-             everything still true stays covered. *)
-          Fact.Tbl.iter (fun key () -> Fact.Tbl.remove w.dumped key) gone;
-          w.ckpt_acc <-
-            List.filter (fun key -> not (Fact.Tbl.mem gone key)) w.ckpt_acc)
+          if ckpt_on then pin w)
         procs
     | Update { dst; batch } ->
       (* Net base insertions of a session batch: pending work for the
@@ -533,7 +526,6 @@ let worker_body ~addr ~worker ~inc =
           if Seminaive.has_pending w.p.engine then begin
             let produced = Seminaive.step w.p.engine in
             w.local_rounds <- w.local_rounds + 1;
-            ckpt_note w produced;
             route ~replay:false w produced;
             maybe_checkpoint w;
             check_limits w
@@ -1033,7 +1025,7 @@ let open_session ~config ~program ~spec ?(seed = 0) ?(procs = 4)
     | Checkpoint { pid; inc; round; tuples; seen } ->
       if inc = s.s_inc then begin
         (* Checkpoints are deltas: accumulate onto what this pid has
-           already dumped (a restored incarnation resumes the delta
+           already shipped (a restored incarnation resumes the delta
            chain from the dump it was handed). *)
         let prev =
           match Hashtbl.find_opt dumps pid with

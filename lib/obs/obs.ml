@@ -2,6 +2,7 @@
     metrics bundled as one value threaded through [Run_config]. *)
 
 module Clock = Clock
+module Json = Json
 module Trace = Trace
 module Metrics = Metrics
 module Phase_timer = Phase_timer

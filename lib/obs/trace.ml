@@ -106,19 +106,6 @@ let instant_count t ~name =
   Mutex.unlock t.mu;
   r
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json t =
   Mutex.lock t.mu;
   let events = List.rev t.events in
@@ -140,7 +127,7 @@ let to_chrome_json t =
       emit
         (Printf.sprintf
            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-           pid (escape label)))
+           pid (Json.escape label)))
     pids;
   List.iter
     (fun ev ->
@@ -149,12 +136,12 @@ let to_chrome_json t =
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"round\":%d}}"
-               (escape ev.ev_name) ev.ev_cat ev.ev_ts ev.ev_dur ev.ev_pid ev.ev_round)
+               (Json.escape ev.ev_name) ev.ev_cat ev.ev_ts ev.ev_dur ev.ev_pid ev.ev_round)
       | _ ->
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"p\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"round\":%d}}"
-               (escape ev.ev_name) ev.ev_cat ev.ev_ts ev.ev_pid ev.ev_round))
+               (Json.escape ev.ev_name) ev.ev_cat ev.ev_ts ev.ev_pid ev.ev_round))
     events;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf

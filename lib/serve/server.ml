@@ -363,17 +363,6 @@ let evaluate cfg (q : Protocol.query) program edb =
         Protocol.partial_head ?stats ~id:q.q_id ~reason:kind ~scheme ();
         Protocol.end_of_result ~id:q.q_id;
       ]
-    | exception Sim_runtime.Round_budget_exceeded { stats; _ } ->
-      let stats =
-        if q.q_stats then
-          Some (Stats.to_json ~scheme ~outcome:"round_budget" stats)
-        else None
-      in
-      [
-        Protocol.partial_head ?stats ~id:q.q_id ~reason:"round_budget" ~scheme
-          ();
-        Protocol.end_of_result ~id:q.q_id;
-      ]
     | exception Plan.Rejected r ->
       [ Protocol.err ~code:"plan" (string_of_reject r) ])
 

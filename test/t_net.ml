@@ -392,6 +392,71 @@ let unit_nocomm_pools_sequential () =
         (Stats.total_firings net.Session.stats))
     [ Chain 30; Hotspot 7 ]
 
+(* ------------------------------------------------------------------ *)
+(* A session under crashes and checkpoints: a RETRACT of a middle     *)
+(* edge, then a worker SIGKILLed and restored, then the re-insert.    *)
+(* ------------------------------------------------------------------ *)
+
+(* The session opens on two chains, 0..4 and 100..104. The RETRACT of
+   par(2,3) reaches the workers between checkpoints, often with the
+   last tuples of both chains still unshipped: retracted ones of the
+   first, live ones of the second. Up to there a processor takes at
+   most 40 steps (one per tuple entering its store: 20 [anc] tuples,
+   each stored once derived and once received at most), while the
+   55-edge extension of the first chain inserted next takes it past
+   step 41, where processor 0 crashes. The re-insert then extends both chains. A restore that
+   resurrected a retracted tuple shows in the model after the
+   extension; one that lost a live unshipped tuple, after the
+   re-insert. Whether a worker holds such tuples unshipped depends on
+   message timing, hence four hash seeds. *)
+let session_retract_restore seed =
+  let nprocs = 2 in
+  let program = Parser.program_exn anc_text in
+  let edb =
+    Workload.Edb.of_edges
+      (G.chain 5 @ List.map (fun (a, b) -> (a + 100, b + 100)) (G.chain 5))
+  in
+  let plan =
+    Fault.make
+      ~crashes:[ { Fault.cr_pid = 0; cr_round = 41; cr_down = 1 } ]
+      ~checkpoint_every:2 ()
+  in
+  let s =
+    Net.Net_runtime.open_session
+      ~config:Run_config.(default |> with_fault plan)
+      ~program:anc_text ~spec:anc_spec ~seed ~procs:2
+      ~spawn:Net.Net_runtime.Fork (anc_rw ~seed ~nprocs) ~edb
+  in
+  let oracle = Stratified.Live.create program ~edb in
+  let par op (a, b) = op "par" (Tuple.of_ints [ a; b ]) in
+  let check label =
+    Alcotest.(check (list Helpers.tuple_t))
+      label
+      (Stratified.Live.query oracle "anc")
+      (Session.query s "anc")
+  in
+  check "opened";
+  List.iter
+    (fun (label, ops) ->
+      ignore (Stratified.Live.apply oracle (Delta.Batch.of_list ops));
+      ignore (Session.apply s (Update_batch.of_list ops));
+      check label)
+    [
+      ("after the RETRACT", [ par Delta.Batch.delete (2, 3) ]);
+      ( "after the extension (crash and restore)",
+        List.map (par Delta.Batch.insert)
+          (List.init 55 (fun i -> (i + 4, i + 5))) );
+      ( "after the re-insert",
+        List.map (par Delta.Batch.insert) [ (2, 3); (104, 105) ] );
+    ];
+  let f = (Session.close s).Session.stats.Stats.faults in
+  Alcotest.(check bool) "a crash fired" true (f.Stats.crashes >= 1);
+  Alcotest.(check bool) "restored from a checkpoint" true
+    (f.Stats.restores >= 1)
+
+let unit_session_retract_restore () =
+  List.iter session_retract_restore [ 7; 8; 9; 10 ]
+
 let suites =
   [
     ( "net",
@@ -412,5 +477,7 @@ let suites =
             `Quick unit_idle_death_close;
           Alcotest.test_case "nocomm plan: pools the sequential model" `Quick
             unit_nocomm_pools_sequential;
+          Alcotest.test_case "session: RETRACT, crash, restore = Live"
+            `Quick unit_session_retract_restore;
         ] );
   ]

@@ -324,8 +324,9 @@ let sim_tests =
             ~config:Run_config.(default |> with_max_rounds 1)
             rw ~edb
         with
-        | _ -> Alcotest.fail "expected Round_budget_exceeded"
-        | exception Sim_runtime.Round_budget_exceeded { round; stats } ->
+        | _ -> Alcotest.fail "expected a Round_budget overload"
+        | exception
+            Overload.Overload { reason = Round_budget { round }; stats } ->
           Alcotest.(check int) "round at abort" 1 round;
           Alcotest.(check int) "partial stats carry the round" 1
             stats.Stats.rounds;
